@@ -75,6 +75,7 @@ from .simulator import (
     Terminal,
     TrajectoryRecord,
     audit,
+    check_bounds,
     next_event,
     record_from_json,
     record_to_json,

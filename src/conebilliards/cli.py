@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import BoundsReport, bounds_report
 from .geometry import ConeSpec, make_cone
-from .harness import ExperimentConfig, adversarial_search, ensemble_run
+from .harness import ExperimentConfig, adversarial_search, ensemble_run, format_value
 from .hardball import HardBallSystem, conjugacy_check, simulate_balls
 from .simulator import BilliardState, audit, record_to_json, run
 from .wedge import sharp_bound, unfold, wedge_from_angle
@@ -31,20 +31,10 @@ def _parse_floats(text: str) -> np.ndarray:
     return np.array([float(x) for x in text.split(",") if x.strip() != ""])
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
 def report_to_csv(report: BoundsReport) -> str:
     d = report.to_dict()
     header = ",".join(d.keys())
-    values = ",".join(_fmt(v) for v in d.values())
+    values = ",".join(format_value(v) for v in d.values())
     return header + "\n" + values + "\n"
 
 
@@ -108,14 +98,14 @@ def _cmd_search(args) -> int:
 
 def _cmd_wedge(args) -> int:
     wedge = wedge_from_angle(args.theta)
-    print(f"theta = {_fmt(args.theta)}")
+    print(f"theta = {format_value(args.theta)}")
     print(f"sharp_bound = {sharp_bound(args.theta)}")
     if args.search:
         result = adversarial_search(wedge.cone, budget=args.budget, seed=args.seed)
         print(f"best_n = {result.best_n}")
         print("unfolded breakpoints:")
         for x, y in unfold(result.best_record, wedge):
-            print(f"{_fmt(float(x))} {_fmt(float(y))}")
+            print(f"{format_value(float(x))} {format_value(float(y))}")
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,9 +321,23 @@ def tridiagonal_case(g) -> tuple[bool, int | None]:
     return True, n * (n + 1) // 2
 
 
+def _power_bound(factor, base: float, exponent: int) -> float:
+    """factor * base^exponent as a float, or inf past the float range."""
+    try:
+        return factor * base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def main_bound(n: int, lambda_min: float) -> float:
-    """n! (4 / lambda_min)^(n-1), as a float."""
-    return float(math.factorial(n)) * (4.0 / lambda_min) ** (n - 1)
+    """n! (4 / lambda_min)^(n-1), as a float; inf past the float range."""
+    return _power_bound(math.factorial(n), 4.0 / lambda_min, n - 1)
+
+
+def step_cap(n: int, lambda_min: float) -> int:
+    """Default simulation budget ceil(main_bound) + 1, at most sys.maxsize."""
+    bound = main_bound(n, lambda_min)
+    return int(math.ceil(bound)) + 1 if bound < sys.maxsize else sys.maxsize
 
 
 def _sevryuk_bound(n: int, phi: float) -> float:
@@ -367,9 +382,9 @@ def bounds_report(cone: ConeSpec) -> BoundsReport:
         charge_phi=phi.value,
         bfk_C=c_est.value,
         bound_main=main_bound(n, lam),
-        bound_dd=(4.0 / (d * delta)) ** (n - 1),
+        bound_dd=_power_bound(1.0, 4.0 / (d * delta), n - 1),
         bound_sevryuk=_sevryuk_bound(n, phi.value),
-        bound_bfk=8.0 * (1.0 / c_est.value + 2.0) ** (2 * (n - 1)),
+        bound_bfk=_power_bound(8.0, 1.0 / c_est.value + 2.0, 2 * (n - 1)),
         bound_wedge=wedge_bound,
         bound_tridiagonal=tri_bound if applicable else None,
         tridiagonal_applicable=applicable,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import main_bound
+from .constants import step_cap
 from .errors import InvalidState, NonpositiveMass, TooFewBalls
 from .geometry import ConeSpec, make_cone
 from .simulator import BilliardState, Terminal, run
@@ -135,7 +135,7 @@ def simulate_balls(system: HardBallSystem, max_events: int | None = None) -> Bal
     n = system.n_balls
     if max_events is None:
         cone, _ = balls_to_cone(m)
-        max_events = int(math.ceil(main_bound(n - 1, cone.lambda_min))) + 1
+        max_events = step_cap(n - 1, cone.lambda_min)
 
     t = 0.0
     events = []

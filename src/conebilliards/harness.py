@@ -16,7 +16,9 @@ import numpy as np
 from .constants import bounds_report, inscribed_ball
 from .errors import DegenerateSampling, DimensionMismatch
 from .geometry import ConeSpec, jacobi_eigenvalues, make_cone, reduce_to_span
-from .simulator import BilliardState, TrajectoryRecord, audit, run, zigzag_length
+# `audit` is not called here; it stays importable from this module, where
+# the profiling code in perfbench/ looks it up by name.
+from .simulator import BilliardState, TrajectoryRecord, audit, check_bounds, run, run_batch
 
 _MASK64 = (1 << 64) - 1
 # Resampling floor on the smallest singular value of the normal matrix.
@@ -49,13 +51,6 @@ def sphere_sample(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return z / norms[:, None]
 
 
-def ball_sample(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """One point uniform in the unit ball in R^dim."""
-    direction = sphere_sample(rng, 1, dim)[0]
-    radius = rng.random() ** (1.0 / dim)
-    return radius * direction
-
-
 def random_cone(n: int, dim: int, seed: int, stream: int = 0) -> ConeSpec:
     """Random cone with normals uniform on the sphere, resampled until the
     smallest singular value of the normal matrix exceeds 1e-3."""
@@ -74,23 +69,16 @@ def random_cone(n: int, dim: int, seed: int, stream: int = 0) -> ConeSpec:
 def interior_start(
     rng: np.random.Generator, cone: ConeSpec, center: np.ndarray
 ) -> BilliardState:
-    """q = center + 0.1 u with u uniform in the unit ball, rejected until
-    inside the cone; v uniform on the sphere."""
-    a = cone.matrix
-    for _ in range(1000):
-        q = center + 0.1 * ball_sample(rng, cone.dim)
-        if (q @ a).min() >= 0.0:
-            break
-    else:
-        q = center.copy()
-    v = sphere_sample(rng, 1, cone.dim)[0]
-    return BilliardState(q=q, v=v)
+    """One start drawn by `interior_starts` (its count = 1 case)."""
+    q, v = interior_starts(rng, cone, center, 1)
+    return BilliardState(q=q[0], v=v[0])
 
 
 def interior_starts(
     rng: np.random.Generator, cone: ConeSpec, center: np.ndarray, count: int
 ):
-    """Vectorized interior_start: returns (Q, V) arrays of shape (count, m)."""
+    """(Q, V) arrays of shape (count, m): q = center + 0.1 u with u uniform
+    in the unit ball, redrawn until inside the cone; v uniform on the sphere."""
     a = cone.matrix
     dim = cone.dim
     q = np.empty((count, dim))
@@ -134,6 +122,8 @@ class ExperimentConfig:
             raise ValueError("n_walls must not exceed dim")
         if self.format not in ("csv", "structured"):
             raise ValueError(f"unknown format {self.format!r}")
+        if self.paths_per_cone is not None and self.paths_per_cone < 1:
+            raise ValueError("paths_per_cone must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -176,7 +166,10 @@ class EnsembleRow:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
-def _format_value(v) -> str:
+def format_value(v) -> str:
+    """CSV text of a value: round-tripping 17-digit doubles, true/false, "" for None."""
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -184,11 +177,12 @@ def _format_value(v) -> str:
     return str(v)
 
 
+def _csv_line(row: EnsembleRow) -> str:
+    return ",".join(format_value(getattr(row, f)) for f in EnsembleRow.FIELDS) + "\n"
+
+
 def rows_to_csv(rows) -> str:
-    lines = [",".join(EnsembleRow.FIELDS)]
-    for row in rows:
-        lines.append(",".join(_format_value(getattr(row, f)) for f in EnsembleRow.FIELDS))
-    return "\n".join(lines) + "\n"
+    return ",".join(EnsembleRow.FIELDS) + "\n" + "".join(_csv_line(row) for row in rows)
 
 
 def rows_to_structured(rows) -> str:
@@ -202,7 +196,9 @@ _IC_STREAM_BASE = 1 << 32
 
 def ensemble_run(config: ExperimentConfig) -> list[EnsembleRow]:
     """Random-cone ensemble: per cone, compute the bounds report, fire many
-    random trajectories, audit each, and record the observed maxima.
+    random trajectories in one `run_batch`, and audit their largest count
+    and zigzag length once (`check_bounds`), which passes exactly when
+    every trajectory would.
 
     Rows are written incrementally when `output_path` is set, so partial
     results survive a failure.  Identical configs produce byte-identical
@@ -220,17 +216,9 @@ def ensemble_run(config: ExperimentConfig) -> list[EnsembleRow]:
             rcone = report.cone  # reduced to n = m when needed
             center = inscribed_ball(rcone).e
             rng = make_rng(config.seed, stream=_IC_STREAM_BASE + trial)
-            paths = config.paths_per_cone or config.trials
-            max_n = 0
-            max_l = 0.0
-            all_pass = True
-            for _ in range(paths):
-                state = interior_start(rng, rcone, center)
-                rec = run(state, rcone, max_steps=config.max_steps_override)
-                verdict = audit(rec, report)
-                max_n = max(max_n, rec.n_collisions)
-                max_l = max(max_l, verdict.zigzag)
-                all_pass = all_pass and verdict.all_passed
+            q, v = interior_starts(rng, rcone, center, config.paths_per_cone or config.trials)
+            counts, zigzag, _ = run_batch(q, v, rcone, max_steps=config.max_steps_override)
+            verdict = check_bounds(int(counts.max()), float(zigzag.max()), report)
             row = EnsembleRow(
                 cone_id=trial,
                 seed=config.seed,
@@ -243,17 +231,14 @@ def ensemble_run(config: ExperimentConfig) -> list[EnsembleRow]:
                 bound_dd=report.bound_dd,
                 bound_sevryuk=report.bound_sevryuk,
                 bound_bfk=report.bound_bfk,
-                max_observed_N=max_n,
-                zigzag_max_L=max_l,
+                max_observed_N=verdict.n_collisions,
+                zigzag_max_L=verdict.zigzag,
                 lemma1_ceiling=2.0 / report.d,
-                all_checks_pass=all_pass,
+                all_checks_pass=verdict.all_passed,
             )
             rows.append(row)
             if handle and config.format == "csv":
-                handle.write(
-                    ",".join(_format_value(getattr(row, f)) for f in EnsembleRow.FIELDS)
-                    + "\n"
-                )
+                handle.write(_csv_line(row))
                 handle.flush()
         if handle and config.format == "structured":
             handle.write(rows_to_structured(rows))

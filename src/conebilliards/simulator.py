@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import BoundsReport, main_bound
+from .constants import BoundsReport, step_cap
 from .errors import ConeMismatch, InvalidState
-from .geometry import ConeSpec
+from .geometry import ConeSpec, reduce_to_span
 
 # Walls with velocity margin above -APPROACH_TOL are treated as grazing,
 # i.e. non-approaching; candidate hit times this close (relative) collide.
@@ -92,8 +91,14 @@ class TrajectoryRecord:
         return [ev.wall for ev in self.events]
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+def _reflect(q: np.ndarray, v: np.ndarray, t: np.ndarray, normals: np.ndarray):
+    """Row-wise flight by t onto the walls (re-projected exactly onto them)
+    and unit-speed reflection; shared by next_event and run_batch."""
+    q_at = q + t[:, None] * v
+    q_at -= (q_at * normals).sum(axis=1)[:, None] * normals
+    v_after = v - 2.0 * (v * normals).sum(axis=1)[:, None] * normals
+    v_after /= np.linalg.norm(v_after, axis=1)[:, None]
+    return q_at, v_after
 
 
 def next_event(state: BilliardState, cone: ConeSpec):
@@ -122,12 +127,11 @@ def next_event(state: BilliardState, cone: ConeSpec):
         t_second = float(others.min())
         if t_second - t_hit < CORNER_REL_TOL * (1.0 + t_hit):
             return CornerHit(t=state.t + t_hit, q_at=q + t_hit * v)
-    normal = cone.normals[wall]
-    q_at = q + t_hit * v
-    q_at = q_at - (q_at @ normal) * normal  # land exactly on the wall
-    v_after = _unit(v - 2.0 * (v @ normal) * normal)
+    q_at, v_after = _reflect(
+        q[None], v[None], np.array([t_hit]), cone.normals[wall][None]
+    )
     return CollisionEvent(
-        t=state.t + t_hit, wall=wall, q_at=q_at, v_before=v, v_after=v_after
+        t=state.t + t_hit, wall=wall, q_at=q_at[0], v_before=v, v_after=v_after[0]
     )
 
 
@@ -142,14 +146,14 @@ def run(initial: BilliardState, cone: ConeSpec, max_steps: int | None = None) ->
     v = np.array(initial.v, dtype=np.float64)
     if q.shape != (cone.dim,) or v.shape != (cone.dim,):
         raise InvalidState(f"state vectors must have {cone.dim} components")
-    speed = np.linalg.norm(v)
+    speed = np.linalg.norm(v[None], axis=1)[0]  # the form run_batch uses
     if abs(speed - 1.0) > 1e-9:
         raise InvalidState(f"velocity must be a unit vector, got norm {speed}")
     v /= speed
     if (q @ cone.matrix).min() < -CONTAINMENT_TOL:
         raise InvalidState("initial position outside the cone")
     if max_steps is None:
-        max_steps = int(math.ceil(main_bound(cone.n_walls, cone.lambda_min))) + 1
+        max_steps = step_cap(cone.n_walls, cone.lambda_min)
     if max_steps < 1:
         raise InvalidState("max_steps must be >= 1")
 
@@ -178,12 +182,7 @@ def run(initial: BilliardState, cone: ConeSpec, max_steps: int | None = None) ->
     if terminal is None:
         terminal = Terminal.STEP_LIMIT
         final = BilliardState(q=q, v=v, t=t)
-        warnings.warn(
-            f"trajectory exceeded {max_steps} steps; collision bound violated "
-            "or numerical breakdown",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        _warn_step_limit("trajectory", max_steps)
     return TrajectoryRecord(
         initial=start,
         events=tuple(events),
@@ -194,21 +193,30 @@ def run(initial: BilliardState, cone: ConeSpec, max_steps: int | None = None) ->
     )
 
 
+def _warn_step_limit(what: str, max_steps: int) -> None:
+    warnings.warn(
+        f"{what} exceeded {max_steps} steps; collision bound violated "
+        "or numerical breakdown",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
 def run_batch(q0: np.ndarray, v0: np.ndarray, cone: ConeSpec, max_steps: int | None = None):
     """Advance many trajectories of one cone in lockstep.
 
     Applies the stepping rules of `run` (grazing tolerance, corner tie
-    rule, wall re-projection, velocity renormalization) to all rows of
-    q0, v0 at once; the two must stay step-for-step equivalent.  Returns
-    (collision counts, zigzag lengths, per-row Terminal values).  Meant
-    for large ensembles where per-event records are not needed.
+    rule, and the shared `_reflect`) to all rows of q0, v0 at once, with
+    the same arithmetic, so the two agree bit for bit.  Returns (collision
+    counts, zigzag lengths, per-row Terminal values); rows that reach the
+    step budget get one warning per call.
     """
     a = cone.matrix
     q = np.array(q0, dtype=np.float64)
     v = np.array(v0, dtype=np.float64)
     k = q.shape[0]
     if max_steps is None:
-        max_steps = int(math.ceil(main_bound(cone.n_walls, cone.lambda_min))) + 1
+        max_steps = step_cap(cone.n_walls, cone.lambda_min)
     counts = np.zeros(k, dtype=np.int64)
     zigzag = np.zeros(k)
     terminal = np.full(k, -1, dtype=np.int64)  # -1 alive, 0 escaped, 1 corner
@@ -249,17 +257,14 @@ def run_batch(q0: np.ndarray, v0: np.ndarray, cone: ConeSpec, max_steps: int | N
             continue
         sub = idx[go]
         wall = times[go].argmin(axis=1)
-        normals = cone.normals[wall]
-        q_new = qa[go] + t1[go, None] * va[go]
-        q_new -= (q_new * normals).sum(axis=1)[:, None] * normals
-        vdot = (va[go] * normals).sum(axis=1)
-        v_new = va[go] - 2.0 * vdot[:, None] * normals
-        v_new /= np.linalg.norm(v_new, axis=1)[:, None]
+        q_new, v_new = _reflect(qa[go], va[go], t1[go], cone.normals[wall])
         zigzag[sub] += np.linalg.norm(v_new - va[go], axis=1)
         counts[sub] += 1
         q[sub] = q_new
         v[sub] = v_new
 
+    if alive.any():
+        _warn_step_limit(f"{int(alive.sum())} of {k} trajectories", max_steps)
     code_map = {0: Terminal.ESCAPED, 1: Terminal.CORNER_HIT, -1: Terminal.STEP_LIMIT}
     terminals = np.array([code_map[int(t)] for t in terminal], dtype=object)
     return counts, zigzag, terminals
@@ -270,7 +275,8 @@ def zigzag_length(record: TrajectoryRecord) -> float:
     if record.n_collisions == 0:
         return 0.0
     diffs = np.diff(record.velocities, axis=0)
-    return float(np.linalg.norm(diffs, axis=1).sum())
+    # Summed in event order, as run_batch accumulates it.
+    return float(np.cumsum(np.linalg.norm(diffs, axis=1))[-1])
 
 
 @dataclass(frozen=True)
@@ -283,7 +289,7 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class AuditVerdict:
-    """Pass/fail result of every bound check applied to one trajectory."""
+    """Pass/fail result of every bound check on one trajectory or a batch's maxima."""
 
     n_collisions: int
     zigzag: float
@@ -310,42 +316,42 @@ class AuditVerdict:
         }
 
 
-def audit(record: TrajectoryRecord, report: BoundsReport) -> AuditVerdict:
-    """Check a trajectory against every bound in the report.
+def check_bounds(n_collisions: int, zigzag: float, report: BoundsReport) -> AuditVerdict:
+    """Check a collision count and zigzag length against every bound in the
+    report; the zigzag check allows 1e-9 slack on the 2/d ceiling.
 
-    Collision-count checks compare the integer count against each bound;
-    the zigzag check allows 1e-9 slack on the 2/d ceiling.
+    Every check reads observed <= limit, so a batch of trajectories passes
+    exactly when its largest count and largest zigzag length pass.
     """
-    if report.cone is not None and not np.array_equal(
-        record.cone.normals, report.cone.normals
-    ):
-        raise ConeMismatch("record and report were built from different cones")
-    n_col = record.n_collisions
-    zz = zigzag_length(record)
-    checks = [
-        BoundCheck("bound_main", n_col, report.bound_main, n_col <= report.bound_main),
-        BoundCheck("bound_dd", n_col, report.bound_dd, n_col <= report.bound_dd),
-        BoundCheck(
-            "bound_sevryuk", n_col, report.bound_sevryuk, n_col <= report.bound_sevryuk
-        ),
-        BoundCheck("bound_bfk", n_col, report.bound_bfk, n_col <= report.bound_bfk),
+    limits = [
+        ("bound_main", report.bound_main),
+        ("bound_dd", report.bound_dd),
+        ("bound_sevryuk", report.bound_sevryuk),
+        ("bound_bfk", report.bound_bfk),
     ]
     if report.bound_wedge is not None:
-        checks.append(
-            BoundCheck("bound_wedge", n_col, report.bound_wedge, n_col <= report.bound_wedge)
-        )
+        limits.append(("bound_wedge", report.bound_wedge))
     if report.tridiagonal_applicable and report.bound_tridiagonal is not None:
-        checks.append(
-            BoundCheck(
-                "bound_tridiagonal",
-                n_col,
-                report.bound_tridiagonal,
-                n_col <= report.bound_tridiagonal,
-            )
-        )
+        limits.append(("bound_tridiagonal", report.bound_tridiagonal))
+    checks = [
+        BoundCheck(name, n_collisions, limit, n_collisions <= limit) for name, limit in limits
+    ]
     ceiling = 2.0 / report.d
-    checks.append(BoundCheck("lemma_zigzag", zz, ceiling, zz <= ceiling + 1e-9))
-    return AuditVerdict(n_collisions=n_col, zigzag=zz, checks=tuple(checks))
+    checks.append(BoundCheck("lemma_zigzag", zigzag, ceiling, zigzag <= ceiling + 1e-9))
+    return AuditVerdict(n_collisions=n_collisions, zigzag=zigzag, checks=tuple(checks))
+
+
+def audit(record: TrajectoryRecord, report: BoundsReport) -> AuditVerdict:
+    """Check a trajectory against every bound in the report built from its
+    cone.  A cone with fewer walls than dimensions matches through its span
+    reduction, as in bounds_report: motion orthogonal to the span changes
+    neither the count nor the zigzag length."""
+    cone = record.cone
+    if cone.n_walls < cone.dim:
+        cone, _ = reduce_to_span(cone.dim, cone.normals)
+    if report.cone is not None and not np.array_equal(cone.normals, report.cone.normals):
+        raise ConeMismatch("record and report were built from different cones")
+    return check_bounds(record.n_collisions, zigzag_length(record), report)
 
 
 # ---------------------------------------------------------------------------

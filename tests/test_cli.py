@@ -45,6 +45,16 @@ def test_simulate_with_audit(cone_file, capsys):
     assert doc["audit"]["all_passed"] is True
 
 
+def test_simulate_audit_with_fewer_walls_than_dimensions(tmp_path, capsys):
+    path = tmp_path / "two_walls_in_r3.json"
+    path.write_text(json.dumps({"dim": 3, "normals": [[1, 0, 0], [0, 1, 0]]}))
+    code = main(["simulate", "--cone", str(path), "--q", "1,2,3", "--v=-2,-1,0.5", "--audit"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["events"]) == 2
+    assert doc["audit"]["all_passed"] is True
+
+
 def test_simulate_round_trips_doubles(cone_file, capsys):
     main(["simulate", "--cone", cone_file, "--q", "1,2", "--v=-2,-1"])
     doc = json.loads(capsys.readouterr().out)

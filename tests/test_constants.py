@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -281,6 +282,20 @@ def test_ceil_snapped():
 def test_main_bound_values():
     assert main_bound(2, 1.0) == pytest.approx(8.0)
     assert main_bound(3, 1.0) == pytest.approx(96.0)
+
+
+def test_bounds_past_float_range_are_infinite():
+    from conebilliards.constants import _power_bound, step_cap
+
+    assert main_bound(90, 1e-3) == math.inf
+    assert main_bound(171, 0.5) == math.inf
+    assert step_cap(171, 0.5) == sys.maxsize
+    assert _power_bound(1.0, 1e3, 200) == math.inf  # the d-delta form
+    # finite values keep the plain formula bit for bit
+    for n, lam in ((2, 1.0), (5, 0.01), (40, 0.3), (100, 0.9)):
+        assert main_bound(n, lam) == float(math.factorial(n)) * (4.0 / lam) ** (n - 1)
+    assert step_cap(5, 0.01) == int(math.ceil(main_bound(5, 0.01))) + 1
+    assert step_cap(40, 0.3) == sys.maxsize
 
 
 def test_constant_estimate_validates_certificate():

@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from conebilliards import harness
+from conebilliards.constants import bounds_report, inscribed_ball
 from conebilliards.errors import DimensionMismatch
 from conebilliards.geometry import gram, make_cone, reduce_to_span
 from conebilliards.harness import (
@@ -11,11 +14,14 @@ from conebilliards.harness import (
     adversarial_search,
     ensemble_run,
     gaussians,
+    interior_start,
+    interior_starts,
     make_rng,
     random_cone,
     rows_to_csv,
     sphere_sample,
 )
+from conebilliards.simulator import BilliardState, audit, run
 
 
 class TestRandomCone:
@@ -71,6 +77,40 @@ class TestSampling:
         pts = sphere_sample(make_rng(6, 0), 1000, 4)
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
+    @staticmethod
+    def _rejection_start(rng, cone, center):
+        """Scalar reference: one ball point per try, then one velocity;
+        also returns the number of tries."""
+        for tries in range(1, 1001):
+            direction = sphere_sample(rng, 1, cone.dim)[0]
+            q = center + 0.1 * (rng.random() ** (1.0 / cone.dim) * direction)
+            if (q @ cone.matrix).min() >= 0.0:
+                break
+        else:
+            q = center.copy()
+        return q, sphere_sample(rng, 1, cone.dim)[0], tries
+
+    def test_single_start_matches_rejection_sampler(self):
+        retries = 0
+        for stream in range(60):
+            n = 2 + stream % 4
+            cone = random_cone(n, n, seed=8, stream=stream)
+            center = inscribed_ball(cone).e
+            rng_ref, rng_batch, rng_one = (make_rng(stream, 2) for _ in range(3))
+            for _ in range(5):
+                q_ref, v_ref, tries = self._rejection_start(rng_ref, cone, center)
+                retries += tries - 1
+                q, v = interior_starts(rng_batch, cone, center, 1)
+                one = interior_start(rng_one, cone, center)
+                # one ulp at the scale of |q|: 0.1 r u is multiplied in another order
+                assert np.abs(q[0] - q_ref).max() <= np.spacing(np.abs(q_ref).max())
+                np.testing.assert_array_equal(v[0], v_ref)
+                np.testing.assert_array_equal(one.q, q[0])
+                np.testing.assert_array_equal(one.v, v[0])
+            # same number of draws: the three streams stay in step
+            assert rng_ref.random() == rng_batch.random() == rng_one.random()
+        assert retries > 0  # the rejection path was exercised
+
 
 class TestEnsembleRun:
     def test_small_ensemble_passes(self, tmp_path):
@@ -121,6 +161,50 @@ class TestEnsembleRun:
             ExperimentConfig(n_walls=3, dim=2, trials=1, seed=0)
         with pytest.raises(ValueError):
             ExperimentConfig(n_walls=2, dim=2, trials=0, seed=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(n_walls=2, dim=2, trials=1, seed=0, paths_per_cone=0)
+
+    @staticmethod
+    def _scalar_rows(config):
+        """Reference: per-path run + audit on the same interior_starts draws."""
+        rows = []
+        for trial in range(config.trials):
+            report = bounds_report(random_cone(config.n_walls, config.dim, config.seed, stream=trial))
+            rcone = report.cone
+            rng = make_rng(config.seed, stream=harness._IC_STREAM_BASE + trial)
+            q, v = interior_starts(rng, rcone, inscribed_ball(rcone).e, config.paths_per_cone)
+            verdicts = [
+                audit(run(BilliardState(q=qi, v=vi), rcone, max_steps=config.max_steps_override), report)
+                for qi, vi in zip(q, v)
+            ]
+            rows.append(
+                (
+                    max(x.n_collisions for x in verdicts),
+                    max(x.zigzag for x in verdicts),
+                    all(x.all_passed for x in verdicts),
+                )
+            )
+        return rows
+
+    @pytest.mark.parametrize("n_walls, dim", [(2, 2), (3, 3), (2, 3)])
+    def test_batched_rows_match_scalar_reference(self, n_walls, dim):
+        config = ExperimentConfig(n_walls=n_walls, dim=dim, trials=2, seed=31, paths_per_cone=60)
+        rows = ensemble_run(config)
+        got = [(r.max_observed_N, r.zigzag_max_L, r.all_checks_pass) for r in rows]
+        assert got == self._scalar_rows(config)
+        assert all(isinstance(r.max_observed_N, int) and type(r.zigzag_max_L) is float for r in rows)
+
+    def test_step_limit_rows_match_scalar_reference(self):
+        config = ExperimentConfig(
+            n_walls=2, dim=2, trials=2, seed=31, paths_per_cone=60, max_steps_override=1
+        )
+        with pytest.warns(RuntimeWarning, match="trajectories exceeded 1 steps"):
+            rows = ensemble_run(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = self._scalar_rows(config)
+        assert [(r.max_observed_N, r.zigzag_max_L, r.all_checks_pass) for r in rows] == expected
+        assert all(r.max_observed_N == 1 for r in rows)
 
 
 class TestAdversarialSearch:

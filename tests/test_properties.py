@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conebilliards.constants import inscribed_ball, main_bound
@@ -90,6 +90,7 @@ def test_time_reversibility(params, seed):
 
 @SIM_SETTINGS
 @given(params=cone_params, seed=state_seed, count=st.integers(1, 6))
+@example(params=(2, 432), seed=0, count=2)  # 1100 collisions: summation order shows
 def test_run_batch_equivalence(params, seed, count):
     n, stream = params
     cone = build(n, stream)
@@ -100,7 +101,7 @@ def test_run_batch_equivalence(params, seed, count):
     for i in range(count):
         rec = run(BilliardState(q=q[i], v=v[i]), cone)
         assert rec.n_collisions == counts[i]
-        assert abs(zigzag_length(rec) - zz[i]) < 1e-12
+        assert zigzag_length(rec) == zz[i]
         assert rec.terminal == terms[i]
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conebilliards.simulator import (
     Escape,
     Terminal,
     audit,
+    check_bounds,
     next_event,
     record_from_json,
     record_to_json,
@@ -152,6 +154,27 @@ class TestAudit:
         with pytest.raises(ConeMismatch):
             audit(rec, rep)
 
+    def test_fewer_walls_than_dimensions(self):
+        # bounds_report works on the span reduction; the record lives in R^3.
+        cone = make_cone(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        rep = bounds_report(cone)
+        assert rep.cone.dim == 2
+        rec = run(BilliardState(q=np.array([1.0, 2.0, 3.0]), v=unit([-2.0, -1.0, 0.5])), cone)
+        verdict = audit(rec, rep)
+        assert verdict.n_collisions == 2 and verdict.all_passed
+        other = make_cone(3, [[1.0, 0.0, 0.0], unit([1.0, 1.0, 0.0])])
+        with pytest.raises(ConeMismatch):
+            audit(run(BilliardState(q=np.array([1.0, 2.0, 3.0]), v=unit([0.0, 1.0, 0.0])), other), rep)
+
+    def test_check_bounds_on_maxima(self, orthant2):
+        rep = bounds_report(orthant2)
+        rec = run(BilliardState(q=np.array([1.0, 2.0]), v=unit([-2.0, -1.0])), orthant2)
+        assert check_bounds(rec.n_collisions, zigzag_length(rec), rep) == audit(rec, rep)
+        ceiling = 2.0 / rep.d
+        assert check_bounds(2, ceiling + 5e-10, rep).all_passed  # 1e-9 slack
+        failed = check_bounds(3, ceiling + 2e-9, rep)
+        assert [c.name for c in failed.checks if not c.passed] == ["bound_wedge", "lemma_zigzag"]
+
     def test_check_names_cover_bounds(self, orthant2):
         rep = bounds_report(orthant2)
         rec = run(BilliardState(q=np.array([1.0, 2.0]), v=unit([-2.0, -1.0])), orthant2)
@@ -191,5 +214,28 @@ class TestRunBatch:
             for i in range(8):
                 rec = run(BilliardState(q=q[i], v=v[i]), cone)
                 assert rec.n_collisions == counts[i]
-                assert zigzag_length(rec) == pytest.approx(zz[i], abs=1e-12)
+                assert zigzag_length(rec) == zz[i]
                 assert rec.terminal == terms[i]
+
+    def test_step_limit_warns_once(self, orthant2):
+        q = np.array([[1.0, 2.0]] * 3)
+        v = np.array([unit([-2.0, -1.0]), unit([-2.0, -1.0]), [0.0, 1.0]])
+        with pytest.warns(RuntimeWarning, match="2 of 3 trajectories exceeded 1 steps") as caught:
+            counts, _, terms = run_batch(q, v, orthant2, max_steps=1)
+        assert len(caught) == 1
+        assert list(counts) == [1, 1, 0]
+        assert list(terms) == [Terminal.STEP_LIMIT, Terminal.STEP_LIMIT, Terminal.ESCAPED]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_batch(q, v, orthant2)
+
+    def test_default_cap_with_infinite_bound(self):
+        # 171! (4 / 1)^170 is past the float range, so main_bound is inf.
+        cone = make_cone(171, np.eye(171))
+        q = np.ones(171)
+        v = np.zeros(171)
+        v[0] = -1.0
+        rec = run(BilliardState(q=q, v=v), cone)
+        counts, _, terms = run_batch(q[None], v[None], cone)
+        assert rec.n_collisions == counts[0] == 1
+        assert rec.terminal == terms[0] == Terminal.ESCAPED
