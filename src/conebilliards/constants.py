@@ -31,14 +31,18 @@ class EstimateMethod(enum.Enum):
     subset_enumeration = "subset_enumeration"
     multistart = "multistart"
     grid_oracle = "grid_oracle"
+    branch_and_bound = "branch_and_bound"
 
 
 @dataclass(frozen=True)
 class ConstantEstimate:
     """A computed constant plus how it was obtained.
 
-    `value` is always a valid estimate from above for minimization targets;
-    `certified_lower` is an a-priori lower bound when one is available.
+    `value` is always a valid estimate from above for minimization targets
+    (exact for closed forms and enumerations); `certified_lower` is a lower
+    bound when one is available: the a-priori sqrt(lambda_min / n), or the
+    larger end of a branch-and-bound certificate.  The constant lies in
+    [certified_lower, value].
     """
 
     value: float
@@ -247,6 +251,27 @@ def charge_phi(normals) -> ConstantEstimate:
     )
 
 
+def _wedge_angle(g: GramMatrix) -> float:
+    """Opening angle theta = arccos(-(a_1, a_2)) of a two-wall cone."""
+    return math.acos(min(1.0, max(-1.0, -g.entries[0, 1])))
+
+
+def _bfk_closed_form(cone: ConeSpec) -> float | None:
+    """C where a closed form is known, else None.
+
+    Every two-wall cone in R^2 is a wedge, minimized on its bisector:
+    C = sin(theta / 2).  In an orthant (identity Gram matrix) the distance
+    to face i is the i-th coordinate, so C = 1 / sqrt(n).
+    """
+    n = cone.n_walls
+    g = cone.gram_matrix
+    if n == 2:
+        return math.sin(_wedge_angle(g) / 2.0)
+    if np.abs(g.entries - np.eye(n)).max() <= 1e-12:
+        return 1.0 / math.sqrt(n)
+    return None
+
+
 def bfk_constant(
     cone: ConeSpec,
     method: str = "auto",
@@ -255,30 +280,58 @@ def bfk_constant(
 ) -> ConstantEstimate:
     """Nondegeneracy constant C = min over unit y in Q of max_i dist(y, B_i).
 
-    Face distances are exact (active-set enumeration); the outer minimum
-    over the sphere-in-cone uses multistart projected subgradient descent,
-    cross-checked against (and refined by) the dense grid oracle when the
-    dimension is at most 3.  Any feasible evaluation is <= 1 because the
-    apex belongs to every face, so 0 < C <= 1 always holds for the value.
+    Face distances are exact (active-set enumeration).  Methods for the
+    outer minimum over the sphere-in-cone:
+
+    * "auto": the closed form for wedges and orthants; otherwise a certified
+      interval from the cube-sphere Lipschitz branch-and-bound, stopped once
+      hi - lo <= max(1e-3, 1e-2 hi), then a projected-subgradient polish
+      from the 16 best cell centres.  `value` is the best feasible point
+      found and `certified_lower` = max(lo, sqrt(lambda_min / n)).  Past
+      its work budget (some cones at n >= 6) the interval is wider and the
+      polish adds the `n_starts` multistart starts.
+    * "multistart": projected subgradient descent from `n_starts` Sobol
+      starts, an estimate from above.
+    * "grid": the dense grid oracle, dimension at most 3.
+
+    The last two are the independent oracles that check the first; their
+    `certified_lower` is the a-priori sqrt(lambda_min / n).  Any feasible
+    evaluation is <= 1 because the apex belongs to every face, so
+    0 < C <= 1 always holds for the value.
     """
     _require_square(cone, "bfk_constant")
     n = cone.n_walls
-    lam = cone.lambda_min
-    lower = math.sqrt(max(lam, 0.0) / n)
-    face = FaceDistance(cone.normals)
-    seed = inscribed_ball(cone).e
+    lower = math.sqrt(max(cone.lambda_min, 0.0) / n)
 
     if n == 1:
         # dist(y, {0}) = ||y|| = 1 on the unit sphere.
         return ConstantEstimate(1.0, lower, EstimateMethod.closed_form, 0)
+    if method == "auto":
+        closed = _bfk_closed_form(cone)
+        if closed is not None:
+            return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
 
-    candidates: list[tuple[float, EstimateMethod, int]] = []
-    if method in ("auto", "multistart"):
-        val, _, used = minimax.multistart_min_max_face_distance(
+    face = FaceDistance(cone.normals)
+    seed = inscribed_ball(cone).e
+    if method == "auto":
+        bracket = minimax.branch_and_bound_min_max_face_distance(face, seed)
+        starts = bracket.best
+        if not bracket.complete:
+            # Coarse cells leave the polish far from the minimum; add the
+            # multistart route's starts.
+            starts = np.vstack([starts, minimax.sphere_starts(cone.dim, max(1, n_starts - 1))])
+        polished, _, used = minimax.multistart_min_max_face_distance(
+            face, seed, iters=iters, starts=starts
+        )
+        value = min(bracket.hi, polished)
+        lower = max(lower, bracket.lo)
+        how = EstimateMethod.branch_and_bound
+    elif method == "multistart":
+        value, _, used = minimax.multistart_min_max_face_distance(
             face, seed, n_starts=n_starts, iters=iters
         )
-        candidates.append((val, EstimateMethod.multistart, used))
-    if method == "grid" or (method == "auto" and cone.dim <= 3):
+        how = EstimateMethod.multistart
+    elif method == "grid":
         at = cone.matrix
 
         def f_batch(pts):
@@ -288,19 +341,17 @@ def bfk_constant(
                 vals[ok] = face.max_face_distance(pts[ok])
             return vals
 
-        val, _ = minimax.sphere_grid_minimize(
-            f_batch, cone.dim, seeds=seed[None, :]
-        )
-        candidates.append((val, EstimateMethod.grid_oracle, 0))
-    if not candidates:
+        value, _ = minimax.sphere_grid_minimize(f_batch, cone.dim, seeds=seed[None, :])
+        how = EstimateMethod.grid_oracle
+        used = 0
+    else:
         raise ValueError(f"unknown method {method!r}")
 
-    value, how, used = min(candidates, key=lambda c: c[0])
     if not 0.0 < value <= 1.0 + 1e-9:
         raise DegenerateArrangement(f"nondegeneracy constant {value} outside (0, 1]")
     value = min(value, 1.0)
     value = max(value, lower - 1e-12)
-    return ConstantEstimate(value, lower, how, used)
+    return ConstantEstimate(value, min(lower, value), how, used)
 
 
 def tridiagonal_case(g) -> tuple[bool, int | None]:
@@ -368,23 +419,27 @@ def bounds_report(cone: ConeSpec) -> BoundsReport:
     applicable, tri_bound = tridiagonal_case(g)
     wedge_bound = None
     if n == 2:
-        theta = math.acos(min(1.0, max(-1.0, -g.entries[0, 1])))
-        wedge_bound = ceil_snapped(math.pi / theta)
+        wedge_bound = ceil_snapped(math.pi / _wedge_angle(g))
 
+    # Each bound decreases as its constant grows, so it is computed from the
+    # certified lower end of the constant's interval, never from an estimate
+    # from above.  Exact enumeration makes delta's value certified.
     d = ball.d
-    delta = delta_est.value
+    delta_low = delta_est.value
+    if delta_est.method is not EstimateMethod.subset_enumeration:
+        delta_low = delta_est.certified_lower
     return BoundsReport(
         lambda_min=lam,
         d=d,
-        delta=delta,
+        delta=delta_est.value,
         psi=psi,
         charge_SQ=sq.value,
         charge_phi=phi.value,
         bfk_C=c_est.value,
         bound_main=main_bound(n, lam),
-        bound_dd=_power_bound(1.0, 4.0 / (d * delta), n - 1),
+        bound_dd=_power_bound(1.0, 4.0 / (d * delta_low), n - 1),
         bound_sevryuk=_sevryuk_bound(n, phi.value),
-        bound_bfk=_power_bound(8.0, 1.0 / c_est.value + 2.0, 2 * (n - 1)),
+        bound_bfk=_power_bound(8.0, 1.0 / c_est.certified_lower + 2.0, 2 * (n - 1)),
         bound_wedge=wedge_bound,
         bound_tridiagonal=tri_bound if applicable else None,
         tridiagonal_applicable=applicable,

@@ -1,12 +1,14 @@
 """Minimax solvers on the unit sphere.
 
-Three interchangeable routes are provided for the nonsmooth sphere
-problems that arise from cone geometry:
+Four routes are provided for the nonsmooth sphere problems that arise
+from cone geometry:
 
 * exact stationary-point enumeration (equal-margin subsets), valid because
   every optimizer lies in the span of its active normals with equal margins;
 * deterministic multistart projected subgradient descent with step halving,
   vectorized across starts;
+* a cube-sphere Lipschitz branch-and-bound (Piyavskii 1972; Shubert 1972)
+  that brackets the minimum of a 1-Lipschitz function over sphere-in-cone;
 * dense grid oracles (circle / Fibonacci sphere) with a local zoom stage,
   for dimensions 2 and 3.
 """
@@ -15,21 +17,42 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DegenerateArrangement
 
 # Fixed scramble seed: starts are low-discrepancy yet reproducible.
 _SOBOL_SEED = 20090
 _FEAS_TOL = 1e-9
+# Multiply-adds per matrix product in the blocked loops below.  OpenBLAS
+# keeps a product of up to 2^18 on one thread (its default multithreading
+# threshold); larger ones start its threads, which doubled the CPU time per
+# face-distance point at n = 5 and 6 and made wall time erratic.
+_BLOCK_ENTRIES = 1 << 18
+# Stopping gap of the branch-and-bound, absolute and relative, and the
+# number of best feasible centres it keeps.
+_BNB_ATOL = 1e-3
+_BNB_RTOL = 1e-2
+_BNB_KEEP = 16
+# Work budget of the branch-and-bound, in face projections (a point costs
+# n 2^(n-1)): about 6 s on one core at n = 6, where some cones need more;
+# the n <= 5 cones measured used under 3% of it.
+_BNB_PROJECTIONS = 1 << 26
+# Points per distances_and_feet call in max_face_distance, which bounds the
+# feet array (k, n, m) that it discards.
+_MAX_DISTANCE_ROWS = 1 << 12
 
 
 def sphere_starts(dim: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy points on the unit sphere in R^dim."""
     if dim == 1:
         return np.array([[1.0], [-1.0]] * ((count + 1) // 2))[:count]
+    # Imported here: scipy.stats costs about a second and 70 MB at import,
+    # and only the multistart routes draw Sobol starts.
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d=dim, scramble=True, seed=_SOBOL_SEED)
     m = max(1, math.ceil(math.log2(count)))
     u = sob.random_base2(m)[:count]
@@ -282,76 +305,94 @@ class FaceDistance:
     of a point onto face i lands in the relative interior of one of its
     sub-faces, so enumerating all additional active subsets T of the other
     walls, projecting onto each affine piece, and keeping the feasible
-    minimum is exact.  Projectors are precomputed once per cone.
+    minimum is exact.  This holds for points outside the cone too, so the
+    distance function is defined on the whole sphere.  Projectors are
+    precomputed once per cone and applied as one matrix product.
     """
 
     def __init__(self, normals: np.ndarray):
         arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
         self.normals = arr
         self.n, self.m = arr.shape
-        eye = np.eye(self.m)
-        self._pieces: list[np.ndarray] = []
-        self._cone_projectors: list[np.ndarray] = [eye.copy()]
-        others = list(range(self.n))
-        for i in range(self.n):
-            rest = [j for j in others if j != i]
-            mats = []
-            for k in range(len(rest) + 1):
-                for extra in itertools.combinations(rest, k):
-                    span = arr[[i, *extra]]
-                    u = _orthonormal_rows(span)
-                    mats.append(eye - u.T @ u)
-            self._pieces.append(np.stack(mats))
-        for k in range(1, self.n + 1):
-            for subset in itertools.combinations(range(self.n), k):
-                u = _orthonormal_rows(arr[list(subset)])
-                self._cone_projectors.append(eye - u.T @ u)
-        self._cone_projectors = np.stack(self._cone_projectors)
 
-    def face_distances(self, points: np.ndarray) -> np.ndarray:
-        """Distances from each point (rows) to each face, shape (k, n)."""
-        pts = np.atleast_2d(points)
-        at = self.normals.T
-        out = np.empty((pts.shape[0], self.n))
-        for i in range(self.n):
-            proj = np.einsum("pmk,bk->pbm", self._pieces[i], pts)
-            margins_ok = (proj @ at).min(axis=2) >= -_FEAS_TOL
-            d2 = ((pts[None, :, :] - proj) ** 2).sum(axis=2)
-            d2[~margins_ok] = np.inf
-            out[:, i] = np.sqrt(d2.min(axis=0))
-        return out
+        def projector(rows):
+            u = _orthonormal_rows(arr[list(rows)])
+            return np.eye(self.m) - u.T @ u
+
+        faces = [
+            projector((i, *extra))
+            for i in range(self.n)
+            for k in range(self.n)
+            for extra in itertools.combinations([j for j in range(self.n) if j != i], k)
+        ]
+        cone = [np.eye(self.m)] + [
+            projector(subset)
+            for k in range(1, self.n + 1)
+            for subset in itertools.combinations(range(self.n), k)
+        ]
+        self._faces = self._stack(faces)
+        self._cone = self._stack(cone)
+
+    def _stack(self, projectors) -> np.ndarray:
+        """Projectors P_p side by side, shape (m, (m + n) * count).
+
+        Column c * count + p is column c of P_p, and column
+        (m + j) * count + p is P_p a_j, so one product with the points gives
+        every projection and every margin of every projection.
+        """
+        mats = np.stack(projectors)
+        count = mats.shape[0]
+        feet = mats.transpose(1, 2, 0).reshape(self.m, self.m * count)
+        margins = (mats @ self.normals.T).transpose(1, 2, 0).reshape(self.m, self.n * count)
+        return np.hstack([feet, margins])
+
+    def _nearest_feasible(self, points: np.ndarray, stacked: np.ndarray, groups: int):
+        """Nearest cone-feasible projection of each point within each of
+        `groups` equal groups of projectors.
+
+        Returns squared distances (k, groups) and feet (k, groups, m).
+        """
+        k, m = points.shape
+        count = stacked.shape[1] // (m + self.n)
+        d2min = np.empty((k, groups))
+        feet = np.empty((k, m, groups))
+        step = max(1, _BLOCK_ENTRIES // stacked.size)
+        for s in range(0, k, step):
+            pts = points[s : s + step]
+            b = pts.shape[0]
+            out = pts @ stacked
+            proj = out[:, : m * count].reshape(b, m, count)
+            ok = out[:, m * count :].reshape(b, self.n, count).min(axis=1) >= -_FEAS_TOL
+            d2 = ((proj - pts[:, :, None]) ** 2).sum(axis=1)
+            d2[~ok] = np.inf
+            d2 = d2.reshape(b, groups, -1)
+            pick = d2.argmin(axis=2)[:, :, None]
+            d2min[s : s + b] = np.take_along_axis(d2, pick, axis=2)[:, :, 0]
+            proj = proj.reshape(b, m, groups, -1)
+            feet[s : s + b] = np.take_along_axis(proj, pick[:, None], axis=3)[:, :, :, 0]
+        return d2min, feet.transpose(0, 2, 1)
 
     def distances_and_feet(self, points: np.ndarray):
         """Face distances plus the projection feet, shapes (k, n) and (k, n, m)."""
         pts = np.atleast_2d(points)
-        at = self.normals.T
-        b = pts.shape[0]
-        dists = np.empty((b, self.n))
-        feet = np.empty((b, self.n, self.m))
-        for i in range(self.n):
-            proj = np.einsum("pmk,bk->pbm", self._pieces[i], pts)
-            margins_ok = (proj @ at).min(axis=2) >= -_FEAS_TOL
-            d2 = ((pts[None, :, :] - proj) ** 2).sum(axis=2)
-            d2[~margins_ok] = np.inf
-            pick = d2.argmin(axis=0)
-            rows = np.arange(b)
-            dists[:, i] = np.sqrt(d2[pick, rows])
-            feet[:, i, :] = proj[pick, rows]
-        return dists, feet
+        d2, feet = self._nearest_feasible(pts, self._faces, self.n)
+        return np.sqrt(d2), feet
 
     def max_face_distance(self, points: np.ndarray) -> np.ndarray:
-        return self.face_distances(points).max(axis=1)
+        """max_i dist(y, B_i) for each point (rows), shape (k,)."""
+        pts = np.atleast_2d(points)
+        step = _MAX_DISTANCE_ROWS
+        return np.concatenate(
+            [
+                self.distances_and_feet(pts[s : s + step])[0].max(axis=1)
+                for s in range(0, pts.shape[0], step)
+            ]
+        )
 
     def project_to_cone(self, points: np.ndarray) -> np.ndarray:
         """Exact Euclidean projection of each point onto the cone."""
         pts = np.atleast_2d(points)
-        at = self.normals.T
-        proj = np.einsum("pmk,bk->pbm", self._cone_projectors, pts)
-        margins_ok = (proj @ at).min(axis=2) >= -_FEAS_TOL
-        d2 = ((pts[None, :, :] - proj) ** 2).sum(axis=2)
-        d2[~margins_ok] = np.inf
-        pick = d2.argmin(axis=0)
-        return proj[pick, np.arange(pts.shape[0])]
+        return self._nearest_feasible(pts, self._cone, 1)[1][:, 0]
 
 
 def multistart_min_max_face_distance(
@@ -361,18 +402,22 @@ def multistart_min_max_face_distance(
     iters: int = 500,
     step0: float = 0.25,
     stall_limit: int = 60,
+    starts: np.ndarray | None = None,
 ):
     """Minimize max_i dist(y, B_i) over the unit sphere inside the cone.
 
-    Iterates stay feasible: each step is projected back onto the cone and
-    renormalized.  The reported value is the best feasible evaluation seen,
-    hence always an estimate from above.  Stops early once the incumbent
-    has not improved for `stall_limit` iterations (the best start's step
-    has collapsed by then).  Returns (value, point, starts).
+    Starts are `n_starts - 1` Sobol points, or the rows of `starts` when
+    given, plus `interior_seed`.  Iterates stay feasible: each step is
+    projected back onto the cone and renormalized.  The reported value is
+    the best feasible evaluation seen, hence always an estimate from above.
+    Stops early once the incumbent has not improved for `stall_limit`
+    iterations (the best start's step has collapsed by then).  Returns
+    (value, point, starts).
     """
     m = face.m
-    raw = sphere_starts(m, max(1, n_starts - 1))
-    y = face.project_to_cone(raw)
+    if starts is None:
+        starts = sphere_starts(m, max(1, n_starts - 1))
+    y = face.project_to_cone(starts)
     norms = np.linalg.norm(y, axis=1)
     y[norms < 1e-9] = interior_seed
     y = np.vstack([y, interior_seed[None, :]])
@@ -419,3 +464,115 @@ def multistart_min_max_face_distance(
         if eta.max() < 1e-14:
             break
     return best_val, best_y, total
+
+
+# ---------------------------------------------------------------------------
+# Cube-sphere Lipschitz branch-and-bound
+# ---------------------------------------------------------------------------
+
+def _cube_faces(m: int):
+    """Centres of the 2m faces of [-1, 1]^m, and each face's corner offsets
+    (+-1 on the m - 1 free axes), shapes (2m, m) and (2m, 2^(m-1), m)."""
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m - 1)))
+    centres = np.zeros((2 * m, m))
+    offsets = np.zeros((2 * m, len(signs), m))
+    for k in range(m):
+        free = [j for j in range(m) if j != k]
+        for t, sign in enumerate((1.0, -1.0)):
+            centres[2 * k + t, k] = sign
+            offsets[2 * k + t][:, free] = signs
+    return centres, offsets
+
+
+def _cell_radii(x, c, offsets, which, half) -> np.ndarray:
+    """Longest chord from each normalized centre c to the normalized corners
+    x + half * offsets[which] of its cell, in blocks of bounded size."""
+    q, m = offsets.shape[1:]
+    r = np.empty(len(x))
+    step = max(1, _BLOCK_ENTRIES // (q * m))
+    for s in range(0, len(x), step):
+        corners = x[s : s + step, None, :] + half * offsets[which[s : s + step]]
+        corners = _normalize_rows(corners.reshape(-1, m)).reshape(-1, q, m)
+        chords = corners - c[s : s + step, None, :]
+        r[s : s + step] = np.sqrt((chords ** 2).sum(axis=2).max(axis=1))
+    return r
+
+
+class Bracket(NamedTuple):
+    """Result of the branch-and-bound: lo <= C <= hi."""
+
+    lo: float
+    hi: float
+    # Up to 16 feasible points of least f, in increasing f; best[0] attains hi.
+    best: np.ndarray
+    evaluations: int
+    # False when the budget stopped the search before the gap closed.
+    complete: bool
+
+
+def branch_and_bound_min_max_face_distance(
+    face: FaceDistance, interior_seed: np.ndarray
+) -> Bracket:
+    """Certified bracket on C = min over unit y in the cone of max_i dist(y, B_i).
+
+    f(y) = max_i dist(y, B_i) is 1-Lipschitz on all of R^m, being a maximum
+    of distances to sets.  The sphere is covered by the 2m faces of the cube
+    [-1, 1]^m, split into squares and normalized.  For a cell with
+    normalized centre c, let r be the longest chord from c to a normalized
+    corner; (x, c) / |x| is positive (for m <= 16) and quasi-concave on the
+    square, so its minimum is at a corner and no point of the cell is
+    farther from c.  Then:
+
+    * the cell misses the cone when (c, a_i) < -r for some wall i;
+    * f >= f(c) - r on the cell, whether or not c lies in the cone;
+    * hi, the best f at a feasible centre, bounds C from above.
+
+    Level by level, a cell is split into 2^(m-1) children while its lower
+    bound is below hi - max(1e-3, 1e-2 hi), and lo is the least lower bound
+    of the cells that stopped, so hi - lo <= max(1e-3, 1e-2 hi) up to a
+    1e-12 allowance for rounding.  The minima are not sharp, so tighter
+    gaps cost many more levels.  If the next level would take the work
+    past 2^26 face projections (n 2^(n-1) per evaluation), the remaining
+    cells stop too, the bracket is wider and `complete` is False.  The
+    best feasible centres, `interior_seed` among them, are the starts of a
+    local polish.
+    """
+    m = face.m
+    at = face.normals.T
+    x, offsets = _cube_faces(m)
+    which = np.arange(2 * m)
+    half = 1.0
+    max_points = _BNB_PROJECTIONS // (face.n << (face.n - 1))
+    complete = True
+    best = np.atleast_2d(interior_seed)
+    best_f = face.max_face_distance(best)
+    evaluations = 1
+    lo = np.inf
+    while len(x):
+        c = _normalize_rows(x)
+        r = _cell_radii(x, c, offsets, which, half)
+        margin = (c @ at).min(axis=1)
+        alive = margin >= -r
+        x, which, c, r, margin = x[alive], which[alive], c[alive], r[alive], margin[alive]
+        f = face.max_face_distance(c)
+        evaluations += len(c)
+        feasible = margin >= 0.0
+        best_f = np.concatenate([best_f, f[feasible]])
+        best = np.vstack([best, c[feasible]])
+        order = np.argsort(best_f, kind="stable")[:_BNB_KEEP]
+        best_f, best = best_f[order], best[order]
+        hi = float(best_f[0])
+        # 1e-12 absorbs rounding in f and r, far below the stopping gap.
+        lower = f - r - 1e-12
+        split = lower < hi - max(_BNB_ATOL, _BNB_RTOL * hi)
+        if evaluations + split.sum() * offsets.shape[1] > max_points:
+            split[:] = False
+            complete = False
+        if not split.all():
+            lo = min(lo, float(lower[~split].min()))
+        half *= 0.5
+        x = (x[split, None, :] + half * offsets[which[split]]).reshape(-1, m)
+        which = np.repeat(which[split], offsets.shape[1])
+    if not math.isfinite(lo):
+        raise DegenerateArrangement("branch-and-bound found no cell inside the cone")
+    return Bracket(lo, float(best_f[0]), best, evaluations, complete)

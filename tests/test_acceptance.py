@@ -122,18 +122,28 @@ def test_criterion_4_constant_inequalities():
     )
 
 
-def test_criterion_5_oracle_agreement():
-    worst_delta = 0.0
-    worst_c = 0.0
+@pytest.fixture(scope="module")
+def oracle_cones():
+    """The 100 criterion-5 cones (m <= 3) with delta and C from every route."""
+    out = []
     for m, count in ((2, 50), (3, 50)):
         for c in range(count):
             cone = random_cone(m, m, seed=CONE_SEED + 2, stream=m * 1000 + c)
-            d_multi, _ = capacity_delta(cone, method="multistart")
-            d_grid, _ = capacity_delta(cone, method="grid")
-            c_multi = bfk_constant(cone, method="multistart")
-            c_grid = bfk_constant(cone, method="grid")
-            worst_delta = max(worst_delta, abs(d_multi.value - d_grid.value))
-            worst_c = max(worst_c, abs(c_multi.value - c_grid.value))
+            out.append(
+                {
+                    "d_multi": capacity_delta(cone, method="multistart")[0],
+                    "d_grid": capacity_delta(cone, method="grid")[0],
+                    "c_multi": bfk_constant(cone, method="multistart"),
+                    "c_grid": bfk_constant(cone, method="grid"),
+                    "c_auto": bfk_constant(cone),
+                }
+            )
+    return out
+
+
+def test_criterion_5_oracle_agreement(oracle_cones):
+    worst_delta = max(abs(r["d_multi"].value - r["d_grid"].value) for r in oracle_cones)
+    worst_c = max(abs(r["c_multi"].value - r["c_grid"].value) for r in oracle_cones)
     ok = worst_delta <= 1e-3 and worst_c <= 1e-3
     _criterion(
         5,
@@ -141,6 +151,17 @@ def test_criterion_5_oracle_agreement():
         f"multistart vs grid on 100 cones (m <= 3): worst |delta diff| = "
         f"{worst_delta:.2e}, worst |C diff| = {worst_c:.2e}, tolerance 1e-3",
     )
+
+
+def test_certified_C_below_both_oracles(oracle_cones):
+    # The certified lower end of C (closed form at m = 2, branch-and-bound
+    # at m = 3) lies below every feasible evaluation of the oracles; 1e-12
+    # covers rounding in those evaluations (up to 6e-16 on the wedges).
+    worst = max(
+        r["c_auto"].certified_lower - min(r["c_grid"].value, r["c_multi"].value)
+        for r in oracle_cones
+    )
+    assert worst <= 1e-12, worst
 
 
 def test_criterion_6_closed_forms():

@@ -192,6 +192,64 @@ class TestBfkConstant:
             assert 0.0 < est.value <= 1.0
             assert est.certified_lower <= est.value + 1e-12
 
+    def test_closed_form_wedges_against_grid(self):
+        # every n = 2 cone of acceptance criterion 4
+        for c in range(25):
+            cone = random_cone(2, 2, seed=20241, stream=2000 + c)
+            est = bfk_constant(cone)
+            assert est.method is EstimateMethod.closed_form
+            assert est.certified_lower == est.value
+            assert est.value == pytest.approx(bfk_constant(cone, method="grid").value, abs=1e-6)
+
+    def test_closed_form_orthants(self):
+        for n in range(2, 9):
+            est = bfk_constant(make_cone(n, np.eye(n)))
+            assert est.method is EstimateMethod.closed_form
+            assert est.value == pytest.approx(1.0 / math.sqrt(n), abs=1e-15)
+            assert est.certified_lower == est.value
+        # a rotated orthant has the identity Gram matrix too
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        est = bfk_constant(make_cone(4, q.T))
+        assert est.method is EstimateMethod.closed_form
+        assert est.value == pytest.approx(0.5, abs=1e-15)
+
+    def test_branch_and_bound_certificate(self):
+        # The criterion-4 cones at n = 4, 5 against the multistart oracle.
+        # The multistart is an estimate from above that stalls on some of
+        # them (by 4.4e-3 on stream 5003), so only one side is held to 1e-4.
+        for n in (4, 5):
+            for c in range(25):
+                cone = random_cone(n, n, seed=20241, stream=n * 1000 + c)
+                est = bfk_constant(cone)
+                multi = bfk_constant(cone, method="multistart")
+                assert est.method is EstimateMethod.branch_and_bound
+                assert est.certified_lower <= multi.value
+                assert est.value <= multi.value + 1e-4
+                assert est.certified_lower >= math.sqrt(cone.lambda_min / n)
+                # stopping rule of the branch-and-bound
+                gap = est.value - est.certified_lower
+                assert gap <= max(1e-3, 1e-2 * est.value) + 1e-12
+
+    def test_budget_cut_adds_multistart_starts(self, monkeypatch):
+        from conebilliards import minimax
+
+        cone = random_cone(4, 4, seed=20241, stream=4000)
+        monkeypatch.setattr(minimax, "_BNB_PROJECTIONS", 32 * 100)
+        cut = bfk_constant(cone)
+        assert cut.method is EstimateMethod.branch_and_bound
+        assert cut.starts_used > 256
+        assert cut.value <= bfk_constant(cone, method="multistart").value + 1e-9
+        monkeypatch.undo()
+        full = bfk_constant(cone)
+        assert cut.certified_lower <= full.certified_lower <= full.value
+
+    def test_pinned_multistart_miss(self):
+        # 256 Sobol starts stop at 0.146031 here; feasible points reach 0.14562
+        est = bfk_constant(random_cone(4, 4, seed=20241, stream=4002))
+        assert est.value <= 0.14570
+        multi = bfk_constant(random_cone(4, 4, seed=20241, stream=4002), method="multistart")
+        assert multi.value > 0.146
+
 
 class TestTridiagonal:
     def test_identity(self):
@@ -257,6 +315,36 @@ class TestBoundsReport:
             assert rep.bound_sevryuk > 0.0
             assert rep.bound_bfk > 0.0
 
+    def test_bounds_from_certified_ends(self):
+        for cone in cone_suite((2, 3, 4), 4, seed=45):
+            n = cone.n_walls
+            rep = bounds_report(cone)
+            c_est = bfk_constant(cone)
+            assert rep.bfk_C == c_est.value
+            assert rep.bound_bfk == 8.0 * (1.0 / c_est.certified_lower + 2.0) ** (2 * (n - 1))
+            # a bound from the certified end is never below one from the value
+            assert rep.bound_bfk >= 8.0 * (1.0 / rep.bfk_C + 2.0) ** (2 * (n - 1))
+            # delta comes from exact enumeration here, so its value is used
+            assert rep.bound_dd == (4.0 / (rep.d * rep.delta)) ** (n - 1)
+
+    def test_bound_dd_uses_certified_delta_off_enumeration(self, monkeypatch):
+        import conebilliards.constants as constants
+
+        cone = next(cone_suite((3,), 1, seed=53))
+        exact = bounds_report(cone)
+
+        def multistart_delta(c):
+            return capacity_delta(c, method="multistart")
+
+        monkeypatch.setattr(constants, "capacity_delta", multistart_delta)
+        rep = bounds_report(cone)
+        est, _ = multistart_delta(cone)
+        assert est.method is EstimateMethod.multistart
+        assert est.certified_lower < est.value
+        assert rep.delta == est.value
+        assert rep.bound_dd == (4.0 / (rep.d * est.certified_lower)) ** 2
+        assert rep.bound_dd > exact.bound_dd
+
     def test_sign_flip_invariants(self):
         for cone in cone_suite((2, 3, 4), 3, seed=46):
             delta0, psi0 = capacity_delta(cone)
@@ -296,6 +384,25 @@ def test_bounds_past_float_range_are_infinite():
         assert main_bound(n, lam) == float(math.factorial(n)) * (4.0 / lam) ** (n - 1)
     assert step_cap(5, 0.01) == int(math.ceil(main_bound(5, 0.01))) + 1
     assert step_cap(40, 0.3) == sys.maxsize
+
+
+def test_bounds_report_leaves_scipy_stats_unimported():
+    import subprocess
+    import textwrap
+
+    code = textwrap.dedent(
+        """
+        import sys
+        import conebilliards
+        cone = conebilliards.random_cone(5, 5, seed=20241, stream=5000)
+        conebilliards.bounds_report(cone)
+        print("scipy.stats" in sys.modules)
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_constant_estimate_validates_certificate():

@@ -1,0 +1,138 @@
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from conebilliards.constants import inscribed_ball
+from conebilliards.geometry import make_cone
+from conebilliards.minimax import (
+    FaceDistance,
+    branch_and_bound_min_max_face_distance,
+    multistart_min_max_face_distance,
+)
+from conebilliards.wedge import wedge_from_angle
+
+from conftest import cone_suite
+
+
+def face_distances_reference(normals, points):
+    """Distances from points to each face, one projection at a time.
+
+    Face i's nearest point is the projection onto {(x, a_j) = 0, j in S}
+    for some S containing i; every feasible projection is a point of the
+    face, so the feasible minimum over all S is the distance.
+    """
+    n, m = normals.shape
+    out = np.full((len(points), n), np.inf)
+    for i in range(n):
+        rest = [j for j in range(n) if j != i]
+        for k in range(n):
+            for extra in itertools.combinations(rest, k):
+                span = normals[[i, *extra]]
+                # Orthogonal projector onto the complement of the span.
+                proj = np.eye(m) - np.linalg.pinv(span) @ span
+                for b, p in enumerate(points):
+                    foot = proj @ p
+                    if (normals @ foot).min() >= -1e-9:
+                        out[b, i] = min(out[b, i], float(np.linalg.norm(p - foot)))
+    return out
+
+
+class TestFaceDistance:
+    def test_matches_reference(self):
+        rng = np.random.default_rng(7)
+        for cone in cone_suite((2, 3, 4, 5), 2, seed=47):
+            points = rng.standard_normal((40, cone.dim))
+            face = FaceDistance(cone.normals)
+            dists, feet = face.distances_and_feet(points)
+            ref = face_distances_reference(cone.normals, points)
+            np.testing.assert_allclose(dists, ref, atol=1e-12)
+            # feet lie on their faces at the reported distance
+            np.testing.assert_allclose(
+                np.linalg.norm(points[:, None, :] - feet, axis=2), dists, atol=1e-12
+            )
+            margins = feet @ cone.matrix
+            assert margins.min() >= -1e-9
+            np.testing.assert_allclose(np.diagonal(margins, axis1=1, axis2=2), 0.0, atol=1e-12)
+            np.testing.assert_allclose(face.max_face_distance(points), ref.max(axis=1), atol=1e-12)
+
+    def test_orthant_distances_are_coordinates(self):
+        face = FaceDistance(np.eye(3))
+        y = np.abs(np.random.default_rng(8).standard_normal((50, 3)))
+        np.testing.assert_allclose(face.distances_and_feet(y)[0], y, atol=1e-15)
+
+    def test_max_face_distance_in_blocks(self):
+        # more points than one call takes: the blocks are stitched in order
+        cone = next(cone_suite((3,), 1, seed=48))
+        face = FaceDistance(cone.normals)
+        points = np.random.default_rng(9).standard_normal((5000, 3))
+        whole = face.distances_and_feet(points)[0].max(axis=1)
+        np.testing.assert_allclose(face.max_face_distance(points), whole, rtol=0, atol=1e-15)
+
+    def test_project_to_cone(self):
+        cone = next(cone_suite((3,), 1, seed=49))
+        face = FaceDistance(cone.normals)
+        points = np.random.default_rng(10).standard_normal((200, 3))
+        proj = face.project_to_cone(points)
+        assert (proj @ cone.matrix).min() >= -1e-9
+        inside = (points @ cone.matrix).min(axis=1) >= 0.0
+        np.testing.assert_allclose(proj[inside], points[inside], atol=1e-15)
+
+
+def _bnb(cone):
+    face = FaceDistance(cone.normals)
+    return branch_and_bound_min_max_face_distance(face, inscribed_ball(cone).e)
+
+
+class TestBranchAndBound:
+    @pytest.mark.parametrize("theta", [0.2, math.pi / 3, math.pi / 2, 2.2, 3.0])
+    def test_wedge_bracket(self, theta):
+        lo, hi, best, evaluations, complete = _bnb(wedge_from_angle(theta).cone)
+        c = math.sin(theta / 2.0)
+        assert complete and evaluations > 0
+        assert lo <= c <= hi + 1e-15
+        assert hi - lo <= max(1e-3, 1e-2 * hi) + 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_orthant_bracket(self, n):
+        lo, hi, best, _, complete = _bnb(make_cone(n, np.eye(n)))
+        assert complete
+        assert lo <= 1.0 / math.sqrt(n) <= hi + 1e-15
+        assert hi - lo <= max(1e-3, 1e-2 * hi) + 1e-12
+
+    def test_best_centres_feasible_and_sorted(self):
+        cone = next(cone_suite((4,), 1, seed=50))
+        face = FaceDistance(cone.normals)
+        lo, hi, best, _, _ = _bnb(cone)
+        assert len(best) == 16
+        assert (best @ cone.matrix).min() >= 0.0
+        np.testing.assert_allclose(np.linalg.norm(best, axis=1), 1.0, atol=1e-15)
+        values = face.max_face_distance(best)
+        assert values[0] == hi
+        assert (np.diff(values) >= 0.0).all()
+
+    def test_budget_keeps_a_valid_bracket(self, monkeypatch):
+        from conebilliards import minimax
+
+        cone = next(cone_suite((4,), 1, seed=51))
+        lo_full, hi_full, _, full, complete = _bnb(cone)
+        # 500 evaluations' worth of projections at n = 4
+        monkeypatch.setattr(minimax, "_BNB_PROJECTIONS", 500 * 4 * 8)
+        lo, hi, _, evaluations, cut = _bnb(cone)
+        assert complete and not cut
+        assert evaluations <= 500 < full
+        assert lo <= lo_full + 1e-12
+        assert hi >= hi_full - 1e-12
+        assert lo <= hi_full
+
+    def test_polish_from_explicit_starts(self):
+        cone = next(cone_suite((4,), 1, seed=52))
+        face = FaceDistance(cone.normals)
+        seed = inscribed_ball(cone).e
+        lo, hi, best, _, _ = branch_and_bound_min_max_face_distance(face, seed)
+        value, point, used = multistart_min_max_face_distance(face, seed, starts=best)
+        assert used == len(best) + 1
+        assert lo <= value <= hi
+        assert (point @ cone.matrix).min() >= -1e-9
+        assert face.max_face_distance(point)[0] == pytest.approx(value, abs=1e-15)
