@@ -29,7 +29,8 @@ def describe(name, cone):
     print(f"lambda_min          = {cone.lambda_min:.12f}")
     ball = inscribed_ball(cone)
     print(f"inscribed radius d  = {ball.d:.12f}   center e = {np.round(ball.e, 6)}")
-    est, psi = capacity_delta(cone)
+    est = capacity_delta(cone)
+    psi = math.asin(est.value)
     print(f"capacity delta      = {est.value:.12f}   (psi = {psi:.6f} rad, "
           f"certified lower bound {est.certified_lower:.6f}, via {est.method.value})")
     print(f"charge S(Q)         = {charge_SQ(cone).value:.12f} rad")

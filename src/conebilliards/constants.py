@@ -6,7 +6,8 @@ computes:
 * the inscribed-ball radius d and center direction e, from (e, a_i) = d;
 * delta = min over unit y of max_i |(y, a_i)|, and psi = arcsin(delta);
 * the charge S(Q) = max over rays in Q of the least angle to a wall, the
-  arrangement charge phi = min of S over all full-dimensional sign cones;
+  arrangement charge phi = min of S over all full-dimensional sign cones,
+  which equals psi (see `charge_phi`);
 * the nondegeneracy constant C = min over unit y in Q of max_i dist(y, B_i);
 * every collision-count bound built from these constants.
 """
@@ -27,6 +28,10 @@ from .minimax import FaceDistance
 
 
 class EstimateMethod(enum.Enum):
+    """How a constant was obtained: closed_form is exact up to rounding
+    (delta, phi, and C of wedges and orthants); multistart and grid_oracle
+    are the estimates from above that check the exact routes."""
+
     closed_form = "closed_form"
     subset_enumeration = "subset_enumeration"
     multistart = "multistart"
@@ -40,8 +45,9 @@ class ConstantEstimate:
 
     `value` is always a valid estimate from above for minimization targets
     (exact for closed forms and enumerations); `certified_lower` is a lower
-    bound when one is available: the a-priori sqrt(lambda_min / n), or the
-    larger end of a branch-and-bound certificate.  The constant lies in
+    bound when one is available: the value itself for a closed form, the
+    a-priori sqrt(lambda_min / n) for the multistart and grid routes, or
+    the larger end of a branch-and-bound certificate.  The constant lies in
     [certified_lower, value].
     """
 
@@ -153,15 +159,14 @@ def capacity_delta(
     method: str = "auto",
     n_starts: int = 256,
     iters: int = 500,
-):
-    """Compute delta = min over unit y of max_i |(y, a_i)| and psi = arcsin(delta).
+) -> ConstantEstimate:
+    """Capacity delta = min over unit y of max_i |(y, a_i)|; psi = arcsin(delta).
 
-    Methods: "enumeration" (exact stationary-point enumeration, default for
-    n <= 12), "multistart" (projected subgradient, estimate from above),
-    "grid" (dense grid oracle, dim <= 3).  The certified lower bound
-    sqrt(lambda_min / n) is reported alongside the value.
-
-    Returns (ConstantEstimate, psi).
+    Methods: "enumeration" (the sign-vertex formula of
+    `minimax.min_max_abs_margin`, exact, default for n <= 16), "multistart"
+    (projected subgradient, estimate from above), "grid" (dense grid
+    oracle, dim <= 3).  The exact route reports its value as the certified
+    lower end; the other two report the a-priori sqrt(lambda_min / n).
     """
     _require_square(cone, "capacity_delta")
     n = cone.n_walls
@@ -169,11 +174,11 @@ def capacity_delta(
     lower = math.sqrt(max(lam, 0.0) / n)
 
     if method == "auto":
-        method = "enumeration" if n <= 12 else "multistart"
+        method = "enumeration" if n <= 16 else "multistart"
     if method == "enumeration":
         value, _ = minimax.min_max_abs_margin(cone.normals)
-        used = (3 ** n - 1) // 2
-        how = EstimateMethod.subset_enumeration
+        used = 1 << (n - 1)
+        how = EstimateMethod.closed_form
     elif method == "multistart":
         value, _, used = minimax.multistart_min_max_abs(
             cone.normals, n_starts=n_starts, iters=iters
@@ -192,11 +197,11 @@ def capacity_delta(
         raise ValueError(f"unknown method {method!r}")
 
     value = float(min(max(value, lower - 1e-12), 1.0))
-    est = ConstantEstimate(
+    if how is EstimateMethod.closed_form:
+        lower = value
+    return ConstantEstimate(
         value=value, certified_lower=lower, method=how, starts_used=used
     )
-    psi = math.asin(min(1.0, max(-1.0, value)))
-    return est, psi
 
 
 def charge_SQ(cone: ConeSpec) -> ConstantEstimate:
@@ -217,37 +222,26 @@ def charge_SQ(cone: ConeSpec) -> ConstantEstimate:
 
 
 def charge_phi(normals) -> ConstantEstimate:
-    """Arrangement charge phi: least charge among all full-dimensional sign cones.
+    """Arrangement charge phi = min over signs s of S(Q_s), where
+    Q_s = {y : s_i (y, a_i) >= 0}; it equals psi = arcsin(delta).
 
-    Each sign pattern eps defines the cone {y : eps_i (y, a_i) >= 0}; with
-    independent normals every such cone has nonempty interior (optimal
-    margin > 0), which is verified rather than assumed.  Opposite patterns
-    give mirror cones, so only half of them are enumerated.
+    Let y_s be the vertex (y_s, a_i) = s_i of {y : |(y, a_i)| <= 1}, so that
+    delta = 1 / max_s |y_s|.  Then s_i (y_s, a_i) >= 1, so every sign cone
+    has sin S(Q_s) >= 1 / |y_s| >= delta.  At the vertex of largest norm,
+    optimality gives y_s = sum_i mu_i s_i a_i with mu >= 0, so
+    (u, y_s) >= sum_i mu_i = |y_s|^2 whenever s_i (u, a_i) >= 1, and that
+    sign cone has sin S = delta exactly.  Raw arrays go through `make_cone`.
     """
-    if isinstance(normals, ConeSpec):
-        arr = normals.normals
-    else:
+    if not isinstance(normals, ConeSpec):
         arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    n = arr.shape[0]
-    best = math.pi / 2.0
-    feasible = 0
-    for bits in range(2 ** (n - 1)):
-        eps = np.ones(n)
-        for k in range(n - 1):
-            if (bits >> k) & 1:
-                eps[k + 1] = -1.0
-        val, _ = minimax.max_min_margin(eps[:, None] * arr)
-        if val <= 1e-9:
-            continue
-        feasible += 1
-        best = min(best, math.asin(min(1.0, val)))
-    if feasible == 0:
-        raise DegenerateArrangement("no sign cone has interior; normals dependent?")
+        normals = make_cone(arr.shape[1], arr)
+    value, _ = minimax.min_max_abs_margin(normals.normals)
+    value = math.asin(min(1.0, value))
     return ConstantEstimate(
-        value=best,
-        certified_lower=None,
-        method=EstimateMethod.subset_enumeration,
-        starts_used=feasible,
+        value=value,
+        certified_lower=value,
+        method=EstimateMethod.closed_form,
+        starts_used=1 << (normals.n_walls - 1),
     )
 
 
@@ -410,9 +404,9 @@ def bounds_report(cone: ConeSpec) -> BoundsReport:
     n = cone.n_walls
     lam = cone.lambda_min
     ball = inscribed_ball(cone)
-    delta_est, psi = capacity_delta(cone)
+    delta_est = capacity_delta(cone)
+    psi = math.asin(delta_est.value)
     sq = charge_SQ(cone)
-    phi = charge_phi(cone)
     c_est = bfk_constant(cone)
 
     g = cone.gram_matrix
@@ -423,22 +417,21 @@ def bounds_report(cone: ConeSpec) -> BoundsReport:
 
     # Each bound decreases as its constant grows, so it is computed from the
     # certified lower end of the constant's interval, never from an estimate
-    # from above.  Exact enumeration makes delta's value certified.
+    # from above.  phi = psi, and Sevryuk's bound takes phi's lower end
+    # arcsin(delta_low).
     d = ball.d
-    delta_low = delta_est.value
-    if delta_est.method is not EstimateMethod.subset_enumeration:
-        delta_low = delta_est.certified_lower
+    delta_low = delta_est.certified_lower
     return BoundsReport(
         lambda_min=lam,
         d=d,
         delta=delta_est.value,
         psi=psi,
         charge_SQ=sq.value,
-        charge_phi=phi.value,
+        charge_phi=psi,
         bfk_C=c_est.value,
         bound_main=main_bound(n, lam),
         bound_dd=_power_bound(1.0, 4.0 / (d * delta_low), n - 1),
-        bound_sevryuk=_sevryuk_bound(n, phi.value),
+        bound_sevryuk=_sevryuk_bound(n, math.asin(delta_low)),
         bound_bfk=_power_bound(8.0, 1.0 / c_est.certified_lower + 2.0, 2 * (n - 1)),
         bound_wedge=wedge_bound,
         bound_tridiagonal=tri_bound if applicable else None,

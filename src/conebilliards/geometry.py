@@ -211,6 +211,22 @@ def require_positive_definite(g) -> float:
     return lam
 
 
+def orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the rows' span by modified Gram-Schmidt, in row
+    order; raises DegenerateArrangement for a row within 1e-9 of the span
+    of the rows before it."""
+    basis = np.zeros(vectors.shape)
+    for i, v in enumerate(vectors):
+        w = v.copy()
+        for b in basis[:i]:
+            w -= (w @ b) * b
+        nw = np.linalg.norm(w)
+        if nw <= INDEPENDENCE_TOL:
+            raise DegenerateArrangement("normals are dependent under orthogonalization")
+        basis[i] = w / nw
+    return basis
+
+
 def reduce_to_span(dim: int, normals):
     """Express a cone with n <= m walls in an orthonormal basis of the span.
 
@@ -219,20 +235,9 @@ def reduce_to_span(dim: int, normals):
     point y in R^m projects to coordinates basis @ y in the reduced space.
     """
     cone = make_cone(dim, normals)
-    arr = cone.normals
-    n, m = arr.shape
-    # Modified Gram-Schmidt keeps the construction deterministic.
-    basis = np.zeros((n, m))
-    for i in range(n):
-        w = arr[i].copy()
-        for j in range(i):
-            w -= (w @ basis[j]) * basis[j]
-        nw = np.linalg.norm(w)
-        if nw <= INDEPENDENCE_TOL:
-            raise DegenerateArrangement("normals are dependent under orthogonalization")
-        basis[i] = w / nw
-    reduced = arr @ basis.T
-    return make_cone(n, reduced), _freeze(basis)
+    basis = orthonormal_rows(cone.normals)
+    reduced = cone.normals @ basis.T
+    return make_cone(cone.n_walls, reduced), _freeze(basis)
 
 
 def contains(cone: ConeSpec, point, tol: float = 0.0) -> bool:

@@ -1,10 +1,14 @@
 """Minimax solvers on the unit sphere.
 
-Four routes are provided for the nonsmooth sphere problems that arise
+Five routes are provided for the nonsmooth sphere problems that arise
 from cone geometry:
 
-* exact stationary-point enumeration (equal-margin subsets), valid because
-  every optimizer lies in the span of its active normals with equal margins;
+* the sign-vertex formula for min over unit y of max_i |(y, a_i)|: the
+  largest vertex of the parallelotope {y : |(y, a_i)| <= 1}, one linear
+  solve for all 2^(n-1) sign vectors;
+* exact stationary-point enumeration (equal-margin subsets) for
+  max over unit u of min_i (u, a_i), valid because every optimizer lies in
+  the span of its active normals with equal margins;
 * deterministic multistart projected subgradient descent with step halving,
   vectorized across starts;
 * a cube-sphere Lipschitz branch-and-bound (Piyavskii 1972; Shubert 1972)
@@ -22,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateArrangement
+from .geometry import orthonormal_rows
 
 # Fixed scramble seed: starts are low-discrepancy yet reproducible.
 _SOBOL_SEED = 20090
@@ -115,45 +120,36 @@ def max_min_margin(normals: np.ndarray):
 
 
 def min_max_abs_margin(normals: np.ndarray):
-    """Minimize max_i |(y, a_i)| over the unit sphere, exactly (n = m).
+    """Minimize max_i |(y, a_i)| over unit y in the span of the normals, exactly.
 
-    Every sphere-stationary point of the objective lies in the span of its
-    active signed normals with equal absolute margins, so enumerating all
-    (subset, sign) pairs and evaluating each candidate on all walls yields
-    the global minimum.  Requires the normals to span the space, otherwise
-    the true minimum is 0 and not attained by any candidate.
+    P = {y in span : |(y, a_i)| <= 1} is a parallelotope whose vertex y_s
+    with (y_s, a_i) = s_i has |y_s|^2 = s^T G^{-1} s.  The objective is
+    1-homogeneous, so its minimum over unit y is 1 / max over P of |y|,
+    and the convex |y| is largest at a vertex.  Opposite sign vectors give
+    opposite vertices, so s_1 = +1.  The vertices are solved in an
+    orthonormal basis of the span, from the normals rather than from G,
+    whose condition number is their square, in blocks of bounded size.
 
     Returns (value, argmin unit vector).
     """
     arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
     n = arr.shape[0]
-    best_val = np.inf
-    best_y = None
-    for k in range(1, n + 1):
-        for subset in itertools.combinations(range(n), k):
-            sub = arr[list(subset)]
-            # Fixing the first sign to +1 halves the work; candidates come
-            # in +/- pairs with identical objective values.
-            for signs in itertools.product((1.0, -1.0), repeat=k - 1):
-                s = np.array((1.0,) + signs)
-                signed = s[:, None] * sub
-                g = signed @ signed.T
-                try:
-                    w = np.linalg.solve(g, np.ones(k))
-                except np.linalg.LinAlgError:
-                    continue
-                y0 = w @ signed
-                nrm = np.linalg.norm(y0)
-                if nrm < 1e-12:
-                    continue
-                y = y0 / nrm
-                val = float(np.abs(y @ arr.T).max())
-                if val < best_val:
-                    best_val = val
-                    best_y = y
-    if best_y is None:
-        raise DegenerateArrangement("no equal-margin candidate could be formed")
-    return best_val, best_y
+    basis = orthonormal_rows(arr)
+    coords = arr @ basis.T
+    bits = np.arange(n - 1)
+    step = max(1, _BLOCK_ENTRIES // n)
+    best_q, best_z = 0.0, None
+    for s0 in range(0, 1 << (n - 1), step):
+        codes = np.arange(s0, min(s0 + step, 1 << (n - 1)))
+        signs = np.ones((n, len(codes)))
+        signs[1:] -= 2.0 * ((codes >> bits[:, None]) & 1)
+        z = np.linalg.solve(coords, signs)
+        q = (z * z).sum(axis=0)
+        k = int(q.argmax())
+        if q[k] > best_q:
+            best_q, best_z = float(q[k]), z[:, k]
+    root = math.sqrt(best_q)
+    return 1.0 / root, best_z @ basis / root
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +282,6 @@ def sphere_grid_minimize(
 # Distances to cone faces and projection onto the cone
 # ---------------------------------------------------------------------------
 
-def _orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
-    basis = []
-    for v in vectors:
-        w = v.copy()
-        for b in basis:
-            w -= (w @ b) * b
-        nw = np.linalg.norm(w)
-        if nw > 1e-12:
-            basis.append(w / nw)
-    return np.array(basis)
-
-
 class FaceDistance:
     """Exact Euclidean distances from points to the faces of a cone.
 
@@ -316,7 +300,7 @@ class FaceDistance:
         self.n, self.m = arr.shape
 
         def projector(rows):
-            u = _orthonormal_rows(arr[list(rows)])
+            u = orthonormal_rows(arr[list(rows)])
             return np.eye(self.m) - u.T @ u
 
         faces = [

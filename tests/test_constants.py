@@ -17,7 +17,7 @@ from conebilliards.constants import (
     main_bound,
     tridiagonal_case,
 )
-from conebilliards.errors import DimensionMismatch
+from conebilliards.errors import DegenerateArrangement, DimensionMismatch
 from conebilliards.geometry import gram, make_cone
 from conebilliards.harness import interior_starts, make_rng, random_cone
 from conebilliards.simulator import run_batch
@@ -94,13 +94,13 @@ class TestInscribedBall:
 class TestCapacityDelta:
     def test_orthant(self):
         for n in (2, 3, 4):
-            est, psi = capacity_delta(make_cone(n, np.eye(n)))
+            est = capacity_delta(make_cone(n, np.eye(n)))
             assert est.value == pytest.approx(1.0 / math.sqrt(n), abs=1e-12)
-            assert psi == pytest.approx(math.asin(1.0 / math.sqrt(n)), abs=1e-12)
+            assert math.asin(est.value) == pytest.approx(math.asin(1.0 / math.sqrt(n)), abs=1e-12)
 
     def test_right_angle_wedge_equality_case(self):
         cone = wedge_cone(math.pi / 2)
-        est, _ = capacity_delta(cone)
+        est = capacity_delta(cone)
         assert est.value == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
         assert est.certified_lower == pytest.approx(math.sqrt(cone.lambda_min / 2), abs=1e-12)
         assert est.value == pytest.approx(est.certified_lower, abs=1e-10)
@@ -108,23 +108,23 @@ class TestCapacityDelta:
     @pytest.mark.parametrize("theta", [math.pi / 3, 2 * math.pi / 5, 2.5])
     def test_wedge_against_circle_oracle(self, theta):
         cone = wedge_cone(theta)
-        est, _ = capacity_delta(cone)
+        est = capacity_delta(cone)
         assert est.value == pytest.approx(delta_circle_oracle(cone), abs=2e-6)
         assert est.value == pytest.approx(math.sin(min(theta, math.pi - theta) / 2), abs=1e-12)
 
     def test_methods_agree(self):
         for cone in cone_suite((2, 3), 5, seed=42):
-            exact, _ = capacity_delta(cone, method="enumeration")
-            multi, _ = capacity_delta(cone, method="multistart")
-            grid, _ = capacity_delta(cone, method="grid")
+            exact = capacity_delta(cone, method="enumeration")
+            multi = capacity_delta(cone, method="multistart")
+            grid = capacity_delta(cone, method="grid")
             assert multi.value >= exact.value - 1e-9
             assert abs(multi.value - exact.value) < 1e-3
             assert abs(grid.value - exact.value) < 1e-3
 
     def test_half_line(self):
-        est, psi = capacity_delta(make_cone(1, [[1.0]]))
+        est = capacity_delta(make_cone(1, [[1.0]]))
         assert est.value == pytest.approx(1.0, abs=1e-14)
-        assert psi == pytest.approx(math.pi / 2, abs=1e-14)
+        assert math.asin(est.value) == pytest.approx(math.pi / 2, abs=1e-14)
 
 
 class TestChargeSQ:
@@ -162,6 +162,12 @@ class TestChargePhi:
     def test_never_exceeds_cone_charge(self):
         for cone in cone_suite((2, 3, 4), 5, seed=43):
             assert charge_phi(cone).value <= charge_SQ(cone).value + 1e-9
+
+    def test_raw_arrays_are_validated(self):
+        with pytest.raises(DegenerateArrangement):
+            charge_phi([[1.0, 0.0], [2.0, 0.0]])
+        # rows are normalized first: this is the 2-orthant
+        assert charge_phi([[3.0, 0.0], [0.0, 1.0]]).value == pytest.approx(math.pi / 4, abs=1e-15)
 
 
 class TestBfkConstant:
@@ -324,11 +330,13 @@ class TestBoundsReport:
             assert rep.bound_bfk == 8.0 * (1.0 / c_est.certified_lower + 2.0) ** (2 * (n - 1))
             # a bound from the certified end is never below one from the value
             assert rep.bound_bfk >= 8.0 * (1.0 / rep.bfk_C + 2.0) ** (2 * (n - 1))
-            # delta comes from exact enumeration here, so its value is used
+            # delta is a closed form here, so its value is the certified end
             assert rep.bound_dd == (4.0 / (rep.d * rep.delta)) ** (n - 1)
+            assert rep.charge_phi == rep.psi == math.asin(rep.delta)
 
     def test_bound_dd_uses_certified_delta_off_enumeration(self, monkeypatch):
         import conebilliards.constants as constants
+        from conebilliards.constants import _sevryuk_bound
 
         cone = next(cone_suite((3,), 1, seed=53))
         exact = bounds_report(cone)
@@ -338,21 +346,26 @@ class TestBoundsReport:
 
         monkeypatch.setattr(constants, "capacity_delta", multistart_delta)
         rep = bounds_report(cone)
-        est, _ = multistart_delta(cone)
+        est = multistart_delta(cone)
         assert est.method is EstimateMethod.multistart
         assert est.certified_lower < est.value
         assert rep.delta == est.value
         assert rep.bound_dd == (4.0 / (rep.d * est.certified_lower)) ** 2
         assert rep.bound_dd > exact.bound_dd
+        # Sevryuk's bound takes phi's certified end arcsin(delta_low) too
+        assert rep.bound_sevryuk == _sevryuk_bound(3, math.asin(est.certified_lower))
+        assert rep.bound_sevryuk > exact.bound_sevryuk
 
     def test_sign_flip_invariants(self):
         for cone in cone_suite((2, 3, 4), 3, seed=46):
-            delta0, psi0 = capacity_delta(cone)
+            delta0 = capacity_delta(cone)
+            psi0 = math.asin(delta0.value)
             phi0 = charge_phi(cone)
             flipped = np.array(cone.normals)
             flipped[0] = -flipped[0]
             other = make_cone(cone.dim, flipped)
-            delta1, psi1 = capacity_delta(other)
+            delta1 = capacity_delta(other)
+            psi1 = math.asin(delta1.value)
             phi1 = charge_phi(other)
             assert abs(delta0.value - delta1.value) < 1e-9
             assert abs(psi0 - psi1) < 1e-9
@@ -386,7 +399,7 @@ def test_bounds_past_float_range_are_infinite():
     assert step_cap(40, 0.3) == sys.maxsize
 
 
-def test_bounds_report_leaves_scipy_stats_unimported():
+def test_bounds_report_imports_no_scipy():
     import subprocess
     import textwrap
 
@@ -396,7 +409,7 @@ def test_bounds_report_leaves_scipy_stats_unimported():
         import conebilliards
         cone = conebilliards.random_cone(5, 5, seed=20241, stream=5000)
         conebilliards.bounds_report(cone)
-        print("scipy.stats" in sys.modules)
+        print(any(name.split(".")[0] == "scipy" for name in sys.modules))
         """
     )
     out = subprocess.run(
