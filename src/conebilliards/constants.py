@@ -278,12 +278,14 @@ def bfk_constant(
     outer minimum over the sphere-in-cone:
 
     * "auto": the closed form for wedges and orthants; otherwise a certified
-      interval from the cube-sphere Lipschitz branch-and-bound, stopped once
-      hi - lo <= max(1e-3, 1e-2 hi), then a projected-subgradient polish
-      from the 16 best cell centres.  `value` is the best feasible point
-      found and `certified_lower` = max(lo, sqrt(lambda_min / n)).  Past
-      its work budget (some cones at n >= 6) the interval is wider and the
-      polish adds the `n_starts` multistart starts.
+      interval from the cube-sphere branch-and-bound, whose cells carry a
+      Lipschitz and a first-order lower bound, stopped once hi - lo <= 1e-4.
+      `value` = hi, the best feasible cell centre, and `certified_lower` =
+      max(lo, sqrt(lambda_min / n)), so value - certified_lower <= 1e-4.
+      Only when the work budget cuts the search (some cones at n >= 6) is
+      the interval wider; then a projected-subgradient polish runs from
+      the 16 best centres plus the `n_starts` multistart starts, and
+      `starts_used` counts them (0 otherwise).
     * "multistart": projected subgradient descent from `n_starts` Sobol
       starts, an estimate from above.
     * "grid": the dense grid oracle, dimension at most 3.
@@ -309,15 +311,16 @@ def bfk_constant(
     seed = inscribed_ball(cone).e
     if method == "auto":
         bracket = minimax.branch_and_bound_min_max_face_distance(face, seed)
-        starts = bracket.best
+        value, used = bracket.hi, 0
         if not bracket.complete:
-            # Coarse cells leave the polish far from the minimum; add the
-            # multistart route's starts.
-            starts = np.vstack([starts, minimax.sphere_starts(cone.dim, max(1, n_starts - 1))])
-        polished, _, used = minimax.multistart_min_max_face_distance(
-            face, seed, iters=iters, starts=starts
-        )
-        value = min(bracket.hi, polished)
+            # The budget cut the search: polish from the best centres plus
+            # the multistart route's starts, since coarse cells can leave
+            # the best centres far from the minimum.
+            starts = np.vstack([bracket.best, minimax.sphere_starts(cone.dim, max(1, n_starts - 1))])
+            polished, _, used = minimax.multistart_min_max_face_distance(
+                face, seed, iters=iters, starts=starts
+            )
+            value = min(value, polished)
         lower = max(lower, bracket.lo)
         how = EstimateMethod.branch_and_bound
     elif method == "multistart":

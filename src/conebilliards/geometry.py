@@ -162,7 +162,8 @@ def make_cone(dim: int, normals) -> ConeSpec:
 
     Input vectors are renormalized to unit length; a deviation larger than
     1e-6 only sets the `renormalized` flag.  Raises DegenerateArrangement
-    when the smallest singular value of the normal matrix is below 1e-9,
+    for a NaN or infinite component and when the smallest singular value
+    of the normal matrix is below 1e-9,
     ZeroVector for a (near-)zero input, and DimensionMismatch for a wrong
     component count or more normals than dimensions.
     """
@@ -174,6 +175,8 @@ def make_cone(dim: int, normals) -> ConeSpec:
     n = arr.shape[0]
     if n < 1 or n > dim:
         raise DimensionMismatch(f"need 1 <= n <= dim, got n={n}, dim={dim}")
+    if not np.isfinite(arr).all():
+        raise DegenerateArrangement("normals must have finite components")
     norms = np.linalg.norm(arr, axis=1)
     if np.any(norms < 1e-12):
         raise ZeroVector("every normal must be a nonzero direction vector")

@@ -11,8 +11,11 @@ from cone geometry:
   the span of its active normals with equal margins;
 * deterministic multistart projected subgradient descent with step halving,
   vectorized across starts;
-* a cube-sphere Lipschitz branch-and-bound (Piyavskii 1972; Shubert 1972)
-  that brackets the minimum of a 1-Lipschitz function over sphere-in-cone;
+* a cube-sphere branch-and-bound (after Piyavskii 1972; Shubert 1972)
+  that brackets the minimum of the largest face distance over
+  sphere-in-cone to 1e-4, with a Lipschitz and a first-order lower bound
+  on each cell (the face distances are 1-Lipschitz, convex and
+  1-homogeneous);
 * dense grid oracles (circle / Fibonacci sphere) with a local zoom stage,
   for dimensions 2 and 3.
 """
@@ -36,17 +39,22 @@ _FEAS_TOL = 1e-9
 # threshold); larger ones start its threads, which doubled the CPU time per
 # face-distance point at n = 5 and 6 and made wall time erratic.
 _BLOCK_ENTRIES = 1 << 18
-# Stopping gap of the branch-and-bound, absolute and relative, and the
-# number of best feasible centres it keeps.
-_BNB_ATOL = 1e-3
-_BNB_RTOL = 1e-2
+# Stopping gap of the branch-and-bound (absolute), and the number of best
+# feasible centres it keeps.
+_BNB_ATOL = 1e-4
 _BNB_KEEP = 16
+# Frank-Wolfe steps for the weights of the first-order cell bound, and the
+# rounding error allowed in a projection foot: against 40-digit projections
+# it was at most 5.2e-15 at 960 points of random_cone(n, n, 20241, n*1000+k),
+# n = 3..6, k < 6.
+_FW_STEPS = 8
+_FOOT_ERROR = 1e-14
 # Work budget of the branch-and-bound, in face projections (a point costs
 # n 2^(n-1)): about 6 s on one core at n = 6, where some cones need more;
 # the n <= 5 cones measured used under 3% of it.
 _BNB_PROJECTIONS = 1 << 26
-# Points per distances_and_feet call in max_face_distance, which bounds the
-# feet array (k, n, m) that it discards.
+# Points per distances_and_feet call in max_face_distance and in the
+# branch-and-bound, which bounds the feet array (k, n, m).
 _MAX_DISTANCE_ROWS = 1 << 12
 
 
@@ -451,7 +459,7 @@ def multistart_min_max_face_distance(
 
 
 # ---------------------------------------------------------------------------
-# Cube-sphere Lipschitz branch-and-bound
+# Cube-sphere branch-and-bound
 # ---------------------------------------------------------------------------
 
 def _cube_faces(m: int):
@@ -482,8 +490,65 @@ def _cell_radii(x, c, offsets, which, half) -> np.ndarray:
     return r
 
 
+def _first_order_lower(c, dists, feet, r) -> np.ndarray:
+    """Lower bound on f over each cell from subgradients of the face distances.
+
+    f_i = dist(., B_i) is convex and 1-homogeneous, so f_i(y) >= (g_i, y)
+    for every y, where g_i = (c - p_i) / |c - p_i| and p_i is the foot of c
+    on face i (g_i = 0 when f_i(c) = 0).  A unit y of the cell lies within
+    angle rho = 2 asin(r / 2) of c, so for any lambda in the simplex, with
+    G = sum_i lambda_i g_i,
+
+        f(y) >= (G, y) >= cos(rho) (G, c) - sin(rho) |G - (G, c) c|
+
+    when rho <= pi / 2.  Rounding of the foot turns g_i by up to about
+    2 |p_i error| / f_i(c), so face i also pays _FOOT_ERROR / f_i(c) in the
+    sum; faces very near c then get no weight.  The weights start at the
+    face of largest distance (which gives about f(c) - r) and take
+    _FW_STEPS Frank-Wolfe steps with exact line search on this concave
+    bound; near the nonsmooth minimum they cancel the tangential parts and
+    the error falls to O(r^2).  Any lambda is sound: an inexact one costs
+    tightness, not validity.
+    Shapes: c (k, m), dists (k, n), feet (k, n, m), r (k,).
+    """
+    diff = c[:, None, :] - feet
+    norm = np.sqrt((diff * diff).sum(axis=2))
+    inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
+    g = diff * inv[:, :, None]
+    h = (g * c[:, None, :]).sum(axis=2)
+    t = g - h[:, :, None] * c[:, None, :]
+    cos_r = 1.0 - 0.5 * r * r
+    sin_r = r * np.sqrt(np.maximum(0.0, 1.0 - 0.25 * r * r))
+    # Radial part of each face's bound, less its rounding allowance.
+    v = cos_r[:, None] * h - np.where(norm > 0.0, 2.0 * _FOOT_ERROR * inv, 0.0)
+    rows = np.arange(len(c))
+    j = dists.argmax(axis=1)
+    a, tang = v[rows, j], t[rows, j]
+    for _ in range(_FW_STEPS):
+        length = np.sqrt((tang * tang).sum(axis=1))
+        u = tang / np.where(length > 0.0, length, 1.0)[:, None]
+        score = v - sin_r[:, None] * (t @ u[:, :, None])[:, :, 0]
+        j = score.argmax(axis=1)
+        # Maximize alpha gamma - sin_r |tang + gamma w| over gamma in [0, 1].
+        w = t[rows, j] - tang
+        alpha = v[rows, j] - a
+        b = (tang * w).sum(axis=1)
+        cw = (w * w).sum(axis=1)
+        slope = sin_r * np.sqrt(cw)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = alpha / sin_r
+            z = ratio * np.sqrt(np.maximum(0.0, length * length * cw - b * b) / (cw - ratio * ratio))
+            gamma = np.clip((z - b) / cw, 0.0, 1.0)
+        gamma = np.where(alpha >= slope, 1.0, np.where(alpha <= -slope, 0.0, gamma))
+        a = a + gamma * alpha
+        tang = tang + gamma[:, None] * w
+    bound = a - sin_r * np.sqrt((tang * tang).sum(axis=1))
+    return np.where(cos_r >= 0.0, bound, -np.inf)
+
+
 class Bracket(NamedTuple):
-    """Result of the branch-and-bound: lo <= C <= hi."""
+    """Result of the branch-and-bound: lo <= C <= hi, and hi - lo <= 1e-4
+    (up to a 1e-12 rounding allowance) when `complete`."""
 
     lo: float
     hi: float
@@ -499,26 +564,27 @@ def branch_and_bound_min_max_face_distance(
 ) -> Bracket:
     """Certified bracket on C = min over unit y in the cone of max_i dist(y, B_i).
 
-    f(y) = max_i dist(y, B_i) is 1-Lipschitz on all of R^m, being a maximum
-    of distances to sets.  The sphere is covered by the 2m faces of the cube
-    [-1, 1]^m, split into squares and normalized.  For a cell with
-    normalized centre c, let r be the longest chord from c to a normalized
-    corner; (x, c) / |x| is positive (for m <= 16) and quasi-concave on the
-    square, so its minimum is at a corner and no point of the cell is
-    farther from c.  Then:
+    The sphere is covered by the 2m faces of the cube [-1, 1]^m, split
+    into squares and normalized.  For a cell with normalized centre c, let
+    r be the longest chord from c to a normalized corner; (x, c) / |x| is
+    positive (for m <= 16) and quasi-concave on the square, so its minimum
+    is at a corner and no point of the cell is farther from c.  Then:
 
     * the cell misses the cone when (c, a_i) < -r for some wall i;
-    * f >= f(c) - r on the cell, whether or not c lies in the cone;
+    * f >= f(c) - r on the cell, whether or not c lies in the cone, because
+      f(y) = max_i dist(y, B_i) is 1-Lipschitz on all of R^m, being a
+      maximum of distances to sets;
+    * f >= the first-order bound of `_first_order_lower` on the cell,
+      computed for the cells that the Lipschitz bound alone would split;
     * hi, the best f at a feasible centre, bounds C from above.
 
-    Level by level, a cell is split into 2^(m-1) children while its lower
-    bound is below hi - max(1e-3, 1e-2 hi), and lo is the least lower bound
-    of the cells that stopped, so hi - lo <= max(1e-3, 1e-2 hi) up to a
-    1e-12 allowance for rounding.  The minima are not sharp, so tighter
-    gaps cost many more levels.  If the next level would take the work
-    past 2^26 face projections (n 2^(n-1) per evaluation), the remaining
-    cells stop too, the bracket is wider and `complete` is False.  The
-    best feasible centres, `interior_seed` among them, are the starts of a
+    Level by level, a cell is split into 2^(m-1) children while the larger
+    of its two lower bounds is below hi - 1e-4, and lo is the least lower
+    bound of the cells that stopped, so hi - lo <= 1e-4 up to a 1e-12
+    allowance for rounding.  If the next level would take the work past
+    2^26 face projections (n 2^(n-1) per evaluation), the remaining cells
+    stop too, the bracket is wider and `complete` is False; the best
+    feasible centres, `interior_seed` among them, are then the starts of a
     local polish.
     """
     m = face.m
@@ -538,17 +604,29 @@ def branch_and_bound_min_max_face_distance(
         margin = (c @ at).min(axis=1)
         alive = margin >= -r
         x, which, c, r, margin = x[alive], which[alive], c[alive], r[alive], margin[alive]
-        f = face.max_face_distance(c)
+        lower = np.empty(len(c))
+        for s in range(0, len(c), _MAX_DISTANCE_ROWS):
+            block = slice(s, s + _MAX_DISTANCE_ROWS)
+            cb, rb = c[block], r[block]
+            dists, feet = face.distances_and_feet(cb)
+            f = dists.max(axis=1)
+            feasible = margin[block] >= 0.0
+            best_f = np.concatenate([best_f, f[feasible]])
+            best = np.vstack([best, cb[feasible]])
+            order = np.argsort(best_f, kind="stable")[:_BNB_KEEP]
+            best_f, best = best_f[order], best[order]
+            low = f - rb
+            # hi can only fall later in the level, so these include every
+            # cell that the Lipschitz bound alone would split.
+            weak = low < best_f[0] - _BNB_ATOL
+            if weak.any():
+                first = _first_order_lower(cb[weak], dists[weak], feet[weak], rb[weak])
+                low[weak] = np.maximum(low[weak], first)
+            # 1e-12 absorbs rounding in f and r, far below the stopping gap.
+            lower[block] = low - 1e-12
         evaluations += len(c)
-        feasible = margin >= 0.0
-        best_f = np.concatenate([best_f, f[feasible]])
-        best = np.vstack([best, c[feasible]])
-        order = np.argsort(best_f, kind="stable")[:_BNB_KEEP]
-        best_f, best = best_f[order], best[order]
         hi = float(best_f[0])
-        # 1e-12 absorbs rounding in f and r, far below the stopping gap.
-        lower = f - r - 1e-12
-        split = lower < hi - max(_BNB_ATOL, _BNB_RTOL * hi)
+        split = lower < hi - _BNB_ATOL
         if evaluations + split.sum() * offsets.shape[1] > max_points:
             split[:] = False
             complete = False

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conebilliards.cli import main
+from conebilliards.errors import ConeBilliardsError
 
 
 @pytest.fixture
@@ -32,6 +33,14 @@ def test_bounds_csv(cone_file, capsys):
     assert header.startswith("lambda_min,d,delta,psi")
     row = dict(zip(header.split(","), values.split(",")))
     assert float(row["bound_main"]) == 8.0
+
+
+def test_bounds_rejects_non_finite_normals(tmp_path):
+    # json reads NaN and Infinity, so a cone file can carry them
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"dim": 2, "normals": [[1, math.nan], [0, 1]]}))
+    with pytest.raises(ConeBilliardsError):
+        main(["bounds", "--cone", str(path)])
 
 
 def test_simulate_with_audit(cone_file, capsys):

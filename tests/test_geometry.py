@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conebilliards.errors import DegenerateArrangement, DimensionMismatch, ZeroVector
+from conebilliards.constants import bounds_report
+from conebilliards.errors import (
+    ConeBilliardsError,
+    DegenerateArrangement,
+    DimensionMismatch,
+    ZeroVector,
+)
 from conebilliards.geometry import (
     contains,
     gram,
@@ -37,6 +43,15 @@ class TestMakeCone:
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
             make_cone(2, [(0, 0), (0, 1)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_component(self, bad):
+        # NaN fails every comparison, so without its own check it passed
+        # the independence test and reached bounds_report as NaN normals.
+        with pytest.raises(DegenerateArrangement):
+            make_cone(2, [(1, bad), (0, 1)])
+        with pytest.raises(ConeBilliardsError):
+            bounds_report(make_cone(3, [(1, 0, 0), (0, 1, 0), (0, bad, 1)]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -6,8 +6,13 @@ import pytest
 
 from conebilliards.constants import inscribed_ball
 from conebilliards.geometry import make_cone
+from conebilliards.harness import random_cone
 from conebilliards.minimax import (
     FaceDistance,
+    _cell_radii,
+    _cube_faces,
+    _first_order_lower,
+    _normalize_rows,
     branch_and_bound_min_max_face_distance,
     multistart_min_max_face_distance,
 )
@@ -92,14 +97,14 @@ class TestBranchAndBound:
         c = math.sin(theta / 2.0)
         assert complete and evaluations > 0
         assert lo <= c <= hi + 1e-15
-        assert hi - lo <= max(1e-3, 1e-2 * hi) + 1e-12
+        assert hi - lo <= 1e-4 + 1e-12
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_orthant_bracket(self, n):
         lo, hi, best, _, complete = _bnb(make_cone(n, np.eye(n)))
         assert complete
         assert lo <= 1.0 / math.sqrt(n) <= hi + 1e-15
-        assert hi - lo <= max(1e-3, 1e-2 * hi) + 1e-12
+        assert hi - lo <= 1e-4 + 1e-12
 
     def test_best_centres_feasible_and_sorted(self):
         cone = next(cone_suite((4,), 1, seed=50))
@@ -111,6 +116,12 @@ class TestBranchAndBound:
         values = face.max_face_distance(best)
         assert values[0] == hi
         assert (np.diff(values) >= 0.0).all()
+
+    def test_six_walls_complete(self):
+        # Lipschitz bounds alone needed 136k evaluations here (2 s)
+        lo, hi, _, _, complete = _bnb(random_cone(6, 6, seed=20241, stream=6000))
+        assert complete
+        assert 0.0 < lo <= hi <= lo + 1e-4 + 1e-12
 
     def test_budget_keeps_a_valid_bracket(self, monkeypatch):
         from conebilliards import minimax
@@ -136,3 +147,50 @@ class TestBranchAndBound:
         assert lo <= value <= hi
         assert (point @ cone.matrix).min() >= -1e-9
         assert face.max_face_distance(point)[0] == pytest.approx(value, abs=1e-15)
+
+
+class TestFirstOrderBound:
+    @staticmethod
+    def _cells(x, which, half, face, offsets, rng, samples):
+        """First-order and Lipschitz bounds of the cells, f at the centres,
+        and f at `samples` uniform points of each cell, normalized."""
+        c = _normalize_rows(x)
+        r = _cell_radii(x, c, offsets, which, half)
+        dists, feet = face.distances_and_feet(c)
+        first = _first_order_lower(c, dists, feet, r)
+        free = np.abs(offsets[which, 0])[:, None, :]
+        u = rng.uniform(-1.0, 1.0, (len(x), samples, x.shape[1]))
+        y = _normalize_rows((x[:, None, :] + half * u * free).reshape(-1, x.shape[1]))
+        # every sampled point lies within the cell's radius of its centre
+        chords = np.linalg.norm(y.reshape(len(x), samples, -1) - c[:, None, :], axis=2)
+        assert (chords <= r[:, None] + 1e-15).all()
+        f = face.max_face_distance(y).reshape(len(x), samples)
+        return first, dists.max(axis=1) - r, f
+
+    def test_sound_on_cells(self):
+        # Cells of every size around the minimizer, where the bound is
+        # tight, and at random places, on the criterion-4 cones n = 3..5.
+        rng = np.random.default_rng(12)
+        worst = -np.inf
+        for n in (3, 4, 5):
+            _, offsets = _cube_faces(n)
+            for k in range(25):
+                cone = random_cone(n, n, seed=20241, stream=n * 1000 + k)
+                face = FaceDistance(cone.normals)
+                star = _bnb(cone).best[0]
+                axis = int(np.abs(star).argmax())
+                on_face = star / abs(star[axis])
+                for level in range(1, 13, 2):
+                    half = 2.0 ** -level
+                    faces = np.array([2 * axis + int(star[axis] < 0), rng.integers(2 * n)])
+                    x = rng.uniform(half - 1.0, 1.0 - half, (2, n))
+                    x[0] = np.clip(on_face + rng.uniform(-half, half, n) / 2, half - 1.0, 1.0 - half)
+                    for row, which in enumerate(faces):
+                        x[row, which // 2] = 1.0 if which % 2 == 0 else -1.0
+                    first, lipschitz, f = self._cells(x, faces, half, face, offsets, rng, 300)
+                    worst = max(worst, float((first - f.min(axis=1)).max()))
+                    if level >= 7:
+                        # near the minimum the first-order bound is the
+                        # sharper one
+                        assert first[0] > lipschitz[0]
+        assert worst <= 1e-12, worst
