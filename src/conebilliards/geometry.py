@@ -113,47 +113,54 @@ def jacobi_eigenvalues(
     n = a.shape[0]
     if a.shape != (n, n):
         raise DimensionMismatch("eigensolver needs a square matrix")
-    v = np.eye(n) if with_vectors else None
     if n == 1:
         vals = a.diagonal().copy()
-        return (vals, v) if with_vectors else vals
+        return (vals, np.eye(1)) if with_vectors else vals
 
+    # Rotations run on Python float rows: the same IEEE operations as
+    # numpy slices, in the same order, without per-slice call overhead.
+    rows = a.tolist()
+    vecs = np.eye(n).tolist() if with_vectors else None
     for _ in range(max_sweeps):
+        a = np.array(rows)
         off = math.sqrt(max(0.0, (a * a).sum() - (a.diagonal() ** 2).sum()))
         if off < off_tol:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = rows[p][q]
                 if abs(apq) < 1e-300:  # denormal pivots would overflow tau
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
+                    rows[p][q] = 0.0
+                    rows[q][p] = 0.0
                     continue
                 # Rotation angle that zeroes a[p, q].
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                tau = (rows[q][q] - rows[p][p]) / (2.0 * apq)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
+                row_p = rows[p]
+                row_q = rows[q]
+                rows[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
+                rows[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
+                for r in rows:
+                    x = r[p]
+                    y = r[q]
+                    r[p] = c * x - s * y
+                    r[q] = s * x + c * y
+                rows[p][q] = 0.0
+                rows[q][p] = 0.0
+                if vecs is not None:
+                    for r in vecs:
+                        x = r[p]
+                        y = r[q]
+                        r[p] = c * x - s * y
+                        r[q] = s * x + c * y
 
-    order = np.argsort(a.diagonal(), kind="stable")
-    vals = a.diagonal()[order].copy()
+    diagonal = np.array([rows[i][i] for i in range(n)])
+    order = np.argsort(diagonal, kind="stable")
+    vals = diagonal[order]
     if with_vectors:
-        return vals, v[:, order]
+        return vals, np.array(vecs)[:, order]
     return vals
 
 
@@ -183,14 +190,14 @@ def make_cone(dim: int, normals) -> ConeSpec:
     flagged = bool(np.any(np.abs(norms - 1.0) > NORM_WARN_TOL))
     unit = arr / norms[:, None]
 
-    g = unit @ unit.T
-    lam = jacobi_eigenvalues(g)[0]
-    sigma_min = math.sqrt(max(lam, 0.0))
+    cone = ConeSpec(dim=dim, normals=unit, renormalized=flagged)
+    # The one eigenvalue solve of the cone: lambda_min stays memoized.
+    sigma_min = math.sqrt(max(cone.lambda_min, 0.0))
     if sigma_min <= INDEPENDENCE_TOL:
         raise DegenerateArrangement(
             f"normals are (numerically) dependent: sigma_min={sigma_min:.3e}"
         )
-    return ConeSpec(dim=dim, normals=unit, renormalized=flagged)
+    return cone
 
 
 def gram(cone: ConeSpec) -> GramMatrix:

@@ -202,6 +202,8 @@ def conjugacy_check(system: HardBallSystem, horizon: int | None = None) -> Conju
     mass-weighted speed.
     """
     cone, cmap = balls_to_cone(system.masses)
+    if horizon is None:  # both simulators' default budget
+        horizon = step_cap(cone.n_walls, cone.lambda_min)
     balls = simulate_balls(system, max_events=horizon)
     q0, v0, speed = cmap.to_cone(system.positions, system.velocities)
     if speed == 0.0:

@@ -14,15 +14,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import bounds_report, inscribed_ball
-from .errors import DegenerateSampling, DimensionMismatch
+from .errors import DegenerateArrangement, DegenerateSampling, DimensionMismatch
+# `audit` and `jacobi_eigenvalues` are not called here; they stay importable
+# from this module, where the profiling code in perfbench/ looks them up by
+# name.
 from .geometry import ConeSpec, jacobi_eigenvalues, make_cone, reduce_to_span
-# `audit` is not called here; it stays importable from this module, where
-# the profiling code in perfbench/ looks it up by name.
-from .simulator import BilliardState, TrajectoryRecord, audit, check_bounds, run, run_batch
+from .simulator import (
+    BilliardState,
+    TrajectoryRecord,
+    _row_min,
+    audit,
+    check_bounds,
+    run,
+    run_batch,
+)
 
 _MASK64 = (1 << 64) - 1
 # Resampling floor on the smallest singular value of the normal matrix.
 _SAMPLING_FLOOR = 1e-3
+# Most uniforms one batch of rejection rounds in `interior_starts` draws.
+_MAX_BLOCK_UNIFORMS = 4096
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -31,24 +42,33 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Normals from uniforms in [0, 1), interleaved pairwise along the last
+    axis: the fixed transform behind every Gaussian of this module."""
+    r = np.sqrt(-2.0 * np.log(1.0 - u1))  # 1 - u1 in (0, 1] keeps the log finite
+    z = np.empty(u1.shape[:-1] + (2 * u1.shape[-1],))
+    z[..., 0::2] = r * np.cos(2.0 * np.pi * u2)
+    z[..., 1::2] = r * np.sin(2.0 * np.pi * u2)
+    return z
+
+
 def gaussians(rng: np.random.Generator, count: int) -> np.ndarray:
     """Standard normals via Box-Muller on Philox uniforms (fixed transform)."""
     pairs = (count + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # in (0, 1], keeps the log finite
-    u2 = rng.random(pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[1::2] = r * np.sin(2.0 * np.pi * u2)
-    return z[:count]
+    u = rng.random(2 * pairs)
+    return _box_muller(u[:pairs], u[pairs:])[:count]
+
+
+def _to_sphere(z: np.ndarray) -> np.ndarray:
+    """Rows of z (along the last axis) scaled to unit length."""
+    norms = np.linalg.norm(z, axis=-1)
+    norms[norms < 1e-12] = 1.0
+    return z / norms[..., None]
 
 
 def sphere_sample(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """`count` points uniform on the unit sphere in R^dim."""
-    z = gaussians(rng, count * dim).reshape(count, dim)
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms < 1e-12] = 1.0
-    return z / norms[:, None]
+    return _to_sphere(gaussians(rng, count * dim).reshape(count, dim))
 
 
 def random_cone(n: int, dim: int, seed: int, stream: int = 0) -> ConeSpec:
@@ -58,11 +78,12 @@ def random_cone(n: int, dim: int, seed: int, stream: int = 0) -> ConeSpec:
         raise DimensionMismatch(f"need n <= dim, got n={n}, dim={dim}")
     rng = make_rng(seed, stream)
     for _ in range(1000):
-        normals = sphere_sample(rng, n, dim)
-        g = normals @ normals.T
-        lam = float(jacobi_eigenvalues(g)[0])
-        if math.sqrt(max(lam, 0.0)) > _SAMPLING_FLOOR:
-            return make_cone(dim, normals)
+        try:
+            cone = make_cone(dim, sphere_sample(rng, n, dim))
+        except DegenerateArrangement:
+            continue
+        if math.sqrt(max(cone.lambda_min, 0.0)) > _SAMPLING_FLOOR:
+            return cone
     raise DegenerateSampling("1000 attempts without a well-conditioned cone")
 
 
@@ -78,20 +99,47 @@ def interior_starts(
     rng: np.random.Generator, cone: ConeSpec, center: np.ndarray, count: int
 ):
     """(Q, V) arrays of shape (count, m): q = center + 0.1 u with u uniform
-    in the unit ball, redrawn until inside the cone; v uniform on the sphere."""
+    in the unit ball, redrawn until inside the cone; v uniform on the sphere.
+
+    Each rejection round gives every pending row a candidate from one
+    sphere direction and one radius; up to 1000 rounds run, and rows still
+    pending take the center.  Rounds between two accepting ones draw equally
+    many uniforms, so they are drawn and tested in blocks (1, 4, 16, ...
+    rounds, at most 4096 uniforms): after a block in which round r accepts,
+    the generator is rewound and advanced by rounds 0..r only.  The draws,
+    and so the starts and the generator's next state, are those of one
+    round at a time.
+    """
     a = cone.matrix
     dim = cone.dim
     q = np.empty((count, dim))
     pending = np.arange(count)
-    for _ in range(1000):
-        if len(pending) == 0:
-            break
-        directions = sphere_sample(rng, len(pending), dim)
-        radii = rng.random(len(pending)) ** (1.0 / dim)
-        cand = center + 0.1 * radii[:, None] * directions
-        ok = (cand @ a).min(axis=1) >= 0.0
-        q[pending[ok]] = cand[ok]
-        pending = pending[~ok]
+    rounds_left = 1000
+    block = 1
+    while len(pending) and rounds_left:
+        p = len(pending)
+        pairs = (p * dim + 1) // 2
+        per_round = 2 * pairs + p  # sphere_sample's uniforms, then the radii
+        block = min(block, rounds_left, max(1, _MAX_BLOCK_UNIFORMS // per_round))
+        state = rng.bit_generator.state if block > 1 else None
+        u = rng.random((block, per_round))
+        z = _box_muller(u[:, :pairs], u[:, pairs : 2 * pairs])[:, : p * dim]
+        radii = u[:, 2 * pairs :].reshape(-1) ** (1.0 / dim)
+        cand = center + 0.1 * radii[:, None] * _to_sphere(z.reshape(-1, dim))
+        inside = _row_min(cand @ a) >= 0.0  # round r holds rows r*p .. r*p + p - 1
+        first = int(inside.argmax())
+        if not inside[first]:
+            rounds_left -= block
+            block *= 4
+            continue
+        r = first // p
+        if r + 1 < block:
+            rng.bit_generator.state = state
+            rng.random((r + 1) * per_round)
+        rounds_left -= r + 1
+        hit = inside[r * p : (r + 1) * p]
+        q[pending[hit]] = cand[r * p : (r + 1) * p][hit]
+        pending = pending[~hit]
     if len(pending):
         q[pending] = center
     v = sphere_sample(rng, count, dim)

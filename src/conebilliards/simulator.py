@@ -91,6 +91,16 @@ class TrajectoryRecord:
         return [ev.wall for ev in self.events]
 
 
+def _row_min(x: np.ndarray) -> np.ndarray:
+    """x.min(axis=1), column by column.  Minimum is exact, so the order does
+    not matter; numpy 2.4 reduces a row of a few entries at about 50 ns a
+    row on an x86-64 core, against about 1.5 ns for one column minimum."""
+    low = x[:, 0]
+    for j in range(1, x.shape[1]):
+        low = np.minimum(low, x[:, j])
+    return low
+
+
 def _reflect(q: np.ndarray, v: np.ndarray, t: np.ndarray, normals: np.ndarray):
     """Row-wise flight by t onto the walls (re-projected exactly onto them)
     and unit-speed reflection; shared by next_event and run_batch."""
@@ -123,8 +133,8 @@ def next_event(state: BilliardState, cone: ConeSpec):
     wall = int(times.argmin())
     t_hit = float(times[wall])
     if cone.n_walls > 1:
-        others = np.delete(times, wall)
-        t_second = float(others.min())
+        times[wall] = np.inf
+        t_second = float(times.min())
         if t_second - t_hit < CORNER_REL_TOL * (1.0 + t_hit):
             return CornerHit(t=state.t + t_hit, q_at=q + t_hit * v)
     q_at, v_after = _reflect(
@@ -207,9 +217,11 @@ def run_batch(q0: np.ndarray, v0: np.ndarray, cone: ConeSpec, max_steps: int | N
 
     Applies the stepping rules of `run` (grazing tolerance, corner tie
     rule, and the shared `_reflect`) to all rows of q0, v0 at once, with
-    the same arithmetic, so the two agree bit for bit.  Returns (collision
-    counts, zigzag lengths, per-row Terminal values); rows that reach the
-    step budget get one warning per call.
+    the same arithmetic, so the two agree bit for bit.  Only live rows are
+    kept, compacted when a row stops, with `live` mapping them back to
+    their input rows.  Returns (collision counts, zigzag lengths, per-row
+    Terminal values); rows that reach the step budget get one warning per
+    call.
     """
     a = cone.matrix
     q = np.array(q0, dtype=np.float64)
@@ -220,7 +232,6 @@ def run_batch(q0: np.ndarray, v0: np.ndarray, cone: ConeSpec, max_steps: int | N
     counts = np.zeros(k, dtype=np.int64)
     zigzag = np.zeros(k)
     terminal = np.full(k, -1, dtype=np.int64)  # -1 alive, 0 escaped, 1 corner
-    alive = np.ones(k, dtype=bool)
     speeds = np.linalg.norm(v, axis=1)
     if np.abs(speeds - 1.0).max() > 1e-9:
         raise InvalidState("velocities must be unit vectors")
@@ -228,43 +239,46 @@ def run_batch(q0: np.ndarray, v0: np.ndarray, cone: ConeSpec, max_steps: int | N
     if (q @ a).min() < -CONTAINMENT_TOL:
         raise InvalidState("an initial position lies outside the cone")
 
-    for _ in range(max_steps):
-        if not alive.any():
-            break
-        idx = np.flatnonzero(alive)
-        qa = q[idx]
-        va = v[idx]
-        margins = qa @ a
-        vel_along = va @ a
+    live = np.arange(k)  # input row of each row of q and v
+    rows = np.arange(k)
+    zz = np.zeros(k)  # zigzag lengths of the live rows
+    for step in range(max_steps):
+        margins = q @ a
+        vel_along = v @ a
         approaching = vel_along < -APPROACH_TOL
         times = np.where(
             approaching,
             np.maximum(0.0, -margins / np.where(approaching, vel_along, -1.0)),
             np.inf,
         )
-        t1 = times.min(axis=1)
-        escaped = ~np.isfinite(t1)
-        corner = np.zeros(len(idx), dtype=bool)
-        if cone.n_walls > 1:
-            t2 = np.partition(times, 1, axis=1)[:, 1]
-            fin = ~escaped
-            corner[fin] = t2[fin] - t1[fin] < CORNER_REL_TOL * (1.0 + t1[fin])
-        terminal[idx[escaped]] = 0
-        terminal[idx[corner]] = 1
-        alive[idx[escaped | corner]] = False
-        go = ~(escaped | corner)
-        if not go.any():
-            continue
-        sub = idx[go]
-        wall = times[go].argmin(axis=1)
-        q_new, v_new = _reflect(qa[go], va[go], t1[go], cone.normals[wall])
-        zigzag[sub] += np.linalg.norm(v_new - va[go], axis=1)
-        counts[sub] += 1
-        q[sub] = q_new
-        v[sub] = v_new
+        wall = times.argmin(axis=1)
+        t1 = times[rows, wall]
+        escaped = t1 == np.inf  # no wall ahead
+        # The corner test sees escaped rows at t1 = 0 against t2 = inf, so
+        # it fails there without computing inf - inf.
+        t1[escaped] = 0.0
+        times[rows, wall] = np.inf
+        t2 = _row_min(times)
+        corner = t2 - t1 < CORNER_REL_TOL * (1.0 + t1)
+        stop = escaped | corner
+        if stop.any():
+            done = live[stop]
+            terminal[done] = corner[stop]  # 0 escaped, 1 corner
+            counts[done] = step
+            zigzag[done] = zz[stop]
+            keep = ~stop
+            live, q, v, wall, t1, zz = live[keep], q[keep], v[keep], wall[keep], t1[keep], zz[keep]
+            rows = rows[: len(live)]
+            if len(live) == 0:
+                break
+        q_new, v_new = _reflect(q, v, t1, cone.normals[wall])
+        zz += np.linalg.norm(v_new - v, axis=1)
+        q, v = q_new, v_new
 
-    if alive.any():
-        _warn_step_limit(f"{int(alive.sum())} of {k} trajectories", max_steps)
+    if len(live):
+        counts[live] = max_steps
+        zigzag[live] = zz
+        _warn_step_limit(f"{len(live)} of {k} trajectories", max_steps)
     code_map = {0: Terminal.ESCAPED, 1: Terminal.CORNER_HIT, -1: Terminal.STEP_LIMIT}
     terminals = np.array([code_map[int(t)] for t in terminal], dtype=object)
     return counts, zigzag, terminals
