@@ -280,8 +280,14 @@ def bfk_constant(
     * "auto": the closed form for wedges and orthants; otherwise a certified
       interval from the cube-sphere branch-and-bound, whose cells carry a
       Lipschitz and a first-order lower bound, stopped once hi - lo <= 1e-4.
-      `value` = hi, the best feasible cell centre, and `certified_lower` =
-      max(lo, sqrt(lambda_min / n)), so value - certified_lower <= 1e-4.
+      Once its cells are small, an active-set Newton solve of the KKT
+      conditions gives a point, evaluated exactly, and multipliers lam
+      (faces) and nu >= 0 (walls) whose linear minorant
+      f(y) >= (sum lam_i g_i - sum nu_j a_j, y) holds on the whole cone
+      for any such multipliers, converged or not, and bounds every cell
+      near the minimizer.  `value` = hi, the best feasible centre or
+      Newton point, and `certified_lower` = max(lo, sqrt(lambda_min / n)),
+      so value - certified_lower <= 1e-4.
       Only when the work budget cuts the search (some cones at n >= 6) is
       the interval wider; then a projected-subgradient polish runs from
       the 16 best centres plus the `n_starts` multistart starts, and

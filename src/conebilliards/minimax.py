@@ -15,7 +15,11 @@ from cone geometry:
   that brackets the minimum of the largest face distance over
   sphere-in-cone to 1e-4, with a Lipschitz and a first-order lower bound
   on each cell (the face distances are 1-Lipschitz, convex and
-  1-homogeneous);
+  1-homogeneous), and an active-set Newton solve of the KKT conditions
+  whose point sets the upper end and whose multipliers give a linear
+  minorant of the largest face distance on the whole cone; the minorant
+  is valid for any multipliers of the right signs, so the certificate
+  never rests on the solve converging;
 * dense grid oracles (circle / Fibonacci sphere) with a local zoom stage,
   for dimensions 2 and 3.
 """
@@ -49,6 +53,24 @@ _BNB_KEEP = 16
 # n = 3..6, k < 6.
 _FW_STEPS = 8
 _FOOT_ERROR = 1e-14
+# The KKT Newton solve of the branch-and-bound runs once a level's cells are
+# within _NEWTON_RADIUS of their centres (0.05 to 0.3 gave evaluation
+# counts within 2x of one another on random_cone(n, n, 20241, n*1000+c),
+# n = 3..6), takes at most _NEWTON_STEPS steps of at most _NEWTON_REACH per
+# active set, stops at a step under _NEWTON_STOP, and tries at most
+# _NEWTON_ROUNDS active sets.
+_NEWTON_RADIUS = 0.1
+_NEWTON_STEPS = 12
+_NEWTON_REACH = 0.1
+_NEWTON_ROUNDS = 4
+_NEWTON_STOP = 1e-8
+# A wall passes through a foot when its margin there is at most _ON_WALL
+# (rounded on-wall margins were under 1e-16); at a Newton point, a face is
+# at the maximum within a relative _KKT_TIE and a wall within _KKT_TIE.
+_ON_WALL = 1e-12
+_KKT_TIE = 1e-9
+# Least margin of a Newton point that is offered as hi.
+_PUSH = 1e-15
 # Work budget of the branch-and-bound, in face projections (a point costs
 # n 2^(n-1)): about 6 s on one core at n = 6, where some cones need more;
 # the n <= 5 cones measured used under 3% of it.
@@ -358,10 +380,11 @@ class FaceDistance:
             d2 = ((proj - pts[:, :, None]) ** 2).sum(axis=1)
             d2[~ok] = np.inf
             d2 = d2.reshape(b, groups, -1)
-            pick = d2.argmin(axis=2)[:, :, None]
-            d2min[s : s + b] = np.take_along_axis(d2, pick, axis=2)[:, :, 0]
+            pick = d2.argmin(axis=2)
+            row, group = np.ogrid[:b, :groups]
+            d2min[s : s + b] = d2[row, group, pick]
             proj = proj.reshape(b, m, groups, -1)
-            feet[s : s + b] = np.take_along_axis(proj, pick[:, None], axis=3)[:, :, :, 0]
+            feet[s : s + b] = proj[row[:, :, None], np.arange(m)[:, None], group[:, None], pick[:, None]]
         return d2min, feet.transpose(0, 2, 1)
 
     def distances_and_feet(self, points: np.ndarray):
@@ -490,7 +513,7 @@ def _cell_radii(x, c, offsets, which, half) -> np.ndarray:
     return r
 
 
-def _first_order_lower(c, dists, feet, r) -> np.ndarray:
+def _first_order_lower(c, dists, feet, r, target=np.inf) -> np.ndarray:
     """Lower bound on f over each cell from subgradients of the face distances.
 
     f_i = dist(., B_i) is convex and 1-homogeneous, so f_i(y) >= (g_i, y)
@@ -504,11 +527,12 @@ def _first_order_lower(c, dists, feet, r) -> np.ndarray:
     when rho <= pi / 2.  Rounding of the foot turns g_i by up to about
     2 |p_i error| / f_i(c), so face i also pays _FOOT_ERROR / f_i(c) in the
     sum; faces very near c then get no weight.  The weights start at the
-    face of largest distance (which gives about f(c) - r) and take
+    face of largest distance (which gives about f(c) - r) and take up to
     _FW_STEPS Frank-Wolfe steps with exact line search on this concave
     bound; near the nonsmooth minimum they cancel the tangential parts and
-    the error falls to O(r^2).  Any lambda is sound: an inexact one costs
-    tightness, not validity.
+    the error falls to O(r^2).  The steps stop once every bound reaches
+    `target`, since the line search never lowers one.  Any lambda is
+    sound: an inexact one costs tightness, not validity.
     Shapes: c (k, m), dists (k, n), feet (k, n, m), r (k,).
     """
     diff = c[:, None, :] - feet
@@ -517,8 +541,7 @@ def _first_order_lower(c, dists, feet, r) -> np.ndarray:
     g = diff * inv[:, :, None]
     h = (g * c[:, None, :]).sum(axis=2)
     t = g - h[:, :, None] * c[:, None, :]
-    cos_r = 1.0 - 0.5 * r * r
-    sin_r = r * np.sqrt(np.maximum(0.0, 1.0 - 0.25 * r * r))
+    cos_r, sin_r = _cos_sin(r)
     # Radial part of each face's bound, less its rounding allowance.
     v = cos_r[:, None] * h - np.where(norm > 0.0, 2.0 * _FOOT_ERROR * inv, 0.0)
     rows = np.arange(len(c))
@@ -526,6 +549,8 @@ def _first_order_lower(c, dists, feet, r) -> np.ndarray:
     a, tang = v[rows, j], t[rows, j]
     for _ in range(_FW_STEPS):
         length = np.sqrt((tang * tang).sum(axis=1))
+        if (a - sin_r * length >= target).all():
+            break
         u = tang / np.where(length > 0.0, length, 1.0)[:, None]
         score = v - sin_r[:, None] * (t @ u[:, :, None])[:, :, 0]
         j = score.argmax(axis=1)
@@ -544,6 +569,259 @@ def _first_order_lower(c, dists, feet, r) -> np.ndarray:
         tang = tang + gamma[:, None] * w
     bound = a - sin_r * np.sqrt((tang * tang).sum(axis=1))
     return np.where(cos_r >= 0.0, bound, -np.inf)
+
+
+def _evaluate(face: FaceDistance, y: np.ndarray):
+    """Face distances and feet at one point, shapes (n,) and (n, m).
+
+    Two rows keep the product on BLAS's matrix-matrix path, which also
+    evaluates the cell centres; a one-row product takes the matrix-vector
+    path, whose rounding differs in the last bit.
+    """
+    dists, feet = face.distances_and_feet(np.vstack([y, y]))
+    return dists[0], feet[0]
+
+
+def _subfaces(normals, feet, faces) -> np.ndarray:
+    """Walls through the foot of each face in the mask `faces`, as a boolean
+    (faces.sum(), n) array; each row holds its own face."""
+    on = feet[faces] @ normals.T <= _ON_WALL
+    on[:, faces] |= np.eye(len(on), dtype=bool)
+    return on
+
+
+def _projectors(normals, on) -> np.ndarray:
+    """Projector Q onto the span of the walls of each row of `on`: while the
+    foot stays on that sub-face, f_i(y) = |Q y|.  Shape (len(on), m, m).
+
+    With A_J the rows of those walls, Q = A_J^T (A_J A_J^T)^-1 A_J; each
+    Gram matrix is padded with the identity off J, so one batched solve
+    gives every Q.
+    """
+    gram = np.where(on[:, :, None] & on[:, None, :], normals @ normals.T, np.eye(len(normals)))
+    rows = np.where(on[:, :, None], normals, 0.0)
+    return rows.transpose(0, 2, 1) @ np.linalg.solve(gram, rows)
+
+
+def _newton(q, walls, y, f0):
+    """Newton's method on the KKT system of min t over unit y subject to
+    |Q_i y| <= t for each projector Q_i of `q` and (a_j, y) >= 0 for the
+    rows a_j of `walls`, all held as equalities:
+
+        sum_i lam_i g_i - sum_j nu_j a_j = mu y,   sum_i lam_i = 1,
+        |Q_i y| = t,   (a_j, y) = 0,   |y| = 1,
+
+    with g_i = Q_i y / |Q_i y| and Hessian (Q_i - g_i g_i^T) / |Q_i y|.
+    Steps move y by at most _NEWTON_REACH, and a step under _NEWTON_STOP
+    ends the iteration without moving y.  Returns (y, lam, nu, t), or
+    None when a step fails: a singular or non-finite system, or a face
+    distance below f0 / 4, where the local model is no longer trusted (it
+    also keeps 1 / |Q_i y| finite).
+    """
+    k, m = q.shape[:2]
+    w = len(walls)
+    lam, nu = np.full(k, 1.0 / k), np.zeros(w)
+    t = mu = f0
+    # Unknowns (y, lam, nu, t, mu); rows: stationarity, faces, walls,
+    # sum of lam, |y|.  The wall and constant blocks never change.
+    jac = np.zeros((m + k + w + 2, m + k + w + 2))
+    jac[:m, m + k : m + k + w] = -walls.T
+    jac[m + k : m + k + w, :m] = walls
+    jac[m : m + k, -2] = -1.0
+    jac[-2, m : m + k] = 1.0
+    res = np.zeros(m + k + w + 2)
+    diag = np.arange(m)
+    for _ in range(_NEWTON_STEPS):
+        qy = q @ y
+        f = np.sqrt((qy * qy).sum(axis=1))
+        if not (f > 0.25 * f0).all():
+            return None
+        g = qy / f[:, None]
+        s = lam / f
+        jac[:m, :m] = (s @ q.reshape(k, -1)).reshape(m, m) - (g.T * s) @ g
+        jac[diag, diag] -= mu
+        jac[:m, m : m + k] = g.T
+        jac[m : m + k, :m] = g
+        jac[:m, -1] = -y
+        jac[-1, :m] = y
+        res[:m] = lam @ g - nu @ walls - mu * y
+        res[m : m + k] = f - t
+        res[m + k : m + k + w] = walls @ y
+        res[-2] = lam.sum() - 1.0
+        # Nothing non-finite reaches LAPACK, and nothing leaves it.
+        if not (np.isfinite(jac).all() and np.isfinite(res).all()):
+            return None
+        try:
+            step = np.linalg.solve(jac, res)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(step).all():
+            return None
+        length = math.sqrt(step[:m] @ step[:m])
+        if length > _NEWTON_REACH:
+            step *= _NEWTON_REACH / length
+        lam = lam - step[m : m + k]
+        nu = nu - step[m + k : m + k + w]
+        t -= step[-2]
+        mu -= step[-1]
+        if length <= _NEWTON_STOP:
+            break
+        y = y - step[:m]
+        y /= math.sqrt(y @ y)
+    return y, lam, nu, t
+
+
+class _KKTResult(NamedTuple):
+    # A Newton point, its exact face distances and feet.
+    y: np.ndarray
+    dists: np.ndarray
+    feet: np.ndarray
+    # Masks of the faces and walls held active, and their multipliers.
+    faces: np.ndarray
+    lam: np.ndarray
+    walls: np.ndarray
+    nu: np.ndarray
+
+
+def _kkt_point(face: FaceDistance, y: np.ndarray, tol: float) -> _KKTResult | None:
+    """Active-set Newton solve of the KKT conditions of min max_i f_i over
+    the sphere in the cone, from the feasible unit point y.
+
+    Faces within `tol` of the largest distance at y and walls with margin
+    at most `tol` start active.  After each solve, a multiplier below
+    -_KKT_TIE drops its face or wall; otherwise faces above the Newton
+    value and walls with negative margin are added, and the sub-face of
+    every foot is read again at the new point.  The loop stops when
+    nothing changes.  Returns the Newton point of least exact value, if
+    it is within _KKT_TIE of the cone and no worse than y, else None.
+    Nothing here needs to converge for the bracket to stay sound: see
+    `_minorant`.
+    """
+    normals = face.normals
+    dists, feet = _evaluate(face, y)
+    top = start = float(dists.max())
+    faces = dists >= top - tol
+    walls = normals @ y <= tol
+    on = _subfaces(normals, feet, faces)
+    best, best_top = None, top * (1.0 + _KKT_TIE)
+    for _ in range(_NEWTON_ROUNDS):
+        try:
+            q = _projectors(normals, on)
+        except np.linalg.LinAlgError:
+            break
+        solved = _newton(q, normals[walls], y, top)
+        if solved is None:
+            break
+        moved, lam, nu, t = solved
+        if moved is not y:
+            y = moved
+            dists, feet = _evaluate(face, y)
+        top = float(dists.max())
+        margins = normals @ y
+        if top <= best_top and margins.min() >= -_KKT_TIE:
+            best, best_top = _KKTResult(y, dists, feet, faces, lam, walls, nu), top
+        elif top > start + tol:
+            # Far worse than the start: this active set leads elsewhere.
+            break
+        multipliers = np.concatenate([lam, nu])
+        worst = int(multipliers.argmin())
+        if multipliers[worst] < -_KKT_TIE:
+            faces, walls = faces.copy(), walls.copy()
+            if worst < len(lam):
+                faces[np.flatnonzero(faces)[worst]] = False
+            else:
+                walls[np.flatnonzero(walls)[worst - len(lam)]] = False
+            if not faces.any():
+                break
+            on = _subfaces(normals, feet, faces)
+            continue
+        new_faces = faces | (dists > t + _KKT_TIE * t)
+        new_walls = walls | (margins < -_KKT_TIE)
+        new_on = _subfaces(normals, feet, new_faces)
+        if (new_faces == faces).all() and (new_walls == walls).all() and (new_on == on).all():
+            break
+        faces, walls, on = new_faces, new_walls, new_on
+    return best
+
+
+def _minorant(result: _KKTResult, normals: np.ndarray):
+    """(G, slack) with f(y) >= (G, y) - slack for every y in the cone.
+
+    Each f_i is convex and 1-homogeneous, so f_i(y) >= (g_i, y) for the
+    subgradient g_i = (y_n - p_i) / |y_n - p_i| from the exact foot p_i at
+    any point y_n.  For lam in the simplex and nu >= 0, f >= sum_i lam_i
+    f_i >= (sum_i lam_i g_i, y) >= (sum_i lam_i g_i - sum_j nu_j a_j, y)
+    on the cone, where every (a_j, y) >= 0.  The multipliers are clipped
+    to that set, so the bound holds whether or not Newton converged; at a
+    KKT point G = C y* and the bound is C (y*, y).  Rounding of the feet
+    costs _FOOT_ERROR / f_i per face, as in `_first_order_lower`.
+    """
+    diff = result.y - result.feet[result.faces]
+    norm = np.sqrt((diff * diff).sum(axis=1))
+    lam = np.where(norm > 0.0, np.maximum(result.lam, 0.0), 0.0)
+    if not lam.sum() > 0.0:
+        return None
+    lam /= lam.sum()
+    inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
+    g = diff * inv[:, None]
+    gs = lam @ g - np.maximum(result.nu, 0.0) @ normals[result.walls]
+    return gs, 2.0 * _FOOT_ERROR * float(lam @ inv)
+
+
+def _cos_sin(r):
+    """cos and sin of the angle rho = 2 asin(r / 2) subtended by a chord r."""
+    return 1.0 - 0.5 * r * r, r * np.sqrt(np.maximum(0.0, 1.0 - 0.25 * r * r))
+
+
+def _minorant_lower(c, r, gs, slack) -> np.ndarray:
+    """Best lower bound over each cell from the minorants (rows of gs, less
+    their slacks): for unit y within angle rho of the unit centre c,
+    (G, y) >= cos(rho) (G, c) - sin(rho) |G - (G, c) c| when rho <= pi / 2
+    (and when that is negative, f >= 0 is larger).  Shapes: c (k, m),
+    r (k,), gs (p, m), slack (p,)."""
+    cos_r, sin_r = _cos_sin(r)
+    h = c @ gs.T
+    tang = gs[None, :, :] - h[:, :, None] * c[:, None, :]
+    tn = np.sqrt((tang * tang).sum(axis=2))
+    bound = (cos_r[:, None] * h - sin_r[:, None] * tn - slack).max(axis=1)
+    return np.where(cos_r >= 0.0, bound, -np.inf)
+
+
+def _keep_best(best_f, best, f, points):
+    """The _BNB_KEEP points of least f among both sets, in increasing f."""
+    if len(best_f) == _BNB_KEEP and not (np.asarray(f) < best_f[-1]).any():
+        return best_f, best
+    best_f = np.concatenate([best_f, f])
+    best = np.vstack([best, points])
+    order = np.argsort(best_f, kind="stable")[:_BNB_KEEP]
+    return best_f[order], best[order]
+
+
+def _kept_point(face: FaceDistance, y, inward):
+    """y as a feasible unit point to keep, with its f, or None.
+
+    y moves toward the interior point `inward` until every margin is at
+    least _PUSH (by about _PUSH / the least margin of `inward`, which
+    bounds the change in f) and is normalized.  The polish normalizes its
+    starts again, which can move a point by an ulp, back and forth between
+    two points; of the two, the one of larger f is kept, so that its
+    renormalized start is no worse than hi.
+    """
+    at = face.normals.T
+    pair = np.vstack([y, y])
+    margin = (pair @ at)[0].min()
+    if margin < _PUSH:
+        depth = (np.vstack([inward, inward]) @ at)[0].min()
+        if not depth > 0.0:
+            return None
+        pair = pair + (2.0 * _PUSH - margin) / depth * inward
+    pair = _normalize_rows(pair)
+    pair[1] = _normalize_rows(pair)[0]
+    if (pair @ at).min() < 0.0:
+        return None
+    f = face.max_face_distance(pair)
+    k = int(f.argmax())
+    return pair[k], f[k]
 
 
 class Bracket(NamedTuple):
@@ -575,11 +853,26 @@ def branch_and_bound_min_max_face_distance(
       f(y) = max_i dist(y, B_i) is 1-Lipschitz on all of R^m, being a
       maximum of distances to sets;
     * f >= the first-order bound of `_first_order_lower` on the cell,
-      computed for the cells that the Lipschitz bound alone would split;
-    * hi, the best f at a feasible centre, bounds C from above.
+      computed for the cells that the other bounds would split and that
+      it can close (it is at most cos(rho) f(c)), or for every such cell
+      when the budget may stop the search after the level;
+    * f >= (G, y) - slack on the cell and cone for every minorant G of a
+      KKT solve (`_minorant`), bounded over the cell as in
+      `_first_order_lower`;
+    * hi, the best f at a feasible centre or Newton point, bounds C from
+      above.
 
-    Level by level, a cell is split into 2^(m-1) children while the larger
-    of its two lower bounds is below hi - 1e-4, and lo is the least lower
+    Once the cells are within _NEWTON_RADIUS of their centres and some
+    would split, `_kkt_point` runs from the best feasible point.  A point
+    it finds below hi, moved inside the cone and evaluated exactly, joins
+    the kept points, and its minorant bounds this level's cells and every
+    later one.  It runs again when a centre falls below its point, or, if
+    it did not lower hi, once hi has fallen by the stopping gap.  At a
+    KKT point the minorant is C (y*, y), which closes every cell within
+    about sqrt(2e-4 / C) radians of the minimizer y*.
+
+    Level by level, a cell is split into 2^(m-1) children while the largest
+    of its lower bounds is below hi - 1e-4, and lo is the least lower
     bound of the cells that stopped, so hi - lo <= 1e-4 up to a 1e-12
     allowance for rounding.  If the next level would take the work past
     2^26 face projections (n 2^(n-1) per evaluation), the remaining cells
@@ -598,12 +891,18 @@ def branch_and_bound_min_max_face_distance(
     best_f = face.max_face_distance(best)
     evaluations = 1
     lo = np.inf
+    # Minorants from the KKT solves (rows, less their slacks), and the hi
+    # below which the solve runs again.
+    gs, slacks = np.empty((0, m)), np.empty(0)
+    newton_top = np.inf
     while len(x):
         c = _normalize_rows(x)
         r = _cell_radii(x, c, offsets, which, half)
         margin = (c @ at).min(axis=1)
         alive = margin >= -r
         x, which, c, r, margin = x[alive], which[alive], c[alive], r[alive], margin[alive]
+        # Whether the budget can stop the search after this level.
+        may_stop = evaluations + len(c) * (1 + offsets.shape[1]) > max_points
         lower = np.empty(len(c))
         for s in range(0, len(c), _MAX_DISTANCE_ROWS):
             block = slice(s, s + _MAX_DISTANCE_ROWS)
@@ -611,22 +910,42 @@ def branch_and_bound_min_max_face_distance(
             dists, feet = face.distances_and_feet(cb)
             f = dists.max(axis=1)
             feasible = margin[block] >= 0.0
-            best_f = np.concatenate([best_f, f[feasible]])
-            best = np.vstack([best, cb[feasible]])
-            order = np.argsort(best_f, kind="stable")[:_BNB_KEEP]
-            best_f, best = best_f[order], best[order]
+            best_f, best = _keep_best(best_f, best, f[feasible], cb[feasible])
             low = f - rb
+            if len(gs):
+                low = np.maximum(low, _minorant_lower(cb, rb, gs, slacks))
             # hi can only fall later in the level, so these include every
-            # cell that the Lipschitz bound alone would split.
+            # cell that the Lipschitz bound and the minorants would split.
             weak = low < best_f[0] - _BNB_ATOL
+            # Past this target (1e-12 is the allowance below) a cell stops.
+            target = best_f[0] - _BNB_ATOL + 1e-12
+            if not may_stop:
+                # The first-order bound is at most cos(rho) f(c), because
+                # (g_i, c) = f_i(c); below the target it would split anyway.
+                weak &= (1.0 - 0.5 * rb * rb) * f + 1e-12 >= target
             if weak.any():
-                first = _first_order_lower(cb[weak], dists[weak], feet[weak], rb[weak])
+                first = _first_order_lower(cb[weak], dists[weak], feet[weak], rb[weak], target)
                 low[weak] = np.maximum(low[weak], first)
             # 1e-12 absorbs rounding in f and r, far below the stopping gap.
             lower[block] = low - 1e-12
         evaluations += len(c)
-        hi = float(best_f[0])
-        split = lower < hi - _BNB_ATOL
+        split = lower < best_f[0] - _BNB_ATOL
+        if split.any() and r.max() <= _NEWTON_RADIUS and best_f[0] < newton_top:
+            found = _kkt_point(face, best[0], min(float(r.max()), 0.5 * float(best_f[0])))
+            newton_top = float(best_f[0]) - _BNB_ATOL
+            if found is not None:
+                if found.dists.max() < best_f[0]:
+                    kept = _kept_point(face, found.y, interior_seed)
+                    if kept is not None:
+                        best_f, best = _keep_best(best_f, best, [kept[1]], kept[0][None])
+                        newton_top = float(best_f[0])
+                bound = _minorant(found, face.normals)
+                if bound is not None:
+                    gs = np.vstack([gs, bound[0]])
+                    slacks = np.append(slacks, bound[1])
+                    fresh = _minorant_lower(c, r, gs[-1:], slacks[-1:])
+                    lower = np.maximum(lower, fresh - 1e-12)
+            split = lower < best_f[0] - _BNB_ATOL
         if evaluations + split.sum() * offsets.shape[1] > max_points:
             split[:] = False
             complete = False

@@ -33,6 +33,10 @@ class Terminal(enum.Enum):
     STEP_LIMIT = "StepLimit"
 
 
+# run_batch's terminal codes -1 (still live), 0 and 1, shifted by one.
+_TERMINALS = np.array([Terminal.STEP_LIMIT, Terminal.ESCAPED, Terminal.CORNER_HIT], dtype=object)
+
+
 @dataclass(frozen=True, eq=False)
 class BilliardState:
     """Particle position q, unit velocity v, and elapsed time t."""
@@ -279,9 +283,7 @@ def run_batch(q0: np.ndarray, v0: np.ndarray, cone: ConeSpec, max_steps: int | N
         counts[live] = max_steps
         zigzag[live] = zz
         _warn_step_limit(f"{len(live)} of {k} trajectories", max_steps)
-    code_map = {0: Terminal.ESCAPED, 1: Terminal.CORNER_HIT, -1: Terminal.STEP_LIMIT}
-    terminals = np.array([code_map[int(t)] for t in terminal], dtype=object)
-    return counts, zigzag, terminals
+    return counts, zigzag, _TERMINALS[terminal + 1]
 
 
 def zigzag_length(record: TrajectoryRecord) -> float:

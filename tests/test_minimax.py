@@ -10,8 +10,13 @@ from conebilliards.harness import random_cone
 from conebilliards.minimax import (
     FaceDistance,
     _cell_radii,
+    _KKTResult,
     _cube_faces,
+    _evaluate,
     _first_order_lower,
+    _kkt_point,
+    _minorant,
+    _minorant_lower,
     _normalize_rows,
     branch_and_bound_min_max_face_distance,
     multistart_min_max_face_distance,
@@ -194,3 +199,153 @@ class TestFirstOrderBound:
                         # sharper one
                         assert first[0] > lipschitz[0]
         assert worst <= 1e-12, worst
+
+
+def _cell_around(p, half, n, rng):
+    """A cube-sphere cell of half-width `half` holding the unit point p,
+    with p at a random place in it: (corner-face centre x, face index)."""
+    axis = int(np.abs(p).argmax())
+    on_face = p / abs(p[axis])
+    x = np.clip(on_face + rng.uniform(-half, half, n) / 2, half - 1.0, 1.0 - half)
+    x[axis] = on_face[axis]
+    return x, 2 * axis + int(p[axis] < 0)
+
+
+class TestKKTMinorant:
+    @staticmethod
+    def _check_cells(face, normals, bound, points, rng, levels=range(1, 13, 2)):
+        """The minorant's cell bound against f at 200 samples of cell and
+        cone, for cells of every size around each of `points`; returns the
+        largest excess over the sampled minimum."""
+        gs, slack = bound
+        n = normals.shape[0]
+        _, offsets = _cube_faces(n)
+        worst = -np.inf
+        for p in points:
+            for level in levels:
+                half = 2.0 ** -level
+                x, which = _cell_around(p, half, n, rng)
+                x, which = x[None], np.array([which])
+                c = _normalize_rows(x)
+                r = _cell_radii(x, c, offsets, which, half)
+                free = np.abs(offsets[which, 0])[:, None, :]
+                u = rng.uniform(-1.0, 1.0, (1, 200, n))
+                y = _normalize_rows((x[:, None, :] + half * u * free).reshape(-1, n))
+                y = y[(y @ normals.T).min(axis=1) >= 0.0]
+                if not len(y):
+                    continue
+                f = face.max_face_distance(y)
+                # the minorant itself, pointwise on the cone
+                assert ((y @ gs) - slack <= f + 1e-12).all()
+                low = _minorant_lower(c, r, gs[None], np.array([slack]))[0]
+                worst = max(worst, low - float(f.min()))
+        return worst
+
+    def test_sound_on_cells(self):
+        # Cells of every size around the minimizer, where the bound is
+        # tight, on walls through it, and far from it; on the criterion-4
+        # cones n = 3..5 and from the KKT points the solve returns.
+        rng = np.random.default_rng(13)
+        worst = -np.inf
+        tight = 0
+        for n in (3, 4, 5):
+            for k in range(8):
+                cone = random_cone(n, n, seed=20241, stream=n * 1000 + k)
+                face = FaceDistance(cone.normals)
+                bracket = _bnb(cone)
+                found = _kkt_point(face, bracket.best[0], 1e-2)
+                if found is None:
+                    continue
+                bound = _minorant(found, cone.normals)
+                star = found.y
+                # a point on each wall near y*, and two random cone points
+                on_walls = face.project_to_cone(star - 0.05 * cone.normals)
+                far = face.project_to_cone(rng.standard_normal((2, n)))
+                points = _normalize_rows(np.vstack([star, on_walls, far]))
+                worst = max(worst, self._check_cells(face, cone.normals, bound, points, rng))
+                # near y* the minorant closes a cell of radius 1e-3
+                _, offsets = _cube_faces(n)
+                x, which = _cell_around(star, 2.0 ** -11, n, rng)
+                c = _normalize_rows(x[None])
+                r = _cell_radii(x[None], c, offsets, np.array([which]), 2.0 ** -11)
+                low = _minorant_lower(c, r, bound[0][None], np.array([bound[1]]))[0]
+                tight += bool(low >= bracket.hi - 1e-4)
+        assert worst <= 1e-12, worst
+        assert tight >= 20, tight
+
+    def test_any_multipliers_are_sound(self):
+        # Random points and multipliers of either sign: the clipped
+        # multipliers still give a minorant, however poor.
+        rng = np.random.default_rng(14)
+        for cone in cone_suite((3, 4, 5), 2, seed=53):
+            n = cone.n_walls
+            face = FaceDistance(cone.normals)
+            for _ in range(4):
+                y = _normalize_rows(face.project_to_cone(rng.standard_normal((1, n))))[0]
+                dists, feet = _evaluate(face, y)
+                faces = rng.random(n) < 0.6
+                faces[int(dists.argmax())] = True
+                walls = rng.random(n) < 0.4
+                result = _KKTResult(
+                    y, dists, feet, faces, rng.normal(0.3, 0.5, faces.sum()),
+                    walls, rng.normal(0.0, 0.5, walls.sum()),
+                )
+                bound = _minorant(result, cone.normals)
+                if bound is None:
+                    continue
+                points = _normalize_rows(face.project_to_cone(rng.standard_normal((3, n))))
+                worst = self._check_cells(face, cone.normals, bound, points, rng, levels=(1, 4, 8))
+                assert worst <= 1e-12, worst
+
+
+class TestKKTPoint:
+    def test_stream_5000_minimizer_on_wall(self):
+        cone = random_cone(5, 5, seed=20241, stream=5000)
+        face = FaceDistance(cone.normals)
+        found = _kkt_point(face, _bnb(cone).best[0], 1e-2)
+        assert (found.y @ cone.matrix).min() >= -1e-12
+        assert abs(np.linalg.norm(found.y) - 1.0) <= 1e-15
+        assert (found.lam >= 0.0).all() and (found.nu >= -1e-9).all()
+        assert found.walls.tolist() == [False, False, False, True, False]
+        assert found.dists.max() <= 0.0595737 + 1e-12
+        assert found.dists.max() == _evaluate(face, found.y)[0].max()
+
+    def test_stream_5001_inscribed_centre(self):
+        # C = d here: the minimizer is the inscribed centre, where every face
+        # is at distance d
+        cone = random_cone(5, 5, seed=20241, stream=5001)
+        face = FaceDistance(cone.normals)
+        ball = inscribed_ball(cone)
+        found = _kkt_point(face, _bnb(cone).best[0], 1e-2)
+        np.testing.assert_allclose(found.y, ball.e, atol=1e-9)
+        assert found.dists.max() == pytest.approx(ball.d, abs=1e-12)
+        assert found.faces.all() and (found.lam >= 0.0).all()
+
+    def test_wrong_start_keeps_the_bracket(self, monkeypatch):
+        # Newton started from the worst kept centre, reflected into the
+        # cone's far corner: a poor start costs evaluations, never validity.
+        from conebilliards import minimax
+
+        kkt = minimax._kkt_point
+
+        def far_start(face, y, tol):
+            corner = _normalize_rows(np.linalg.inv(face.normals)[:, :1].T)[0]
+            return kkt(face, _normalize_rows((corner + 0.01 * y)[None])[0], tol)
+
+        for stream in (4000, 5000, 5001):
+            cone = random_cone(stream // 1000, stream // 1000, seed=20241, stream=stream)
+            lo, hi, *_ = _bnb(cone)
+            monkeypatch.setattr(minimax, "_kkt_point", far_start)
+            wrong = _bnb(cone)
+            monkeypatch.undo()
+            assert wrong.complete
+            assert wrong.lo <= hi + 1e-12 and lo <= wrong.hi + 1e-12
+            assert wrong.hi - wrong.lo <= 1e-4 + 1e-12
+
+    @pytest.mark.parametrize("stream, limit", [(4000, 524), (4001, 1252), (5000, 2033)])
+    def test_evaluation_counts(self, stream, limit):
+        # Deterministic counts, pinned as upper limits (without the solve:
+        # 1408, 2178 and 7525).
+        n = stream // 1000
+        bracket = _bnb(random_cone(n, n, seed=20241, stream=stream))
+        assert bracket.complete and bracket.evaluations <= limit
