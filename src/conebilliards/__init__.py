@@ -70,13 +70,10 @@ from .simulator import (
     AuditVerdict,
     BilliardState,
     CollisionEvent,
-    CornerHit,
-    Escape,
     Terminal,
     TrajectoryRecord,
     audit,
     check_bounds,
-    next_event,
     record_from_json,
     record_to_json,
     run,

@@ -127,7 +127,7 @@ def simulate_balls(system: HardBallSystem, max_events: int | None = None) -> Bal
     """Event-driven elastic simulation until separation or the event budget.
 
     Two leading collision times within relative tolerance form a multiple
-    contact, reported as CornerHit exactly like the cone simulator.
+    contact, reported as Terminal.CORNER_HIT exactly like the cone simulator.
     """
     x = np.array(system.positions)
     v = np.array(system.velocities)
@@ -151,13 +151,12 @@ def simulate_balls(system: HardBallSystem, max_events: int | None = None) -> Bal
         times[approaching] = np.maximum(0.0, gaps[approaching] / closing[approaching])
         i = int(times.argmin())
         t_hit = float(times[i])
-        if n > 2:
-            others = np.delete(times, i)
-            if float(others.min()) - t_hit < PAIR_TIE_TOL * (1.0 + t_hit):
-                x = x + t_hit * v
-                t += t_hit
-                terminal = Terminal.CORNER_HIT
-                break
+        times[i] = np.inf
+        if float(times.min()) - t_hit < PAIR_TIE_TOL * (1.0 + t_hit):
+            x = x + t_hit * v
+            t += t_hit
+            terminal = Terminal.CORNER_HIT
+            break
         x = x + t_hit * v
         x[i + 1] = x[i]  # balls touch exactly at the collision
         t += t_hit

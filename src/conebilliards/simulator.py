@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -63,19 +64,6 @@ class CollisionEvent:
     v_after: np.ndarray
 
 
-@dataclass(frozen=True)
-class Escape:
-    """No wall ahead; the particle leaves the cone forever."""
-
-
-@dataclass(frozen=True)
-class CornerHit:
-    """Two or more walls reached simultaneously; motion undefined beyond."""
-
-    t: float
-    q_at: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
     """A finished trajectory: events in time order plus the velocity chain."""
@@ -107,7 +95,7 @@ def _row_min(x: np.ndarray) -> np.ndarray:
 
 def _reflect(q: np.ndarray, v: np.ndarray, t: np.ndarray, normals: np.ndarray):
     """Row-wise flight by t onto the walls (re-projected exactly onto them)
-    and unit-speed reflection; shared by next_event and run_batch."""
+    and unit-speed reflection, for the rows `_first_hits` let through."""
     q_at = q + t[:, None] * v
     q_at -= (q_at * normals).sum(axis=1)[:, None] * normals
     v_after = v - 2.0 * (v * normals).sum(axis=1)[:, None] * normals
@@ -115,94 +103,97 @@ def _reflect(q: np.ndarray, v: np.ndarray, t: np.ndarray, normals: np.ndarray):
     return q_at, v_after
 
 
-def next_event(state: BilliardState, cone: ConeSpec):
-    """Advance to the next wall: CollisionEvent, Escape, or CornerHit.
+def _first_hits(q: np.ndarray, v: np.ndarray, a: np.ndarray):
+    """The stepping rule of `run` and `run_batch`, for every row of q, v.
 
-    Candidate times are t_i = -(q, a_i) / (v, a_i) over walls the velocity
-    approaches; the smallest wins, and two leaders within relative
-    tolerance mean the trajectory runs into a corner.
+    Candidate times are t_i = -(q, a_i) / (v, a_i) over the walls the
+    velocity approaches (margin below -APPROACH_TOL); the smallest, t1 at
+    `wall`, wins.  A row with no candidate escapes; a row whose second
+    smallest time is within CORNER_REL_TOL (1 + t1) of t1 runs into a
+    corner.  Returns (wall, t1, escaped, corner), with t1 = 0 on escaped
+    rows.
     """
-    a = cone.matrix
-    q = state.q
-    v = state.v
     margins = q @ a
-    if margins.min() < -CONTAINMENT_TOL:
-        raise InvalidState(f"position outside the cone: min margin {margins.min():.2e}")
     vel_along = v @ a
     approaching = vel_along < -APPROACH_TOL
-    if not approaching.any():
-        return Escape()
-    times = np.full(cone.n_walls, np.inf)
-    times[approaching] = np.maximum(0.0, -margins[approaching] / vel_along[approaching])
-    wall = int(times.argmin())
-    t_hit = float(times[wall])
-    if cone.n_walls > 1:
-        times[wall] = np.inf
-        t_second = float(times.min())
-        if t_second - t_hit < CORNER_REL_TOL * (1.0 + t_hit):
-            return CornerHit(t=state.t + t_hit, q_at=q + t_hit * v)
-    q_at, v_after = _reflect(
-        q[None], v[None], np.array([t_hit]), cone.normals[wall][None]
-    )
-    return CollisionEvent(
-        t=state.t + t_hit, wall=wall, q_at=q_at[0], v_before=v, v_after=v_after[0]
-    )
+    divisor = np.where(approaching, vel_along, -1.0)
+    times = np.where(approaching, np.maximum(0.0, -margins / divisor), np.inf)
+    rows = np.arange(len(q))
+    wall = times.argmin(axis=1)
+    t1 = times[rows, wall]
+    escaped = t1 == np.inf  # no wall ahead
+    # The corner test sees escaped rows at t1 = 0 against t2 = inf, so it
+    # fails there without computing inf - inf.
+    t1[escaped] = 0.0
+    times[rows, wall] = np.inf
+    t2 = _row_min(times)
+    corner = t2 - t1 < CORNER_REL_TOL * (1.0 + t1)
+    return wall, t1, escaped, corner
+
+
+def _check_start(q: np.ndarray, v: np.ndarray, cone: ConeSpec, max_steps: int | None):
+    """The entry check of `run` and `run_batch` on rows of start states:
+    finite components, one per dimension, unit speeds, positions inside the
+    cone, and a budget of at least one step (step_cap's by default).
+    Returns the velocities scaled to unit speed and the budget."""
+    if q.ndim != 2 or len(q) == 0 or q.shape[1] != cone.dim or v.shape != q.shape:
+        raise InvalidState(f"need one or more start states of {cone.dim} components")
+    if not (np.isfinite(q).all() and np.isfinite(v).all()):
+        raise InvalidState("positions and velocities must be finite")
+    speeds = np.linalg.norm(v, axis=1)
+    if (np.abs(speeds - 1.0) > 1e-9).any():
+        raise InvalidState("velocities must be unit vectors")
+    if ((q @ cone.matrix) < -CONTAINMENT_TOL).any():
+        raise InvalidState("an initial position lies outside the cone")
+    if max_steps is None:
+        max_steps = step_cap(cone.n_walls, cone.lambda_min)
+    if max_steps < 1:
+        raise InvalidState("max_steps must be >= 1")
+    return v / speeds[:, None], max_steps
 
 
 def run(initial: BilliardState, cone: ConeSpec, max_steps: int | None = None) -> TrajectoryRecord:
-    """Iterate next_event until escape, a corner, or the step budget.
+    """Step one trajectory through `_first_hits` on a one-row array, as
+    `run_batch` steps its live rows, until escape, a corner, or the step
+    budget, recording every reflection as a CollisionEvent.
 
     The default budget is ceil(n! (4 / lambda_min)^(n-1)) + 1, so hitting
     the StepLimit means either a bound violation or numerical breakdown,
     and a warning is emitted.
     """
-    q = np.array(initial.q, dtype=np.float64)
-    v = np.array(initial.v, dtype=np.float64)
-    if q.shape != (cone.dim,) or v.shape != (cone.dim,):
-        raise InvalidState(f"state vectors must have {cone.dim} components")
-    speed = np.linalg.norm(v[None], axis=1)[0]  # the form run_batch uses
-    if abs(speed - 1.0) > 1e-9:
-        raise InvalidState(f"velocity must be a unit vector, got norm {speed}")
-    v /= speed
-    if (q @ cone.matrix).min() < -CONTAINMENT_TOL:
-        raise InvalidState("initial position outside the cone")
-    if max_steps is None:
-        max_steps = step_cap(cone.n_walls, cone.lambda_min)
-    if max_steps < 1:
-        raise InvalidState("max_steps must be >= 1")
-
-    start = BilliardState(q=q, v=v, t=float(initial.t))
-    t = start.t
+    t = float(initial.t)
+    if not math.isfinite(t):
+        raise InvalidState(f"start time must be finite, got {t}")
+    q = np.array(initial.q, dtype=np.float64)[None]
+    v, max_steps = _check_start(q, np.array(initial.v, dtype=np.float64)[None], cone, max_steps)
+    start = BilliardState(q=q[0], v=v[0], t=t)
     events = []
-    velocities = [v.copy()]
-    terminal = None
-    final = None
-    while len(events) < max_steps:
-        out = next_event(BilliardState(q=q, v=v, t=t), cone)
-        if isinstance(out, CollisionEvent):
-            events.append(out)
-            velocities.append(out.v_after.copy())
-            q = np.array(out.q_at)
-            v = np.array(out.v_after)
-            t = out.t
-        elif isinstance(out, Escape):
+    velocities = [v[0]]
+    terminal = Terminal.STEP_LIMIT
+    for _ in range(max_steps):
+        wall, t1, escaped, corner = _first_hits(q, v, cone.matrix)
+        if escaped[0]:
             terminal = Terminal.ESCAPED
-            final = BilliardState(q=q, v=v, t=t)
             break
-        else:
+        t += float(t1[0])
+        if corner[0]:
             terminal = Terminal.CORNER_HIT
-            final = BilliardState(q=out.q_at, v=v, t=out.t)
+            q = q + t1[0] * v
             break
-    if terminal is None:
-        terminal = Terminal.STEP_LIMIT
-        final = BilliardState(q=q, v=v, t=t)
+        q_at, v_after = _reflect(q, v, t1, cone.normals[wall])
+        events.append(
+            CollisionEvent(t=t, wall=int(wall[0]), q_at=q_at[0], v_before=v[0], v_after=v_after[0])
+        )
+        velocities.append(v_after[0])
+        q, v = q_at, v_after
+    else:
         _warn_step_limit("trajectory", max_steps)
     return TrajectoryRecord(
         initial=start,
         events=tuple(events),
         terminal=terminal,
         velocities=np.array(velocities),
-        final_state=final,
+        final_state=BilliardState(q=q[0], v=v[0], t=t),
         cone=cone,
     )
 
@@ -219,51 +210,25 @@ def _warn_step_limit(what: str, max_steps: int) -> None:
 def run_batch(q0: np.ndarray, v0: np.ndarray, cone: ConeSpec, max_steps: int | None = None):
     """Advance many trajectories of one cone in lockstep.
 
-    Applies the stepping rules of `run` (grazing tolerance, corner tie
-    rule, and the shared `_reflect`) to all rows of q0, v0 at once, with
-    the same arithmetic, so the two agree bit for bit.  Only live rows are
-    kept, compacted when a row stops, with `live` mapping them back to
-    their input rows.  Returns (collision counts, zigzag lengths, per-row
-    Terminal values); rows that reach the step budget get one warning per
-    call.
+    Each step applies `_first_hits`, then the shared `_reflect`, to all
+    live rows at once, as `run` does to its one row, so the two agree bit
+    for bit.
+    Only live rows are kept, compacted when a row stops, with `live`
+    mapping them back to their input rows.  Returns (collision counts,
+    zigzag lengths, per-row Terminal values); rows that reach the step
+    budget get one warning per call.
     """
-    a = cone.matrix
     q = np.array(q0, dtype=np.float64)
-    v = np.array(v0, dtype=np.float64)
+    v, max_steps = _check_start(q, np.array(v0, dtype=np.float64), cone, max_steps)
     k = q.shape[0]
-    if max_steps is None:
-        max_steps = step_cap(cone.n_walls, cone.lambda_min)
     counts = np.zeros(k, dtype=np.int64)
     zigzag = np.zeros(k)
     terminal = np.full(k, -1, dtype=np.int64)  # -1 alive, 0 escaped, 1 corner
-    speeds = np.linalg.norm(v, axis=1)
-    if np.abs(speeds - 1.0).max() > 1e-9:
-        raise InvalidState("velocities must be unit vectors")
-    v /= speeds[:, None]
-    if (q @ a).min() < -CONTAINMENT_TOL:
-        raise InvalidState("an initial position lies outside the cone")
 
     live = np.arange(k)  # input row of each row of q and v
-    rows = np.arange(k)
     zz = np.zeros(k)  # zigzag lengths of the live rows
     for step in range(max_steps):
-        margins = q @ a
-        vel_along = v @ a
-        approaching = vel_along < -APPROACH_TOL
-        times = np.where(
-            approaching,
-            np.maximum(0.0, -margins / np.where(approaching, vel_along, -1.0)),
-            np.inf,
-        )
-        wall = times.argmin(axis=1)
-        t1 = times[rows, wall]
-        escaped = t1 == np.inf  # no wall ahead
-        # The corner test sees escaped rows at t1 = 0 against t2 = inf, so
-        # it fails there without computing inf - inf.
-        t1[escaped] = 0.0
-        times[rows, wall] = np.inf
-        t2 = _row_min(times)
-        corner = t2 - t1 < CORNER_REL_TOL * (1.0 + t1)
+        wall, t1, escaped, corner = _first_hits(q, v, cone.matrix)
         stop = escaped | corner
         if stop.any():
             done = live[stop]
@@ -272,7 +237,6 @@ def run_batch(q0: np.ndarray, v0: np.ndarray, cone: ConeSpec, max_steps: int | N
             zigzag[done] = zz[stop]
             keep = ~stop
             live, q, v, wall, t1, zz = live[keep], q[keep], v[keep], wall[keep], t1[keep], zz[keep]
-            rows = rows[: len(live)]
             if len(live) == 0:
                 break
         q_new, v_new = _reflect(q, v, t1, cone.normals[wall])

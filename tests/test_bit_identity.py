@@ -1,5 +1,5 @@
 """The fast paths of the eigenvalue solve, the cone sampler, the start
-sampler and the batched stepper against the code they replaced (kept here as
+sampler and the stepping kernel against the code they replaced (kept here as
 reference oracles) or against the scalar `run`: every output must agree bit
 for bit, and the random generator must end in the same state."""
 
@@ -9,11 +9,23 @@ import warnings
 import numpy as np
 import pytest
 
-from conebilliards.constants import inscribed_ball
+from conebilliards.constants import inscribed_ball, step_cap
+from conebilliards.errors import InvalidState
 from conebilliards.geometry import gram, jacobi_eigenvalues, make_cone, min_eigenvalue
 from conebilliards.hardball import balls_to_cone
 from conebilliards.harness import interior_starts, make_rng, random_cone
-from conebilliards.simulator import BilliardState, Terminal, run, run_batch, zigzag_length
+from conebilliards.simulator import (
+    APPROACH_TOL,
+    CONTAINMENT_TOL,
+    CORNER_REL_TOL,
+    BilliardState,
+    CollisionEvent,
+    Terminal,
+    TrajectoryRecord,
+    run,
+    run_batch,
+    zigzag_length,
+)
 from conebilliards.wedge import wedge_from_angle
 
 
@@ -282,3 +294,154 @@ def test_run_batch_corner_tolerance_matches_run():
     for i in range(2):
         rec = run(BilliardState(q=q[i], v=v[i]), cone)
         assert (rec.n_collisions, zigzag_length(rec), rec.terminal) == (counts[i], zz[i], terms[i])
+
+
+def next_event_reference(state, cone):
+    """The scalar stepper `run` used before the shared row kernel: a
+    CollisionEvent, None for an escape, or (t, q_at) for a corner hit."""
+    a = cone.matrix
+    q = state.q
+    v = state.v
+    margins = q @ a
+    if margins.min() < -CONTAINMENT_TOL:
+        raise InvalidState(f"position outside the cone: min margin {margins.min():.2e}")
+    vel_along = v @ a
+    approaching = vel_along < -APPROACH_TOL
+    if not approaching.any():
+        return None
+    times = np.full(cone.n_walls, np.inf)
+    times[approaching] = np.maximum(0.0, -margins[approaching] / vel_along[approaching])
+    wall = int(times.argmin())
+    t_hit = float(times[wall])
+    if cone.n_walls > 1:
+        times[wall] = np.inf
+        t_second = float(times.min())
+        if t_second - t_hit < CORNER_REL_TOL * (1.0 + t_hit):
+            return state.t + t_hit, q + t_hit * v
+    # The reflection on one-row arrays, as in the row-wise `_reflect`.
+    normals = cone.normals[wall][None]
+    q_at = q[None] + t_hit * v[None]
+    q_at -= (q_at * normals).sum(axis=1)[:, None] * normals
+    v_after = v[None] - 2.0 * (v[None] * normals).sum(axis=1)[:, None] * normals
+    v_after /= np.linalg.norm(v_after, axis=1)[:, None]
+    return CollisionEvent(
+        t=state.t + t_hit, wall=wall, q_at=q_at[0], v_before=v, v_after=v_after[0]
+    )
+
+
+def run_reference(initial, cone, max_steps=None):
+    """`run` as a loop over `next_event_reference`, one frozen state per event."""
+    q = np.array(initial.q, dtype=np.float64)
+    v = np.array(initial.v, dtype=np.float64)
+    speed = np.linalg.norm(v[None], axis=1)[0]
+    v /= speed
+    if max_steps is None:
+        max_steps = step_cap(cone.n_walls, cone.lambda_min)
+    start = BilliardState(q=q, v=v, t=float(initial.t))
+    t = start.t
+    events = []
+    velocities = [v.copy()]
+    terminal = Terminal.STEP_LIMIT
+    final = None
+    while len(events) < max_steps:
+        out = next_event_reference(BilliardState(q=q, v=v, t=t), cone)
+        if isinstance(out, CollisionEvent):
+            events.append(out)
+            velocities.append(out.v_after.copy())
+            q, v, t = np.array(out.q_at), np.array(out.v_after), out.t
+        elif out is None:
+            terminal = Terminal.ESCAPED
+            break
+        else:
+            terminal = Terminal.CORNER_HIT
+            final = BilliardState(q=out[1], v=v, t=out[0])
+            break
+    return TrajectoryRecord(
+        initial=start,
+        events=tuple(events),
+        terminal=terminal,
+        velocities=np.array(velocities),
+        final_state=final or BilliardState(q=q, v=v, t=t),
+        cone=cone,
+    )
+
+
+def _assert_same_state(a, b):
+    assert np.array_equal(a.q, b.q) and np.array_equal(a.v, b.v) and a.t == b.t
+
+
+def _assert_same_record(rec, ref):
+    _assert_same_state(rec.initial, ref.initial)
+    assert rec.n_collisions == ref.n_collisions
+    for ev, ref_ev in zip(rec.events, ref.events):
+        assert (ev.t, ev.wall) == (ref_ev.t, ref_ev.wall)
+        assert np.array_equal(ev.q_at, ref_ev.q_at)
+        assert np.array_equal(ev.v_before, ref_ev.v_before)
+        assert np.array_equal(ev.v_after, ref_ev.v_after)
+    assert rec.terminal is ref.terminal
+    assert np.array_equal(rec.velocities, ref.velocities)
+    _assert_same_state(rec.final_state, ref.final_state)
+
+
+def _assert_run_matches_reference(cone, q, v, max_steps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for t0 in (0.0, 2.75):
+            for i in range(len(q)):
+                state = BilliardState(q=q[i], v=v[i], t=t0)
+                _assert_same_record(
+                    run(state, cone, max_steps=max_steps),
+                    run_reference(state, cone, max_steps=max_steps),
+                )
+
+
+class TestRunAgainstReference:
+    """`run` steps through the row kernel it shares with `run_batch`; every
+    event and final state equals the scalar stepper it replaced."""
+
+    @pytest.mark.parametrize("max_steps", [3, None])
+    def test_random_cones(self, max_steps):
+        for n in range(1, 8):
+            for c in range(3):
+                cone = random_cone(n, n, 20241, stream=n * 1000 + c)
+                center = inscribed_ball(cone).e
+                q, v = interior_starts(make_rng(906, n * 10 + c), cone, center, 12)
+                # Into the apex (a corner hit once n > 1) and straight out.
+                u = center / np.linalg.norm(center)
+                q = np.vstack([q, 2.0 * center, center])
+                v = np.vstack([v, -u, u])
+                # 5e-10 outside wall 0 (inside the start tolerance) and into
+                # it: the negative hit time is clipped to 0.
+                a0 = cone.normals[0]
+                q = np.vstack([q, center - (center @ a0 + 5e-10) * a0])
+                v = np.vstack([v, -a0])
+                if n > 1:
+                    # Along wall 0, approaching it at 5e-13 < APPROACH_TOL:
+                    # grazing, so the start escapes.
+                    w = u - (u @ a0) * a0
+                    w = w / np.linalg.norm(w) - 5e-13 * a0
+                    q = np.vstack([q, center])
+                    v = np.vstack([v, w / np.linalg.norm(w)])
+                _assert_run_matches_reference(cone, q, v, max_steps)
+
+    @pytest.mark.parametrize("max_steps", [3, None])
+    def test_wedges(self, max_steps):
+        for theta in (math.pi / 12, math.pi / 3, 2.0):
+            cone = wedge_from_angle(theta).cone
+            center = inscribed_ball(cone).e
+            q, v = interior_starts(make_rng(907, 0), cone, center, 20)
+            _assert_run_matches_reference(cone, q, v, max_steps)
+
+    @pytest.mark.parametrize("max_steps", [3, None])
+    def test_hardball_cone_with_fewer_walls(self, max_steps):
+        rng = make_rng(908, 0)
+        for balls in (3, 4, 6):
+            cone, cmap = balls_to_cone(10.0 ** rng.uniform(-1.0, 1.0, balls))
+            assert cone.n_walls < cone.dim
+            starts = []
+            for _ in range(10):
+                x = np.sort(rng.uniform(-5.0, 5.0, balls))
+                q, u, _ = cmap.to_cone(x, rng.standard_normal(balls))
+                starts.append((q, u))
+            q, v = (np.array(s) for s in zip(*starts))
+            _assert_run_matches_reference(cone, q, v, max_steps)

@@ -12,12 +12,9 @@ from conebilliards.harness import interior_starts, make_rng, random_cone
 from conebilliards.simulator import (
     BilliardState,
     CollisionEvent,
-    CornerHit,
-    Escape,
     Terminal,
     audit,
     check_bounds,
-    next_event,
     record_from_json,
     record_to_json,
     run,
@@ -33,9 +30,11 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
-class TestNextEvent:
+class TestFirstStep:
     def test_axis_aligned_reflection(self, orthant2):
-        out = next_event(BilliardState(q=np.array([1.0, 1.0]), v=np.array([-1.0, 0.0])), orthant2)
+        rec = run(BilliardState(q=np.array([1.0, 1.0]), v=np.array([-1.0, 0.0])), orthant2)
+        assert rec.n_collisions == 1 and rec.terminal is Terminal.ESCAPED
+        out = rec.events[0]
         assert isinstance(out, CollisionEvent)
         assert out.wall == 0
         assert out.t == pytest.approx(1.0)
@@ -43,20 +42,67 @@ class TestNextEvent:
         np.testing.assert_allclose(out.q_at, [0.0, 1.0], atol=1e-15)
 
     def test_escape(self, orthant2):
-        out = next_event(BilliardState(q=np.array([1.0, 1.0]), v=np.array([0.0, 1.0])), orthant2)
-        assert isinstance(out, Escape)
+        rec = run(BilliardState(q=np.array([1.0, 1.0]), v=np.array([0.0, 1.0]), t=0.5), orthant2)
+        assert rec.n_collisions == 0 and rec.terminal is Terminal.ESCAPED
+        np.testing.assert_array_equal(rec.final_state.q, [1.0, 1.0])
+        np.testing.assert_array_equal(rec.final_state.v, [0.0, 1.0])
+        assert rec.final_state.t == 0.5
 
     def test_corner(self, orthant2):
-        out = next_event(
-            BilliardState(q=np.array([1.0, 1.0]), v=unit([-1.0, -1.0])), orthant2
-        )
-        assert isinstance(out, CornerHit)
-        assert out.t == pytest.approx(math.sqrt(2.0))
-        np.testing.assert_allclose(out.q_at, [0.0, 0.0], atol=1e-12)
+        rec = run(BilliardState(q=np.array([1.0, 1.0]), v=unit([-1.0, -1.0])), orthant2)
+        assert rec.n_collisions == 0 and rec.terminal is Terminal.CORNER_HIT
+        assert rec.final_state.t == pytest.approx(math.sqrt(2.0))
+        np.testing.assert_allclose(rec.final_state.q, [0.0, 0.0], atol=1e-12)
 
     def test_rejects_outside_position(self, orthant2):
         with pytest.raises(InvalidState):
-            next_event(BilliardState(q=np.array([-1.0, 1.0]), v=np.array([0.0, 1.0])), orthant2)
+            run(BilliardState(q=np.array([-1.0, 1.0]), v=np.array([0.0, 1.0])), orthant2)
+        with pytest.raises(InvalidState):
+            run_batch(np.array([[1.0, 1.0], [-1.0, 1.0]]), np.array([[0.0, 1.0]] * 2), orthant2)
+
+
+class TestEntryCheck:
+    """`run` and `run_batch` check their start states the same way."""
+
+    @pytest.mark.parametrize(
+        "q, v",
+        [
+            ((math.nan, 1.0), (0.0, 1.0)),
+            ((1.0, 1.0), (math.nan, 0.0)),
+            ((math.inf, 1.0), (-1.0, 0.0)),
+            ((1.0, 1.0), (-math.inf, 0.0)),
+        ],
+    )
+    def test_non_finite_state_rejected(self, orthant2, q, v):
+        with pytest.raises(InvalidState, match="finite"):
+            run(BilliardState(q=np.array(q), v=np.array(v)), orthant2)
+        with pytest.raises(InvalidState, match="finite"):
+            run_batch(np.array([q]), np.array([v]), orthant2)
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_time_rejected(self, orthant2, t0):
+        state = BilliardState(q=np.array([1.0, 1.0]), v=np.array([-1.0, 0.0]), t=t0)
+        with pytest.raises(InvalidState, match="finite"):
+            run(state, orthant2)
+
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_budget_below_one_rejected(self, orthant2, max_steps):
+        q = np.array([1.0, 2.0])
+        v = unit([-2.0, -1.0])
+        with pytest.raises(InvalidState, match="max_steps"):
+            run(BilliardState(q=q, v=v), orthant2, max_steps=max_steps)
+        with pytest.raises(InvalidState, match="max_steps"):
+            run_batch(q[None], v[None], orthant2, max_steps=max_steps)
+
+    def test_shapes_rejected(self, orthant2):
+        with pytest.raises(InvalidState):
+            run(BilliardState(q=np.ones(3), v=unit([-1.0, 0.0, 0.0])), orthant2)
+        with pytest.raises(InvalidState):
+            run_batch(np.ones(2), unit([-1.0, 0.0]), orthant2)  # one state, not a batch
+        with pytest.raises(InvalidState):
+            run_batch(np.ones((2, 2)), np.array([[-1.0, 0.0]]), orthant2)
+        with pytest.raises(InvalidState):
+            run_batch(np.empty((0, 2)), np.empty((0, 2)), orthant2)
 
 
 class TestRun:
