@@ -15,6 +15,7 @@ computes:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -188,7 +189,9 @@ def capacity_delta(
         at = cone.matrix
 
         def f_batch(pts):
-            return np.abs(pts @ at).max(axis=1)
+            # Column by column: numpy reduces short rows slowly, and a
+            # maximum is exact in any order.
+            return functools.reduce(np.maximum, np.abs(pts @ at).T)
 
         value, _ = minimax.sphere_grid_minimize(f_batch, cone.dim)
         used = 0
@@ -280,6 +283,10 @@ def bfk_constant(
     * "auto": the closed form for wedges and orthants; otherwise a certified
       interval from the cube-sphere branch-and-bound, whose cells carry a
       Lipschitz and a first-order lower bound, stopped once hi - lo <= 1e-4.
+      A split cell's first-order bound is a linear minorant on the whole
+      sphere, so its children inherit it, and a child that it closes is
+      never evaluated (the bracket's `evaluations` counts evaluated
+      centres only).
       Once its cells are small, an active-set Newton solve of the KKT
       conditions gives a point, evaluated exactly, and multipliers lam
       (faces) and nu >= 0 (walls) whose linear minorant
@@ -288,10 +295,11 @@ def bfk_constant(
       near the minimizer.  `value` = hi, the best feasible centre or
       Newton point, and `certified_lower` = max(lo, sqrt(lambda_min / n)),
       so value - certified_lower <= 1e-4.
-      Only when the work budget cuts the search (some cones at n >= 6) is
-      the interval wider; then a projected-subgradient polish runs from
-      the 16 best centres plus the `n_starts` multistart starts, and
-      `starts_used` counts them (0 otherwise).
+      Only when the work budget cuts the search (none of the cones
+      measured at n <= 8) is the interval wider; then a
+      projected-subgradient polish runs from the 16 best centres plus the
+      `n_starts` multistart starts, and `starts_used` counts them (0
+      otherwise).
     * "multistart": projected subgradient descent from `n_starts` Sobol
       starts, an estimate from above.
     * "grid": the dense grid oracle, dimension at most 3.
@@ -339,7 +347,7 @@ def bfk_constant(
 
         def f_batch(pts):
             vals = np.full(pts.shape[0], np.inf)
-            ok = (pts @ at).min(axis=1) >= -1e-12
+            ok = functools.reduce(np.minimum, (pts @ at).T) >= -1e-12
             if ok.any():
                 vals[ok] = face.max_face_distance(pts[ok])
             return vals

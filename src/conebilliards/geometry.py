@@ -227,14 +227,20 @@ def orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
     of the rows before it."""
     basis = np.zeros(vectors.shape)
     for i, v in enumerate(vectors):
-        w = v.copy()
-        for b in basis[:i]:
-            w -= (w @ b) * b
-        nw = np.linalg.norm(w)
-        if nw <= INDEPENDENCE_TOL:
-            raise DegenerateArrangement("normals are dependent under orthogonalization")
-        basis[i] = w / nw
+        basis[i] = gram_schmidt_row(v, basis[:i])
     return basis
+
+
+def gram_schmidt_row(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The next row of `orthonormal_rows` after the orthonormal rows of
+    `basis`: v less its parts along them in order, normalized."""
+    w = v.copy()
+    for b in basis:
+        w -= (w @ b) * b
+    nw = np.linalg.norm(w)
+    if nw <= INDEPENDENCE_TOL:
+        raise DegenerateArrangement("normals are dependent under orthogonalization")
+    return w / nw
 
 
 def reduce_to_span(dim: int, normals):

@@ -15,11 +15,12 @@ from cone geometry:
   that brackets the minimum of the largest face distance over
   sphere-in-cone to 1e-4, with a Lipschitz and a first-order lower bound
   on each cell (the face distances are 1-Lipschitz, convex and
-  1-homogeneous), and an active-set Newton solve of the KKT conditions
-  whose point sets the upper end and whose multipliers give a linear
-  minorant of the largest face distance on the whole cone; the minorant
-  is valid for any multipliers of the right signs, so the certificate
-  never rests on the solve converging;
+  1-homogeneous; the latter is a minorant its children inherit), and an
+  active-set Newton solve of the KKT conditions whose point sets the
+  upper end and whose multipliers give a linear minorant of the largest
+  face distance on the whole cone; the minorant is valid for any
+  multipliers of the right signs, so the certificate never rests on the
+  solve converging;
 * dense grid oracles (circle / Fibonacci sphere) with a local zoom stage,
   for dimensions 2 and 3.
 """
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateArrangement
-from .geometry import orthonormal_rows
+from .geometry import gram_schmidt_row, orthonormal_rows
 
 # Fixed scramble seed: starts are low-discrepancy yet reproducible.
 _SOBOL_SEED = 20090
@@ -50,8 +51,10 @@ _BNB_KEEP = 16
 # Frank-Wolfe steps for the weights of the first-order cell bound, and the
 # rounding error allowed in a projection foot: against 40-digit projections
 # it was at most 5.2e-15 at 960 points of random_cone(n, n, 20241, n*1000+k),
-# n = 3..6, k < 6.
-_FW_STEPS = 8
+# n = 3..6, k < 6.  Steps: evaluations, ms of the branch-and-bound on those
+# cones n = 3..5, k < 25 (2 vCPU, CPU time): 1: 55,794, 929; 2: 49,497, 887;
+# 3: 48,389, 985; 4: 48,832, 1014; 8: 49,398, 1213.
+_FW_STEPS = 2
 _FOOT_ERROR = 1e-14
 # The KKT Newton solve of the branch-and-bound runs once a level's cells are
 # within _NEWTON_RADIUS of their centres (0.05 to 0.3 gave evaluation
@@ -72,8 +75,8 @@ _KKT_TIE = 1e-9
 # Least margin of a Newton point that is offered as hi.
 _PUSH = 1e-15
 # Work budget of the branch-and-bound, in face projections (a point costs
-# n 2^(n-1)): about 6 s on one core at n = 6, where some cones need more;
-# the n <= 5 cones measured used under 3% of it.
+# n 2^(n-1)): about 6 s on one core at n = 6; the cones measured at
+# n = 6..8 used at most 56% of it, those at n <= 5 under 1%.
 _BNB_PROJECTIONS = 1 << 26
 # Points per distances_and_feet call in max_face_distance and in the
 # branch-and-bound, which bounds the feet array (k, n, m).
@@ -328,19 +331,24 @@ class FaceDistance:
         arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
         self.normals = arr
         self.n, self.m = arr.shape
-
-        def projector(rows):
-            u = orthonormal_rows(arr[list(rows)])
-            return np.eye(self.m) - u.T @ u
-
+        # One projector per row tuple (i, j < k < ...), from its prefix's
+        # basis: the rows `orthonormal_rows` gives, bit for bit.
+        projectors = {}
+        stack = [((i,), gram_schmidt_row(arr[i], arr[:0])[None]) for i in range(self.n)]
+        while stack:
+            rows, basis = stack.pop()
+            projectors[rows] = np.eye(self.m) - basis.T @ basis
+            for j in range(rows[-1] + 1 if len(rows) > 1 else 0, self.n):
+                if j != rows[0]:
+                    stack.append(((*rows, j), np.vstack([basis, gram_schmidt_row(arr[j], basis)])))
         faces = [
-            projector((i, *extra))
+            projectors[(i, *extra)]
             for i in range(self.n)
             for k in range(self.n)
             for extra in itertools.combinations([j for j in range(self.n) if j != i], k)
         ]
         cone = [np.eye(self.m)] + [
-            projector(subset)
+            projectors[subset]
             for k in range(1, self.n + 1)
             for subset in itertools.combinations(range(self.n), k)
         ]
@@ -499,17 +507,22 @@ def _cube_faces(m: int):
     return centres, offsets
 
 
-def _cell_radii(x, c, offsets, which, half) -> np.ndarray:
-    """Longest chord from each normalized centre c to the normalized corners
-    x + half * offsets[which] of its cell, in blocks of bounded size."""
-    q, m = offsets.shape[1:]
-    r = np.empty(len(x))
-    step = max(1, _BLOCK_ENTRIES // (q * m))
-    for s in range(0, len(x), step):
-        corners = x[s : s + step, None, :] + half * offsets[which[s : s + step]]
-        corners = _normalize_rows(corners.reshape(-1, m)).reshape(-1, q, m)
-        chords = corners - c[s : s + step, None, :]
-        r[s : s + step] = np.sqrt((chords ** 2).sum(axis=2).max(axis=1))
+def _cell_radii(x, axis, h, signs) -> np.ndarray:
+    """Longest chord from each normalized centre to its normalized corners
+    k = x + h s, s = +-1 off `axis` (rows of `signs`), in blocks: with
+    S = (s, x), 2 - 2 (x, k) / (|x| |k|) = 2 h^2 (|x|^2 (m - 1) - S^2) /
+    (|x| |k| (|x| |k| + |x|^2 + h S)), free of cancellation."""
+    k, m = x.shape
+    q = signs.shape[0]
+    free = x[np.arange(m) != axis[:, None]].reshape(k, m - 1)
+    r = np.empty(k)
+    step = max(1, _BLOCK_ENTRIES // q)
+    for s in range(0, k, step):
+        xx = (x[s : s + step] ** 2).sum(axis=1)[:, None]
+        sums = free[s : s + step] @ signs.T
+        xk = np.sqrt(xx * (xx + 2.0 * h * sums + (m - 1) * h * h))
+        chord2 = 2.0 * h * h * (xx * (m - 1) - sums * sums) / (xk * (xk + xx + h * sums))
+        r[s : s + step] = np.sqrt(chord2.max(axis=1))
     return r
 
 
@@ -534,6 +547,9 @@ def _first_order_lower(c, dists, feet, r, target=np.inf) -> np.ndarray:
     `target`, since the line search never lowers one.  Any lambda is
     sound: an inexact one costs tightness, not validity.
     Shapes: c (k, m), dists (k, n), feet (k, n, m), r (k,).
+
+    Also returns each cell's minorant (G, slack): f(y) >= (G, y) - slack
+    for every y, so it bounds the cell's children too.
     """
     diff = c[:, None, :] - feet
     norm = np.sqrt((diff * diff).sum(axis=2))
@@ -542,11 +558,12 @@ def _first_order_lower(c, dists, feet, r, target=np.inf) -> np.ndarray:
     h = (g * c[:, None, :]).sum(axis=2)
     t = g - h[:, :, None] * c[:, None, :]
     cos_r, sin_r = _cos_sin(r)
-    # Radial part of each face's bound, less its rounding allowance.
-    v = cos_r[:, None] * h - np.where(norm > 0.0, 2.0 * _FOOT_ERROR * inv, 0.0)
+    # Each face's rounding allowance, and the radial part of its bound.
+    e = np.where(norm > 0.0, 2.0 * _FOOT_ERROR * inv, 0.0)
+    v = cos_r[:, None] * h - e
     rows = np.arange(len(c))
     j = dists.argmax(axis=1)
-    a, tang = v[rows, j], t[rows, j]
+    a, tang, gs, slack = v[rows, j], t[rows, j], g[rows, j], e[rows, j]
     for _ in range(_FW_STEPS):
         length = np.sqrt((tang * tang).sum(axis=1))
         if (a - sin_r * length >= target).all():
@@ -567,8 +584,10 @@ def _first_order_lower(c, dists, feet, r, target=np.inf) -> np.ndarray:
         gamma = np.where(alpha >= slope, 1.0, np.where(alpha <= -slope, 0.0, gamma))
         a = a + gamma * alpha
         tang = tang + gamma[:, None] * w
+        gs = gs + gamma[:, None] * (g[rows, j] - gs)
+        slack = slack + gamma * (e[rows, j] - slack)
     bound = a - sin_r * np.sqrt((tang * tang).sum(axis=1))
-    return np.where(cos_r >= 0.0, bound, -np.inf)
+    return np.where(cos_r >= 0.0, bound, -np.inf), gs, slack
 
 
 def _evaluate(face: FaceDistance, y: np.ndarray):
@@ -778,13 +797,33 @@ def _minorant_lower(c, r, gs, slack) -> np.ndarray:
     their slacks): for unit y within angle rho of the unit centre c,
     (G, y) >= cos(rho) (G, c) - sin(rho) |G - (G, c) c| when rho <= pi / 2
     (and when that is negative, f >= 0 is larger).  Shapes: c (k, m),
-    r (k,), gs (p, m), slack (p,)."""
+    r (k,), and gs (p, m), slack (p,) for minorants shared by all cells,
+    or gs (k, p, m), slack (k, p) for each cell's own."""
     cos_r, sin_r = _cos_sin(r)
-    h = c @ gs.T
-    tang = gs[None, :, :] - h[:, :, None] * c[:, None, :]
+    h = (c[:, None, :] * gs).sum(axis=2)
+    tang = gs - h[:, :, None] * c[:, None, :]
     tn = np.sqrt((tang * tang).sum(axis=2))
     bound = (cos_r[:, None] * h - sin_r[:, None] * tn - slack).max(axis=1)
     return np.where(cos_r >= 0.0, bound, -np.inf)
+
+
+def _open_cells(x, which, half, signs, at, carried, minorants, top):
+    """The cells x (rows) that meet the cone ((c, a_i) >= -r) and that no
+    minorant lifts to `top`, as (x, which, centre, radius, least margin,
+    minorant bound), and the least bound of the others (inf: none).
+    `carried` holds each cell's minorant, `minorants` the shared ones."""
+    c = _normalize_rows(x)
+    r = _cell_radii(x, which // 2, half, signs)
+    margin = (c @ at).min(axis=1)
+    prior = _minorant_lower(c, r, carried[0][:, None, :], carried[1][:, None])
+    if len(minorants[1]):
+        prior = np.maximum(prior, _minorant_lower(c, r, *minorants))
+    prior -= 1e-12
+    alive = margin >= -r
+    closed = alive & (prior >= top)
+    alive &= ~closed
+    least = float(prior[closed].min()) if closed.any() else np.inf
+    return (x[alive], which[alive], c[alive], r[alive], margin[alive], prior[alive]), least
 
 
 def _keep_best(best_f, best, f, points):
@@ -832,6 +871,7 @@ class Bracket(NamedTuple):
     hi: float
     # Up to 16 feasible points of least f, in increasing f; best[0] attains hi.
     best: np.ndarray
+    # Centres (and the seed) whose face distances were computed.
     evaluations: int
     # False when the budget stopped the search before the gap closed.
     complete: bool
@@ -856,9 +896,11 @@ def branch_and_bound_min_max_face_distance(
       computed for the cells that the other bounds would split and that
       it can close (it is at most cos(rho) f(c)), or for every such cell
       when the budget may stop the search after the level;
-    * f >= (G, y) - slack on the cell and cone for every minorant G of a
-      KKT solve (`_minorant`), bounded over the cell as in
-      `_first_order_lower`;
+    * f >= (G, y) - slack on the cell for its parent's Frank-Wolfe
+      minorant, and on the cell and cone for every minorant of a KKT solve
+      (`_minorant`), bounded over the cell by `_minorant_lower`; a cell
+      they close stops unevaluated, and `evaluations` counts only the
+      evaluated centres;
     * hi, the best f at a feasible centre or Newton point, bounds C from
       above.
 
@@ -874,36 +916,37 @@ def branch_and_bound_min_max_face_distance(
     Level by level, a cell is split into 2^(m-1) children while the largest
     of its lower bounds is below hi - 1e-4, and lo is the least lower
     bound of the cells that stopped, so hi - lo <= 1e-4 up to a 1e-12
-    allowance for rounding.  If the next level would take the work past
-    2^26 face projections (n 2^(n-1) per evaluation), the remaining cells
-    stop too, the bracket is wider and `complete` is False; the best
+    allowance for rounding.  If the children left open would take the
+    work past 2^26 face projections (n 2^(n-1) per evaluation), the split
+    cells stop too, the bracket is wider and `complete` is False; the best
     feasible centres, `interior_seed` among them, are then the starts of a
     local polish.
     """
     m = face.m
     at = face.normals.T
     x, offsets = _cube_faces(m)
-    which = np.arange(2 * m)
-    half = 1.0
+    signs = offsets[0, :, 1:]
+    q = len(signs)
     max_points = _BNB_PROJECTIONS // (face.n << (face.n - 1))
     complete = True
     best = np.atleast_2d(interior_seed)
     best_f = face.max_face_distance(best)
     evaluations = 1
-    lo = np.inf
     # Minorants from the KKT solves (rows, less their slacks), and the hi
     # below which the solve runs again.
     gs, slacks = np.empty((0, m)), np.empty(0)
     newton_top = np.inf
-    while len(x):
-        c = _normalize_rows(x)
-        r = _cell_radii(x, c, offsets, which, half)
-        margin = (c @ at).min(axis=1)
-        alive = margin >= -r
-        x, which, c, r, margin = x[alive], which[alive], c[alive], r[alive], margin[alive]
+    half = 1.0
+    # The 2m faces carry no minorant (slack inf), and none of them closes.
+    carried = np.zeros((2 * m, m)), np.full(2 * m, np.inf)
+    cells, lo = _open_cells(x, np.arange(2 * m), half, signs, at, carried, (gs, slacks), np.inf)
+    count = len(cells[0])
+    while count:
+        x, which, c, r, margin, prior = cells
         # Whether the budget can stop the search after this level.
-        may_stop = evaluations + len(c) * (1 + offsets.shape[1]) > max_points
+        may_stop = evaluations + len(c) * (1 + q) > max_points
         lower = np.empty(len(c))
+        grads, slack = np.zeros((len(c), m)), np.full(len(c), np.inf)
         for s in range(0, len(c), _MAX_DISTANCE_ROWS):
             block = slice(s, s + _MAX_DISTANCE_ROWS)
             cb, rb = c[block], r[block]
@@ -911,23 +954,23 @@ def branch_and_bound_min_max_face_distance(
             f = dists.max(axis=1)
             feasible = margin[block] >= 0.0
             best_f, best = _keep_best(best_f, best, f[feasible], cb[feasible])
-            low = f - rb
-            if len(gs):
-                low = np.maximum(low, _minorant_lower(cb, rb, gs, slacks))
+            # 1e-12 absorbs rounding in f and r, far below the stopping gap.
+            low = np.maximum(f - rb - 1e-12, prior[block])
             # hi can only fall later in the level, so these include every
             # cell that the Lipschitz bound and the minorants would split.
             weak = low < best_f[0] - _BNB_ATOL
-            # Past this target (1e-12 is the allowance below) a cell stops.
+            # Past this target a cell stops.
             target = best_f[0] - _BNB_ATOL + 1e-12
             if not may_stop:
                 # The first-order bound is at most cos(rho) f(c), because
                 # (g_i, c) = f_i(c); below the target it would split anyway.
                 weak &= (1.0 - 0.5 * rb * rb) * f + 1e-12 >= target
             if weak.any():
-                first = _first_order_lower(cb[weak], dists[weak], feet[weak], rb[weak], target)
-                low[weak] = np.maximum(low[weak], first)
-            # 1e-12 absorbs rounding in f and r, far below the stopping gap.
-            lower[block] = low - 1e-12
+                first, grads[block][weak], slack[block][weak] = _first_order_lower(
+                    cb[weak], dists[weak], feet[weak], rb[weak], target
+                )
+                low[weak] = np.maximum(low[weak], first - 1e-12)
+            lower[block] = low
         evaluations += len(c)
         split = lower < best_f[0] - _BNB_ATOL
         if split.any() and r.max() <= _NEWTON_RADIUS and best_f[0] < newton_top:
@@ -946,14 +989,28 @@ def branch_and_bound_min_max_face_distance(
                     fresh = _minorant_lower(c, r, gs[-1:], slacks[-1:])
                     lower = np.maximum(lower, fresh - 1e-12)
             split = lower < best_f[0] - _BNB_ATOL
-        if evaluations + split.sum() * offsets.shape[1] > max_points:
-            split[:] = False
-            complete = False
         if not split.all():
             lo = min(lo, float(lower[~split].min()))
+        # The children left open, screened in blocks of parents: each
+        # inherits its parent's Frank-Wolfe minorant.
         half *= 0.5
-        x = (x[split, None, :] + half * offsets[which[split]]).reshape(-1, m)
-        which = np.repeat(which[split], offsets.shape[1])
+        rows, step = np.flatnonzero(split), max(1, _BLOCK_ENTRIES // (q * m))
+        kids, count = [], 0
+        for p in (rows[s : s + step] for s in range(0, len(rows), step)):
+            kx = (x[p, None, :] + half * offsets[which[p]]).reshape(-1, m)
+            carried = np.repeat(grads[p], q, axis=0), np.repeat(slack[p], q)
+            top = best_f[0] - _BNB_ATOL
+            cells, least = _open_cells(kx, np.repeat(which[p], q), half, signs, at, carried, (gs, slacks), top)
+            lo = min(lo, least)
+            kids.append(cells)
+            count += len(cells[0])
+            if evaluations + count > max_points:
+                # The budget stops the search at the split cells.
+                lo = min(lo, float(lower[split].min()))
+                complete, count = False, 0
+                break
+        if count:
+            cells = [np.concatenate(part) for part in zip(*kids)]
     if not math.isfinite(lo):
         raise DegenerateArrangement("branch-and-bound found no cell inside the cone")
     return Bracket(lo, float(best_f[0]), best, evaluations, complete)

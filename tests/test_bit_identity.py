@@ -1,8 +1,10 @@
 """The fast paths of the eigenvalue solve, the cone sampler, the start
-sampler and the stepping kernel against the code they replaced (kept here as
-reference oracles) or against the scalar `run`: every output must agree bit
-for bit, and the random generator must end in the same state."""
+sampler, the face-distance projector table and the stepping kernel against
+the code they replaced (kept here as reference oracles) or against the
+scalar `run`: every output must agree bit for bit, and the random generator
+must end in the same state."""
 
+import itertools
 import math
 import warnings
 
@@ -11,9 +13,16 @@ import pytest
 
 from conebilliards.constants import inscribed_ball, step_cap
 from conebilliards.errors import InvalidState
-from conebilliards.geometry import gram, jacobi_eigenvalues, make_cone, min_eigenvalue
+from conebilliards.geometry import (
+    gram,
+    jacobi_eigenvalues,
+    make_cone,
+    min_eigenvalue,
+    orthonormal_rows,
+)
 from conebilliards.hardball import balls_to_cone
 from conebilliards.harness import interior_starts, make_rng, random_cone
+from conebilliards.minimax import FaceDistance
 from conebilliards.simulator import (
     APPROACH_TOL,
     CONTAINMENT_TOL,
@@ -239,6 +248,43 @@ class TestInteriorStarts:
                 center = inscribed_ball(cone).e
                 for count in (1, 7, 100):
                     _assert_same_starts(cone, center, count, 17, n * 10 + c)
+
+
+def face_projectors_reference(normals):
+    """The projector tables of `FaceDistance`, one `orthonormal_rows` call
+    per row tuple: the faces' tuples (i, *extra), then the identity and the
+    cone's subsets in increasing order."""
+    n, m = normals.shape
+
+    def projector(rows):
+        u = orthonormal_rows(normals[list(rows)])
+        return np.eye(m) - u.T @ u
+
+    faces = [
+        projector((i, *extra))
+        for i in range(n)
+        for k in range(n)
+        for extra in itertools.combinations([j for j in range(n) if j != i], k)
+    ]
+    cone = [np.eye(m)] + [
+        projector(subset)
+        for k in range(1, n + 1)
+        for subset in itertools.combinations(range(n), k)
+    ]
+    return faces, cone
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_face_projectors_match_reference(n):
+    for normals in (
+        random_cone(n, n, seed=20241, stream=n * 1000).normals,
+        random_cone(n, n, seed=77, stream=n).normals,
+        np.eye(n),
+    ):
+        face = FaceDistance(normals)
+        faces, cone = face_projectors_reference(normals)
+        assert (face._faces == face._stack(faces)).all()
+        assert (face._cone == face._stack(cone)).all()
 
 
 def test_run_batch_mixed_terminals_match_run():
