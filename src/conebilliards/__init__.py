@@ -1,8 +1,8 @@
 """Billiards in polyhedral cones.
 
 Exact event-driven simulation of a point billiard in a polyhedral cone,
-all the geometric constants of the cone (inscribed-ball radius, capacity,
-charges, nondegeneracy constant), the collision-count bounds built from
+all the geometric constants of the cone (the equal-margin radius d,
+capacity, charges, nondegeneracy constant), the collision-count bounds built from
 them, the sharp two-wall analysis, and the isomorphic hard-ball-on-a-line
 system used as an independent cross-check.
 """

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .constants import BoundsReport, bounds_report
+from .errors import InvalidState, ZeroVector
 from .geometry import ConeSpec, make_cone
 from .harness import ExperimentConfig, adversarial_search, ensemble_run, format_value
 from .hardball import HardBallSystem, conjugacy_check, simulate_balls
@@ -55,7 +56,13 @@ def _cmd_simulate(args) -> int:
     cone = load_cone(args.cone)
     q = _parse_floats(args.q)
     v = _parse_floats(args.v)
-    v = v / np.linalg.norm(v)
+    # Checked before the division, which would warn on 0/0 and inf/inf.
+    if not np.isfinite(v).all():
+        raise InvalidState("velocity components must be finite")
+    speed = np.linalg.norm(v)
+    if speed < 1e-12:
+        raise ZeroVector("the start velocity must be a nonzero vector")
+    v = v / speed
     rec = run(BilliardState(q=q, v=v), cone, max_steps=args.max_steps)
     verdict = None
     if args.audit:

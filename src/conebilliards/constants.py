@@ -3,7 +3,10 @@
 For a cone with n independent unit normals spanning R^n this module
 computes:
 
-* the inscribed-ball radius d and center direction e, from (e, a_i) = d;
+* the equal-margin radius d and center direction e, from (e, a_i) = d on
+  every wall: the inscribed ball's radius only when G^{-1} 1 >= 0, and
+  otherwise below it, since the largest ball about a unit vector in Q has
+  radius sin S(Q);
 * delta = min over unit y of max_i |(y, a_i)|, and psi = arcsin(delta);
 * the charge S(Q) = max over rays in Q of the least angle to a wall, the
   arrangement charge phi = min of S over all full-dimensional sign cones,
@@ -15,7 +18,6 @@ computes:
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -23,20 +25,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateArrangement, DimensionMismatch
-from .geometry import ConeSpec, GramMatrix, gram, make_cone, min_eigenvalue, reduce_to_span
+from .geometry import ConeSpec, GramMatrix, make_cone, reduce_to_span
 from . import minimax
 from .minimax import FaceDistance
 
 
 class EstimateMethod(enum.Enum):
     """How a constant was obtained: closed_form is exact up to rounding
-    (delta, phi, and C of wedges and orthants); multistart and grid_oracle
-    are the estimates from above that check the exact routes."""
+    (delta up to n = 16, phi, and C of wedges and orthants);
+    subset_enumeration is exact (S(Q)); multistart is an estimate from
+    above (delta past n = 16); branch_and_bound is a certified interval
+    (every other C)."""
 
     closed_form = "closed_form"
     subset_enumeration = "subset_enumeration"
     multistart = "multistart"
-    grid_oracle = "grid_oracle"
     branch_and_bound = "branch_and_bound"
 
 
@@ -47,8 +50,8 @@ class ConstantEstimate:
     `value` is always a valid estimate from above for minimization targets
     (exact for closed forms and enumerations); `certified_lower` is a lower
     bound when one is available: the value itself for a closed form, the
-    a-priori sqrt(lambda_min / n) for the multistart and grid routes, or
-    the larger end of a branch-and-bound certificate.  The constant lies in
+    a-priori sqrt(lambda_min / n) for the multistart route, or the larger
+    end of a branch-and-bound certificate.  The constant lies in
     [certified_lower, value].
     """
 
@@ -66,7 +69,12 @@ class ConstantEstimate:
 
 @dataclass(frozen=True, eq=False)
 class InscribedBall:
-    """Radius d and unit center direction e of the cone's inscribed ball."""
+    """Unit direction e at margin d from every wall, (e, a_i) = d.
+
+    This is the cone's inscribed ball (the largest ball about a unit
+    vector in Q) only when G^{-1} 1 >= 0; otherwise that ball is larger,
+    with radius sin S(Q) > d.
+    """
 
     d: float
     e: np.ndarray
@@ -137,6 +145,9 @@ def _require_square(cone: ConeSpec, what: str) -> None:
 def inscribed_ball(cone: ConeSpec) -> InscribedBall:
     """Solve (e, a_i) = d for the unit center e and radius d (n = m).
 
+    e lies in Q, but it is the centre of the inscribed ball only when
+    G^{-1} 1 >= 0; see `InscribedBall`.
+
     With A the matrix of normal columns, e^T A = d (1, ..., 1) gives
     d = 1 / ||(1, ..., 1) A^{-1}|| and e^T = d (1, ..., 1) A^{-1}.
     """
@@ -155,56 +166,29 @@ def inscribed_ball(cone: ConeSpec) -> InscribedBall:
     return InscribedBall(d=d, e=e)
 
 
-def capacity_delta(
-    cone: ConeSpec,
-    method: str = "auto",
-    n_starts: int = 256,
-    iters: int = 500,
-) -> ConstantEstimate:
+# delta's sign-vertex formula solves 2^(n-1) vertices; past this n the
+# multistart route estimates delta from above.
+_FORMULA_MAX_N = 16
+
+
+def capacity_delta(cone: ConeSpec) -> ConstantEstimate:
     """Capacity delta = min over unit y of max_i |(y, a_i)|; psi = arcsin(delta).
 
-    Methods: "enumeration" (the sign-vertex formula of
-    `minimax.min_max_abs_margin`, exact, default for n <= 16), "multistart"
-    (projected subgradient, estimate from above), "grid" (dense grid
-    oracle, dim <= 3).  The exact route reports its value as the certified
-    lower end; the other two report the a-priori sqrt(lambda_min / n).
+    Up to n = 16 the sign-vertex formula of `minimax.min_max_abs_margin`
+    gives delta exactly, and the value is its own certified lower end.
+    Past it, multistart projected subgradient descent gives an estimate
+    from above, with the a-priori sqrt(lambda_min / n) as the lower end.
     """
     _require_square(cone, "capacity_delta")
     n = cone.n_walls
-    lam = cone.lambda_min
-    lower = math.sqrt(max(lam, 0.0) / n)
-
-    if method == "auto":
-        method = "enumeration" if n <= 16 else "multistart"
-    if method == "enumeration":
+    lower = math.sqrt(max(cone.lambda_min, 0.0) / n)
+    if n <= _FORMULA_MAX_N:
         value, _ = minimax.min_max_abs_margin(cone.normals)
-        used = 1 << (n - 1)
-        how = EstimateMethod.closed_form
-    elif method == "multistart":
-        value, _, used = minimax.multistart_min_max_abs(
-            cone.normals, n_starts=n_starts, iters=iters
-        )
-        how = EstimateMethod.multistart
-    elif method == "grid":
-        at = cone.matrix
-
-        def f_batch(pts):
-            # Column by column: numpy reduces short rows slowly, and a
-            # maximum is exact in any order.
-            return functools.reduce(np.maximum, np.abs(pts @ at).T)
-
-        value, _ = minimax.sphere_grid_minimize(f_batch, cone.dim)
-        used = 0
-        how = EstimateMethod.grid_oracle
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+        value = float(min(max(value, lower - 1e-12), 1.0))
+        return ConstantEstimate(value, value, EstimateMethod.closed_form, 1 << (n - 1))
+    value, _, used = minimax.multistart_min_max_abs(cone.normals)
     value = float(min(max(value, lower - 1e-12), 1.0))
-    if how is EstimateMethod.closed_form:
-        lower = value
-    return ConstantEstimate(
-        value=value, certified_lower=lower, method=how, starts_used=used
-    )
+    return ConstantEstimate(value, lower, EstimateMethod.multistart, used)
 
 
 def charge_SQ(cone: ConeSpec) -> ConstantEstimate:
@@ -269,45 +253,33 @@ def _bfk_closed_form(cone: ConeSpec) -> float | None:
     return None
 
 
-def bfk_constant(
-    cone: ConeSpec,
-    method: str = "auto",
-    n_starts: int = 256,
-    iters: int = 500,
-) -> ConstantEstimate:
+def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     """Nondegeneracy constant C = min over unit y in Q of max_i dist(y, B_i).
 
-    Face distances are exact (active-set enumeration).  Methods for the
-    outer minimum over the sphere-in-cone:
+    Wedges and orthants have a closed form.  Otherwise face distances are
+    exact (active-set enumeration), and the outer minimum over the
+    sphere-in-cone is bracketed by the cube-sphere branch-and-bound, whose
+    cells carry a Lipschitz and a first-order lower bound, stopped once
+    hi - lo <= 1e-4.  A split cell's first-order bound is a linear minorant
+    on the whole sphere, so its children inherit it, and a child that it
+    closes is never evaluated (the bracket's `evaluations` counts evaluated
+    centres only).
 
-    * "auto": the closed form for wedges and orthants; otherwise a certified
-      interval from the cube-sphere branch-and-bound, whose cells carry a
-      Lipschitz and a first-order lower bound, stopped once hi - lo <= 1e-4.
-      A split cell's first-order bound is a linear minorant on the whole
-      sphere, so its children inherit it, and a child that it closes is
-      never evaluated (the bracket's `evaluations` counts evaluated
-      centres only).
-      Once its cells are small, an active-set Newton solve of the KKT
-      conditions gives a point, evaluated exactly, and multipliers lam
-      (faces) and nu >= 0 (walls) whose linear minorant
-      f(y) >= (sum lam_i g_i - sum nu_j a_j, y) holds on the whole cone
-      for any such multipliers, converged or not, and bounds every cell
-      near the minimizer.  `value` = hi, the best feasible centre or
-      Newton point, and `certified_lower` = max(lo, sqrt(lambda_min / n)),
-      so value - certified_lower <= 1e-4.
-      Only when the work budget cuts the search (none of the cones
-      measured at n <= 8) is the interval wider; then a
-      projected-subgradient polish runs from the 16 best centres plus the
-      `n_starts` multistart starts, and `starts_used` counts them (0
-      otherwise).
-    * "multistart": projected subgradient descent from `n_starts` Sobol
-      starts, an estimate from above.
-    * "grid": the dense grid oracle, dimension at most 3.
+    Once its cells are small, an active-set Newton solve of the KKT
+    conditions gives a point, evaluated exactly, and multipliers lam
+    (faces) and nu >= 0 (walls) whose linear minorant
+    f(y) >= (sum lam_i g_i - sum nu_j a_j, y) holds on the whole cone for
+    any such multipliers, converged or not, and bounds every cell near the
+    minimizer.  `value` = hi, the best feasible centre or Newton point, and
+    `certified_lower` = max(lo, sqrt(lambda_min / n)), so
+    value - certified_lower <= 1e-4.
 
-    The last two are the independent oracles that check the first; their
-    `certified_lower` is the a-priori sqrt(lambda_min / n).  Any feasible
-    evaluation is <= 1 because the apex belongs to every face, so
-    0 < C <= 1 always holds for the value.
+    Only when the work budget cuts the search (none of the cones measured
+    at n <= 7; two of three at n = 8) is the interval wider; then a
+    projected-subgradient polish runs from the 16 best centres plus the
+    multistart route's Sobol starts, and `starts_used` counts them (0
+    otherwise).  Any feasible evaluation is <= 1 because the apex belongs
+    to every face, so 0 < C <= 1 always holds for the value.
     """
     _require_square(cone, "bfk_constant")
     n = cone.n_walls
@@ -316,53 +288,28 @@ def bfk_constant(
     if n == 1:
         # dist(y, {0}) = ||y|| = 1 on the unit sphere.
         return ConstantEstimate(1.0, lower, EstimateMethod.closed_form, 0)
-    if method == "auto":
-        closed = _bfk_closed_form(cone)
-        if closed is not None:
-            return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
+    closed = _bfk_closed_form(cone)
+    if closed is not None:
+        return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
 
     face = FaceDistance(cone.normals)
     seed = inscribed_ball(cone).e
-    if method == "auto":
-        bracket = minimax.branch_and_bound_min_max_face_distance(face, seed)
-        value, used = bracket.hi, 0
-        if not bracket.complete:
-            # The budget cut the search: polish from the best centres plus
-            # the multistart route's starts, since coarse cells can leave
-            # the best centres far from the minimum.
-            starts = np.vstack([bracket.best, minimax.sphere_starts(cone.dim, max(1, n_starts - 1))])
-            polished, _, used = minimax.multistart_min_max_face_distance(
-                face, seed, iters=iters, starts=starts
-            )
-            value = min(value, polished)
-        lower = max(lower, bracket.lo)
-        how = EstimateMethod.branch_and_bound
-    elif method == "multistart":
-        value, _, used = minimax.multistart_min_max_face_distance(
-            face, seed, n_starts=n_starts, iters=iters
-        )
-        how = EstimateMethod.multistart
-    elif method == "grid":
-        at = cone.matrix
-
-        def f_batch(pts):
-            vals = np.full(pts.shape[0], np.inf)
-            ok = functools.reduce(np.minimum, (pts @ at).T) >= -1e-12
-            if ok.any():
-                vals[ok] = face.max_face_distance(pts[ok])
-            return vals
-
-        value, _ = minimax.sphere_grid_minimize(f_batch, cone.dim, seeds=seed[None, :])
-        how = EstimateMethod.grid_oracle
-        used = 0
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    bracket = minimax.branch_and_bound_min_max_face_distance(face, seed)
+    value, used = bracket.hi, 0
+    if not bracket.complete:
+        # The budget cut the search: polish from the best centres plus the
+        # multistart route's starts, since coarse cells can leave the best
+        # centres far from the minimum.
+        starts = np.vstack([bracket.best, minimax.sphere_starts(cone.dim, minimax.N_STARTS - 1)])
+        polished, _, used = minimax.multistart_min_max_face_distance(face, seed, starts=starts)
+        value = min(value, polished)
+    lower = max(lower, bracket.lo)
 
     if not 0.0 < value <= 1.0 + 1e-9:
         raise DegenerateArrangement(f"nondegeneracy constant {value} outside (0, 1]")
     value = min(value, 1.0)
     value = max(value, lower - 1e-12)
-    return ConstantEstimate(value, min(lower, value), how, used)
+    return ConstantEstimate(value, min(lower, value), EstimateMethod.branch_and_bound, used)
 
 
 def tridiagonal_case(g) -> tuple[bool, int | None]:

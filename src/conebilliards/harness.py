@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,7 +157,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     max_steps_override: int | None = None
-    search_budget: int = 0
     output_path: str | None = None
     format: str = "csv"
     # Trajectories per cone; defaults to `trials` when unset.

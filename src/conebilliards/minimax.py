@@ -10,7 +10,8 @@ from cone geometry:
   max over unit u of min_i (u, a_i), valid because every optimizer lies in
   the span of its active normals with equal margins;
 * deterministic multistart projected subgradient descent with step halving,
-  vectorized across starts;
+  vectorized across starts: delta's route past the formula's range, and
+  the polish of a budget-cut branch-and-bound bracket;
 * a cube-sphere branch-and-bound (after Piyavskii 1972; Shubert 1972)
   that brackets the minimum of the largest face distance over
   sphere-in-cone to 1e-4, with a Lipschitz and a first-order lower bound
@@ -21,8 +22,8 @@ from cone geometry:
   face distance on the whole cone; the minorant is valid for any
   multipliers of the right signs, so the certificate never rests on the
   solve converging;
-* dense grid oracles (circle / Fibonacci sphere) with a local zoom stage,
-  for dimensions 2 and 3.
+* dense grid minimization (circle / Fibonacci sphere) with a local zoom
+  stage, for dimensions 2 and 3, which the test oracles build on.
 """
 
 from __future__ import annotations
@@ -38,6 +39,20 @@ from .geometry import gram_schmidt_row, orthonormal_rows
 
 # Fixed scramble seed: starts are low-discrepancy yet reproducible.
 _SOBOL_SEED = 20090
+# Starts (Sobol points, plus the interior seed for face distances) and the
+# iteration cap of the multistart routes; their first step lengths for
+# max |margin| and for face distances; and the iterations without
+# improvement after which the face-distance route stops.
+N_STARTS = 256
+_ITERS = 500
+_ABS_STEP0 = 0.5
+_FACE_STEP0 = 0.25
+_STALL_LIMIT = 60
+# Global grid points of the grid minimization (circle for dim 2, Fibonacci
+# sphere for dim 3), and points per axis of each local zoom.
+_CIRCLE_POINTS = 200_000
+_FIBONACCI_POINTS = 1 << 20
+_ZOOM_STEPS = 201
 _FEAS_TOL = 1e-9
 # Multiply-adds per matrix product in the blocked loops below.  OpenBLAS
 # keeps a product of up to 2^18 on one thread (its default multithreading
@@ -76,7 +91,8 @@ _KKT_TIE = 1e-9
 _PUSH = 1e-15
 # Work budget of the branch-and-bound, in face projections (a point costs
 # n 2^(n-1)): about 6 s on one core at n = 6; the cones measured at
-# n = 6..8 used at most 56% of it, those at n <= 5 under 1%.
+# n = 6, 7 used at most 56% of it, those at n <= 5 under 1%, and two of
+# the three at n = 8 ran out of it.
 _BNB_PROJECTIONS = 1 << 26
 # Points per distances_and_feet call in max_face_distance and in the
 # branch-and-bound, which bounds the feet array (k, n, m).
@@ -189,26 +205,22 @@ def min_max_abs_margin(normals: np.ndarray):
 # Multistart projected subgradient descent
 # ---------------------------------------------------------------------------
 
-def multistart_min_max_abs(
-    normals: np.ndarray,
-    n_starts: int = 256,
-    iters: int = 500,
-    step0: float = 0.5,
-):
+def multistart_min_max_abs(normals: np.ndarray):
     """Multistart subgradient route for min over the sphere of max |margin|.
 
-    All starts advance in lockstep as one array; a start that fails to
-    improve halves its step.  Returns (value, argmin vector, starts used).
+    All N_STARTS Sobol starts advance in lockstep as one array; a start
+    that fails to improve halves its step.  Returns (value, argmin vector,
+    starts used).
     """
     arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
     m = arr.shape[1]
-    y = sphere_starts(m, n_starts)
+    y = sphere_starts(m, N_STARTS)
     margins = y @ arr.T
     f = np.abs(margins).max(axis=1)
-    eta = np.full(n_starts, step0)
-    for _ in range(iters):
+    eta = np.full(N_STARTS, _ABS_STEP0)
+    rows = np.arange(N_STARTS)
+    for _ in range(_ITERS):
         idx = np.abs(margins).argmax(axis=1)
-        rows = np.arange(n_starts)
         s = np.sign(margins[rows, idx])
         s[s == 0.0] = 1.0
         grad = s[:, None] * arr[idx]
@@ -223,7 +235,7 @@ def multistart_min_max_abs(
         if eta.max() < 1e-14:
             break
     best = int(f.argmin())
-    return float(f[best]), y[best].copy(), n_starts
+    return float(f[best]), y[best].copy(), N_STARTS
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +255,18 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(golden * i), r * np.sin(golden * i), z], axis=1)
 
 
-def _tangent_zoom(f_batch, center: np.ndarray, radius: float, steps: int):
+def _tangent_zoom(f_batch, center: np.ndarray, radius: float):
     """Evaluate f on a tangent-plane grid around a sphere point, normalized."""
     m = center.shape[0]
     base = np.zeros(m)
     base[int(np.abs(center).argmin())] = 1.0
     t1 = base - (base @ center) * center
     t1 /= np.linalg.norm(t1)
+    offs = np.linspace(-radius, radius, _ZOOM_STEPS)
     if m == 2:
-        offs = np.linspace(-radius, radius, steps)
         pts = center[None, :] + offs[:, None] * t1[None, :]
     else:
-        t2 = np.cross(center, t1) if m == 3 else None
-        offs = np.linspace(-radius, radius, steps)
+        t2 = np.cross(center, t1)
         uu, vv = np.meshgrid(offs, offs, indexing="ij")
         pts = (
             center[None, :]
@@ -268,28 +279,20 @@ def _tangent_zoom(f_batch, center: np.ndarray, radius: float, steps: int):
     return float(vals[j]), pts[j].copy()
 
 
-def sphere_grid_minimize(
-    f_batch,
-    dim: int,
-    coarse_count: int | None = None,
-    seeds: np.ndarray | None = None,
-    zoom_steps: int = 201,
-):
+def sphere_grid_minimize(f_batch, dim: int, seeds: np.ndarray | None = None):
     """Two-stage dense-grid minimization of f over the unit sphere.
 
     Stage one scans a global grid (circle for dim 2, Fibonacci sphere with
-    >= 2^20 points for dim 3) plus any caller-supplied seed points; stage
+    2^20 points for dim 3) plus any caller-supplied seed points; stage
     two re-scans a fine local grid around the incumbent.  `f_batch` maps an
     (k, dim) array to k values and may return +inf off its domain.
     """
     if dim == 2:
-        count = coarse_count or 200_000
-        grid = circle_points(count)
-        gap = 2.0 * math.pi / count
+        grid = circle_points(_CIRCLE_POINTS)
+        gap = 2.0 * math.pi / _CIRCLE_POINTS
     elif dim == 3:
-        count = coarse_count or (1 << 20)
-        grid = fibonacci_sphere(count)
-        gap = math.sqrt(4.0 * math.pi / count)
+        grid = fibonacci_sphere(_FIBONACCI_POINTS)
+        gap = math.sqrt(4.0 * math.pi / _FIBONACCI_POINTS)
     else:
         raise ValueError("grid oracle supports dim 2 and 3 only")
     if seeds is not None and len(seeds):
@@ -304,10 +307,10 @@ def sphere_grid_minimize(
     # Local zooms shrink the bracket geometrically around the incumbent.
     radius = 2.0 * gap
     for _ in range(2):
-        zv, zp = _tangent_zoom(f_batch, best_pt, radius, zoom_steps)
+        zv, zp = _tangent_zoom(f_batch, best_pt, radius)
         if zv < best_val:
             best_val, best_pt = zv, zp
-        radius = max(4.0 * radius / zoom_steps, 1e-12)
+        radius = max(4.0 * radius / _ZOOM_STEPS, 1e-12)
     return best_val, best_pt
 
 
@@ -421,25 +424,21 @@ class FaceDistance:
 def multistart_min_max_face_distance(
     face: FaceDistance,
     interior_seed: np.ndarray,
-    n_starts: int = 256,
-    iters: int = 500,
-    step0: float = 0.25,
-    stall_limit: int = 60,
     starts: np.ndarray | None = None,
 ):
     """Minimize max_i dist(y, B_i) over the unit sphere inside the cone.
 
-    Starts are `n_starts - 1` Sobol points, or the rows of `starts` when
+    Starts are N_STARTS - 1 Sobol points, or the rows of `starts` when
     given, plus `interior_seed`.  Iterates stay feasible: each step is
     projected back onto the cone and renormalized.  The reported value is
     the best feasible evaluation seen, hence always an estimate from above.
-    Stops early once the incumbent has not improved for `stall_limit`
+    Stops early once the incumbent has not improved for _STALL_LIMIT
     iterations (the best start's step has collapsed by then).  Returns
     (value, point, starts).
     """
     m = face.m
     if starts is None:
-        starts = sphere_starts(m, max(1, n_starts - 1))
+        starts = sphere_starts(m, N_STARTS - 1)
     y = face.project_to_cone(starts)
     norms = np.linalg.norm(y, axis=1)
     y[norms < 1e-9] = interior_seed
@@ -449,12 +448,12 @@ def multistart_min_max_face_distance(
 
     dists, feet = face.distances_and_feet(y)
     f = dists.max(axis=1)
-    eta = np.full(total, step0)
+    eta = np.full(total, _FACE_STEP0)
     best_val = float(f.min())
     best_y = y[int(f.argmin())].copy()
     rows = np.arange(total)
     stalled = 0
-    for _ in range(iters):
+    for _ in range(_ITERS):
         worst = dists.argmax(axis=1)
         # Subgradient of the active distance: unit vector from the face
         # projection toward the point.
@@ -482,7 +481,7 @@ def multistart_min_max_face_distance(
             stalled = 0
         else:
             stalled += 1
-            if stalled >= stall_limit:
+            if stalled >= _STALL_LIMIT:
                 break
         if eta.max() < 1e-14:
             break

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ceil_snapped
+from .constants import _wedge_angle, ceil_snapped
 from .errors import AlternationError, ConeMismatch, TooFewEvents, WrongWallCount
 from .geometry import ConeSpec, make_cone
 from .simulator import Terminal, TrajectoryRecord
@@ -31,8 +31,7 @@ def wedge_angle(cone: ConeSpec) -> float:
     """theta = arccos(-(a_1, a_2)) for a two-wall cone."""
     if cone.n_walls != 2:
         raise WrongWallCount(f"wedge operations need 2 walls, got {cone.n_walls}")
-    inner = float(cone.normals[0] @ cone.normals[1])
-    return math.acos(min(1.0, max(-1.0, -inner)))
+    return _wedge_angle(cone.gram_matrix)
 
 
 def wedge_from_cone(cone: ConeSpec) -> WedgeSpec:

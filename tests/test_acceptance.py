@@ -30,6 +30,7 @@ from conebilliards.harness import (
 )
 from conebilliards.simulator import run_batch
 from conebilliards.wedge import sharp_bound, wedge_from_angle
+from oracles import c_grid, c_multistart, delta_grid, delta_multistart
 
 CONE_SEED = 20240
 IC_SEED = 20241
@@ -131,10 +132,10 @@ def oracle_cones():
             cone = random_cone(m, m, seed=CONE_SEED + 2, stream=m * 1000 + c)
             out.append(
                 {
-                    "d_multi": capacity_delta(cone, method="multistart"),
-                    "d_grid": capacity_delta(cone, method="grid"),
-                    "c_multi": bfk_constant(cone, method="multistart"),
-                    "c_grid": bfk_constant(cone, method="grid"),
+                    "d_multi": delta_multistart(cone),
+                    "d_grid": delta_grid(cone),
+                    "c_multi": c_multistart(cone),
+                    "c_grid": c_grid(cone),
                     "c_auto": bfk_constant(cone),
                 }
             )
@@ -142,8 +143,8 @@ def oracle_cones():
 
 
 def test_criterion_5_oracle_agreement(oracle_cones):
-    worst_delta = max(abs(r["d_multi"].value - r["d_grid"].value) for r in oracle_cones)
-    worst_c = max(abs(r["c_multi"].value - r["c_grid"].value) for r in oracle_cones)
+    worst_delta = max(abs(r["d_multi"] - r["d_grid"]) for r in oracle_cones)
+    worst_c = max(abs(r["c_multi"] - r["c_grid"]) for r in oracle_cones)
     ok = worst_delta <= 1e-3 and worst_c <= 1e-3
     _criterion(
         5,
@@ -158,7 +159,7 @@ def test_certified_C_below_both_oracles(oracle_cones):
     # at m = 3) lies below every feasible evaluation of the oracles; 1e-12
     # covers rounding in those evaluations (up to 6e-16 on the wedges).
     worst = max(
-        r["c_auto"].certified_lower - min(r["c_grid"].value, r["c_multi"].value)
+        r["c_auto"].certified_lower - min(r["c_grid"], r["c_multi"])
         for r in oracle_cones
     )
     assert worst <= 1e-12, worst

@@ -64,6 +64,15 @@ def test_simulate_audit_with_fewer_walls_than_dimensions(tmp_path, capsys):
     assert doc["audit"]["all_passed"] is True
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("v", ["0,0", "inf,0"])
+def test_simulate_rejects_zero_or_non_finite_velocity(cone_file, v):
+    # Validated before v is scaled to unit speed, so no 0/0 or inf/inf
+    # warning comes first.
+    with pytest.raises(ConeBilliardsError):
+        main(["simulate", "--cone", cone_file, "--q", "1,2", f"--v={v}"])
+
+
 def test_simulate_round_trips_doubles(cone_file, capsys):
     main(["simulate", "--cone", cone_file, "--q", "1,2", "--v=-2,-1"])
     doc = json.loads(capsys.readouterr().out)

@@ -24,6 +24,7 @@ from conebilliards.simulator import run_batch
 from conebilliards.wedge import wedge_from_angle
 
 from conftest import cone_suite
+from oracles import c_grid, c_multistart, delta_grid, delta_multistart
 
 
 def wedge_cone(theta):
@@ -114,12 +115,11 @@ class TestCapacityDelta:
 
     def test_methods_agree(self):
         for cone in cone_suite((2, 3), 5, seed=42):
-            exact = capacity_delta(cone, method="enumeration")
-            multi = capacity_delta(cone, method="multistart")
-            grid = capacity_delta(cone, method="grid")
-            assert multi.value >= exact.value - 1e-9
-            assert abs(multi.value - exact.value) < 1e-3
-            assert abs(grid.value - exact.value) < 1e-3
+            exact = capacity_delta(cone).value
+            multi = delta_multistart(cone)
+            assert multi >= exact - 1e-9
+            assert abs(multi - exact) < 1e-3
+            assert abs(delta_grid(cone) - exact) < 1e-3
 
     def test_half_line(self):
         est = capacity_delta(make_cone(1, [[1.0]]))
@@ -205,7 +205,7 @@ class TestBfkConstant:
             est = bfk_constant(cone)
             assert est.method is EstimateMethod.closed_form
             assert est.certified_lower == est.value
-            assert est.value == pytest.approx(bfk_constant(cone, method="grid").value, abs=1e-6)
+            assert est.value == pytest.approx(c_grid(cone), abs=1e-6)
 
     def test_closed_form_orthants(self):
         for n in range(2, 9):
@@ -227,10 +227,10 @@ class TestBfkConstant:
             for c in range(25):
                 cone = random_cone(n, n, seed=20241, stream=n * 1000 + c)
                 est = bfk_constant(cone)
-                multi = bfk_constant(cone, method="multistart")
+                multi = c_multistart(cone)
                 assert est.method is EstimateMethod.branch_and_bound
-                assert est.certified_lower <= multi.value
-                assert est.value <= multi.value + 1e-4
+                assert est.certified_lower <= multi
+                assert est.value <= multi + 1e-4
                 assert est.certified_lower >= math.sqrt(cone.lambda_min / n)
                 # stopping rule of the branch-and-bound; a complete bracket
                 # needs no polish
@@ -245,7 +245,7 @@ class TestBfkConstant:
         cut = bfk_constant(cone)
         assert cut.method is EstimateMethod.branch_and_bound
         assert cut.starts_used > 256
-        assert cut.value <= bfk_constant(cone, method="multistart").value + 1e-9
+        assert cut.value <= c_multistart(cone) + 1e-9
         monkeypatch.undo()
         full = bfk_constant(cone)
         assert cut.certified_lower <= full.certified_lower <= full.value
@@ -254,8 +254,7 @@ class TestBfkConstant:
         # 256 Sobol starts stop at 0.146031 here; feasible points reach 0.14562
         est = bfk_constant(random_cone(4, 4, seed=20241, stream=4002))
         assert est.value <= 0.14570
-        multi = bfk_constant(random_cone(4, 4, seed=20241, stream=4002), method="multistart")
-        assert multi.value > 0.146
+        assert c_multistart(random_cone(4, 4, seed=20241, stream=4002)) > 0.146
 
 
 class TestTridiagonal:
@@ -341,14 +340,12 @@ class TestBoundsReport:
 
         cone = next(cone_suite((3,), 1, seed=53))
         exact = bounds_report(cone)
-
-        def multistart_delta(c):
-            return capacity_delta(c, method="multistart")
-
-        monkeypatch.setattr(constants, "capacity_delta", multistart_delta)
+        # n = 3 takes the multistart route that delta takes past n = 16
+        monkeypatch.setattr(constants, "_FORMULA_MAX_N", 2)
         rep = bounds_report(cone)
-        est = multistart_delta(cone)
+        est = capacity_delta(cone)
         assert est.method is EstimateMethod.multistart
+        assert est.value == delta_multistart(cone)
         assert est.certified_lower < est.value
         assert rep.delta == est.value
         assert rep.bound_dd == (4.0 / (rep.d * est.certified_lower)) ** 2

@@ -11,6 +11,7 @@ from conebilliards.constants import EstimateMethod, capacity_delta, charge_phi
 from conebilliards.geometry import make_cone, reduce_to_span
 from conebilliards.harness import random_cone
 from conebilliards.minimax import max_min_margin, min_max_abs_margin
+from oracles import delta_multistart
 
 
 def min_max_abs_margin_reference(normals):
@@ -94,5 +95,16 @@ def test_exact_past_the_enumeration_range(n):
     cone = random_cone(n, n, seed=20241, stream=n * 1000)
     est = capacity_delta(cone)
     assert est.method is EstimateMethod.closed_form
-    assert est.value <= capacity_delta(cone, method="multistart").value + 1e-12
+    assert est.value <= delta_multistart(cone) + 1e-12
     assert math.sin(charge_phi(cone).value) == pytest.approx(est.value, rel=1e-15)
+
+
+def test_multistart_past_the_formula_range():
+    # Past n = 16 delta comes from the library's one call of
+    # multistart_min_max_abs: an estimate from above, with the a-priori
+    # lower end.
+    cone = random_cone(17, 17, seed=20241, stream=17000)
+    est = capacity_delta(cone)
+    assert est.method is EstimateMethod.multistart
+    assert est.certified_lower == math.sqrt(cone.lambda_min / 17)
+    assert est.certified_lower <= est.value <= 1.0
