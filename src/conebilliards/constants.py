@@ -52,7 +52,9 @@ class ConstantEstimate:
     bound when one is available: the value itself for a closed form, the
     a-priori sqrt(lambda_min / n) for the multistart route, or the larger
     end of a branch-and-bound certificate.  The constant lies in
-    [certified_lower, value].
+    [certified_lower, value].  `starts_used` counts the sign vectors,
+    subsets or multistart starts the route solved; the branch-and-bound
+    and the closed forms of C report 0.
     """
 
     value: float
@@ -272,14 +274,12 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     any such multipliers, converged or not, and bounds every cell near the
     minimizer.  `value` = hi, the best feasible centre or Newton point, and
     `certified_lower` = max(lo, sqrt(lambda_min / n)), so
-    value - certified_lower <= 1e-4.
+    value - certified_lower <= 1e-4, and `starts_used` is 0.
 
-    Only when the work budget cuts the search (none of the cones measured
-    at n <= 7; two of three at n = 8) is the interval wider; then a
-    projected-subgradient polish runs from the 16 best centres plus the
-    multistart route's Sobol starts, and `starts_used` counts them (0
-    otherwise).  Any feasible evaluation is <= 1 because the apex belongs
-    to every face, so 0 < C <= 1 always holds for the value.
+    When the work budget cuts the search (none of the cones measured at
+    n <= 7; two of three at n = 8), the same two ends are returned and the
+    interval is only wider.  Any feasible evaluation is <= 1 because the
+    apex belongs to every face, so 0 < C <= 1 always holds for the value.
     """
     _require_square(cone, "bfk_constant")
     n = cone.n_walls
@@ -292,24 +292,17 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     if closed is not None:
         return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
 
-    face = FaceDistance(cone.normals)
-    seed = inscribed_ball(cone).e
-    bracket = minimax.branch_and_bound_min_max_face_distance(face, seed)
-    value, used = bracket.hi, 0
-    if not bracket.complete:
-        # The budget cut the search: polish from the best centres plus the
-        # multistart route's starts, since coarse cells can leave the best
-        # centres far from the minimum.
-        starts = np.vstack([bracket.best, minimax.sphere_starts(cone.dim, minimax.N_STARTS - 1)])
-        polished, _, used = minimax.multistart_min_max_face_distance(face, seed, starts=starts)
-        value = min(value, polished)
+    bracket = minimax.branch_and_bound_min_max_face_distance(
+        FaceDistance(cone.normals), inscribed_ball(cone).e
+    )
+    value = bracket.hi
     lower = max(lower, bracket.lo)
 
     if not 0.0 < value <= 1.0 + 1e-9:
         raise DegenerateArrangement(f"nondegeneracy constant {value} outside (0, 1]")
     value = min(value, 1.0)
     value = max(value, lower - 1e-12)
-    return ConstantEstimate(value, min(lower, value), EstimateMethod.branch_and_bound, used)
+    return ConstantEstimate(value, min(lower, value), EstimateMethod.branch_and_bound, 0)
 
 
 def tridiagonal_case(g) -> tuple[bool, int | None]:

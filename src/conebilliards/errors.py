@@ -46,7 +46,7 @@ class TooFewBalls(ConeBilliardsError):
 
 
 class NonpositiveMass(ConeBilliardsError):
-    """All ball masses must be strictly positive."""
+    """All ball masses must be finite and strictly positive."""
 
 
 class DegenerateSampling(ConeBilliardsError):

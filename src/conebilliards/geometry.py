@@ -24,6 +24,10 @@ from .errors import (
 NORM_WARN_TOL = 1e-6
 # Smallest singular value of the normal matrix below this is degenerate.
 INDEPENDENCE_TOL = 1e-9
+# Cyclic Jacobi stops once the off-diagonal Frobenius norm is below
+# _JACOBI_OFF_TOL, or after _JACOBI_MAX_SWEEPS sweeps.
+_JACOBI_OFF_TOL = 1e-13
+_JACOBI_MAX_SWEEPS = 100
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -95,36 +99,28 @@ class GramMatrix:
         return min_eigenvalue(self) > 0.0
 
 
-def jacobi_eigenvalues(
-    matrix: np.ndarray,
-    off_tol: float = 1e-13,
-    max_sweeps: int = 100,
-    with_vectors: bool = False,
-):
+def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps the upper triangle in fixed row-major order, annihilating one
     off-diagonal entry per rotation, until the off-diagonal Frobenius norm
-    drops below `off_tol`.  Returns eigenvalues sorted ascending; with
-    `with_vectors` also returns the orthogonal matrix whose columns are the
-    matching eigenvectors.
+    drops below _JACOBI_OFF_TOL (at most _JACOBI_MAX_SWEEPS sweeps).
+    Returns the eigenvalues sorted ascending.
     """
     a = np.array(matrix, dtype=np.float64, copy=True)
     n = a.shape[0]
     if a.shape != (n, n):
         raise DimensionMismatch("eigensolver needs a square matrix")
     if n == 1:
-        vals = a.diagonal().copy()
-        return (vals, np.eye(1)) if with_vectors else vals
+        return a.diagonal().copy()
 
     # Rotations run on Python float rows: the same IEEE operations as
     # numpy slices, in the same order, without per-slice call overhead.
     rows = a.tolist()
-    vecs = np.eye(n).tolist() if with_vectors else None
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         a = np.array(rows)
         off = math.sqrt(max(0.0, (a * a).sum() - (a.diagonal() ** 2).sum()))
-        if off < off_tol:
+        if off < _JACOBI_OFF_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -149,19 +145,9 @@ def jacobi_eigenvalues(
                     r[q] = s * x + c * y
                 rows[p][q] = 0.0
                 rows[q][p] = 0.0
-                if vecs is not None:
-                    for r in vecs:
-                        x = r[p]
-                        y = r[q]
-                        r[p] = c * x - s * y
-                        r[q] = s * x + c * y
 
     diagonal = np.array([rows[i][i] for i in range(n)])
-    order = np.argsort(diagonal, kind="stable")
-    vals = diagonal[order]
-    if with_vectors:
-        return vals, np.array(vecs)[:, order]
-    return vals
+    return diagonal[np.argsort(diagonal, kind="stable")]
 
 
 def make_cone(dim: int, normals) -> ConeSpec:

@@ -23,9 +23,15 @@ PAIR_TIE_TOL = 1e-12
 APPROACH_TOL = 1e-12
 
 
+def _check_masses(masses: np.ndarray) -> None:
+    if not (np.isfinite(masses) & (masses > 0.0)).all():
+        raise NonpositiveMass("all masses must be finite and positive")
+
+
 @dataclass(frozen=True, eq=False)
 class HardBallSystem:
-    """Point balls on a line: masses, strictly increasing positions, velocities."""
+    """Point balls on a line: masses, strictly increasing positions, velocities,
+    all finite."""
 
     masses: np.ndarray
     positions: np.ndarray
@@ -41,8 +47,9 @@ class HardBallSystem:
             raise TooFewBalls("need at least two balls")
         if len(self.positions) != n or len(self.velocities) != n:
             raise InvalidState("masses, positions, velocities must have equal length")
-        if np.any(self.masses <= 0.0):
-            raise NonpositiveMass("all masses must be positive")
+        _check_masses(self.masses)
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.velocities).all()):
+            raise InvalidState("positions and velocities must be finite")
         if np.any(np.diff(self.positions) <= 0.0):
             raise InvalidState("positions must be strictly increasing")
 
@@ -112,8 +119,7 @@ def balls_to_cone(masses) -> tuple[ConeSpec, CoordinateMap]:
     m = np.asarray(masses, dtype=np.float64)
     if len(m) < 2:
         raise TooFewBalls("need at least two balls")
-    if np.any(m <= 0.0):
-        raise NonpositiveMass("all masses must be positive")
+    _check_masses(m)
     n = len(m)
     normals = np.zeros((n - 1, n))
     for i in range(n - 1):
@@ -128,6 +134,7 @@ def simulate_balls(system: HardBallSystem, max_events: int | None = None) -> Bal
 
     Two leading collision times within relative tolerance form a multiple
     contact, reported as Terminal.CORNER_HIT exactly like the cone simulator.
+    Raises InvalidState for a budget below 1, as `run` does.
     """
     x = np.array(system.positions)
     v = np.array(system.velocities)
@@ -136,6 +143,8 @@ def simulate_balls(system: HardBallSystem, max_events: int | None = None) -> Bal
     if max_events is None:
         cone, _ = balls_to_cone(m)
         max_events = step_cap(n - 1, cone.lambda_min)
+    if max_events < 1:
+        raise InvalidState("max_events must be >= 1")
 
     t = 0.0
     events = []

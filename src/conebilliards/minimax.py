@@ -11,7 +11,7 @@ from cone geometry:
   the span of its active normals with equal margins;
 * deterministic multistart projected subgradient descent with step halving,
   vectorized across starts: delta's route past the formula's range, and
-  the polish of a budget-cut branch-and-bound bracket;
+  for face distances the multistart oracle that the tests check C against;
 * a cube-sphere branch-and-bound (after Piyavskii 1972; Shubert 1972)
   that brackets the minimum of the largest face distance over
   sphere-in-cone to 1e-4, with a Lipschitz and a first-order lower bound
@@ -59,10 +59,8 @@ _FEAS_TOL = 1e-9
 # threshold); larger ones start its threads, which doubled the CPU time per
 # face-distance point at n = 5 and 6 and made wall time erratic.
 _BLOCK_ENTRIES = 1 << 18
-# Stopping gap of the branch-and-bound (absolute), and the number of best
-# feasible centres it keeps.
+# Stopping gap of the branch-and-bound (absolute).
 _BNB_ATOL = 1e-4
-_BNB_KEEP = 16
 # Frank-Wolfe steps for the weights of the first-order cell bound, and the
 # rounding error allowed in a projection foot: against 40-digit projections
 # it was at most 5.2e-15 at 960 points of random_cone(n, n, 20241, n*1000+k),
@@ -92,7 +90,8 @@ _PUSH = 1e-15
 # Work budget of the branch-and-bound, in face projections (a point costs
 # n 2^(n-1)): about 6 s on one core at n = 6; the cones measured at
 # n = 6, 7 used at most 56% of it, those at n <= 5 under 1%, and two of
-# the three at n = 8 ran out of it.
+# the three at n = 8 ran out of it.  A cut search returns a wider bracket,
+# still certified, and C is that bracket as on every other cone.
 _BNB_PROJECTIONS = 1 << 26
 # Points per distances_and_feet call in max_face_distance and in the
 # branch-and-bound, which bounds the feet array (k, n, m).
@@ -421,25 +420,20 @@ class FaceDistance:
         return self._nearest_feasible(pts, self._cone, 1)[1][:, 0]
 
 
-def multistart_min_max_face_distance(
-    face: FaceDistance,
-    interior_seed: np.ndarray,
-    starts: np.ndarray | None = None,
-):
+def multistart_min_max_face_distance(face: FaceDistance, interior_seed: np.ndarray):
     """Minimize max_i dist(y, B_i) over the unit sphere inside the cone.
 
-    Starts are N_STARTS - 1 Sobol points, or the rows of `starts` when
-    given, plus `interior_seed`.  Iterates stay feasible: each step is
-    projected back onto the cone and renormalized.  The reported value is
-    the best feasible evaluation seen, hence always an estimate from above.
-    Stops early once the incumbent has not improved for _STALL_LIMIT
-    iterations (the best start's step has collapsed by then).  Returns
-    (value, point, starts).
+    The multistart oracle that the tests check C against; the library
+    takes C from `branch_and_bound_min_max_face_distance` alone.  Starts
+    are N_STARTS - 1 Sobol points plus `interior_seed`.  Iterates stay
+    feasible: each step is projected back onto the cone and renormalized.
+    The reported value is the best feasible evaluation seen, hence always
+    an estimate from above.  Stops early once the incumbent has not
+    improved for _STALL_LIMIT iterations (the best start's step has
+    collapsed by then).  Returns (value, point, starts).
     """
     m = face.m
-    if starts is None:
-        starts = sphere_starts(m, N_STARTS - 1)
-    y = face.project_to_cone(starts)
+    y = face.project_to_cone(sphere_starts(m, N_STARTS - 1))
     norms = np.linalg.norm(y, axis=1)
     y[norms < 1e-9] = interior_seed
     y = np.vstack([y, interior_seed[None, :]])
@@ -825,14 +819,14 @@ def _open_cells(x, which, half, signs, at, carried, minorants, top):
     return (x[alive], which[alive], c[alive], r[alive], margin[alive], prior[alive]), least
 
 
-def _keep_best(best_f, best, f, points):
-    """The _BNB_KEEP points of least f among both sets, in increasing f."""
-    if len(best_f) == _BNB_KEEP and not (np.asarray(f) < best_f[-1]).any():
-        return best_f, best
-    best_f = np.concatenate([best_f, f])
-    best = np.vstack([best, points])
-    order = np.argsort(best_f, kind="stable")[:_BNB_KEEP]
-    return best_f[order], best[order]
+def _keep_best(hi, best, f, points):
+    """(hi, best), or the first point (row of `points`) of least f when its
+    f is below hi."""
+    if len(f):
+        k = int(np.argmin(f))
+        if f[k] < hi:
+            return float(f[k]), points[k]
+    return hi, best
 
 
 def _kept_point(face: FaceDistance, y, inward):
@@ -840,10 +834,7 @@ def _kept_point(face: FaceDistance, y, inward):
 
     y moves toward the interior point `inward` until every margin is at
     least _PUSH (by about _PUSH / the least margin of `inward`, which
-    bounds the change in f) and is normalized.  The polish normalizes its
-    starts again, which can move a point by an ulp, back and forth between
-    two points; of the two, the one of larger f is kept, so that its
-    renormalized start is no worse than hi.
+    bounds the change in f) and is normalized.
     """
     at = face.normals.T
     pair = np.vstack([y, y])
@@ -854,12 +845,9 @@ def _kept_point(face: FaceDistance, y, inward):
             return None
         pair = pair + (2.0 * _PUSH - margin) / depth * inward
     pair = _normalize_rows(pair)
-    pair[1] = _normalize_rows(pair)[0]
     if (pair @ at).min() < 0.0:
         return None
-    f = face.max_face_distance(pair)
-    k = int(f.argmax())
-    return pair[k], f[k]
+    return pair[0], face.max_face_distance(pair)[0]
 
 
 class Bracket(NamedTuple):
@@ -868,7 +856,7 @@ class Bracket(NamedTuple):
 
     lo: float
     hi: float
-    # Up to 16 feasible points of least f, in increasing f; best[0] attains hi.
+    # The feasible unit point that attains hi.
     best: np.ndarray
     # Centres (and the seed) whose face distances were computed.
     evaluations: int
@@ -917,9 +905,8 @@ def branch_and_bound_min_max_face_distance(
     bound of the cells that stopped, so hi - lo <= 1e-4 up to a 1e-12
     allowance for rounding.  If the children left open would take the
     work past 2^26 face projections (n 2^(n-1) per evaluation), the split
-    cells stop too, the bracket is wider and `complete` is False; the best
-    feasible centres, `interior_seed` among them, are then the starts of a
-    local polish.
+    cells stop too, and the bracket is wider but still certified, with
+    `complete` False.
     """
     m = face.m
     at = face.normals.T
@@ -928,8 +915,8 @@ def branch_and_bound_min_max_face_distance(
     q = len(signs)
     max_points = _BNB_PROJECTIONS // (face.n << (face.n - 1))
     complete = True
-    best = np.atleast_2d(interior_seed)
-    best_f = face.max_face_distance(best)
+    best = interior_seed
+    hi = float(face.max_face_distance(interior_seed[None])[0])
     evaluations = 1
     # Minorants from the KKT solves (rows, less their slacks), and the hi
     # below which the solve runs again.
@@ -952,14 +939,14 @@ def branch_and_bound_min_max_face_distance(
             dists, feet = face.distances_and_feet(cb)
             f = dists.max(axis=1)
             feasible = margin[block] >= 0.0
-            best_f, best = _keep_best(best_f, best, f[feasible], cb[feasible])
+            hi, best = _keep_best(hi, best, f[feasible], cb[feasible])
             # 1e-12 absorbs rounding in f and r, far below the stopping gap.
             low = np.maximum(f - rb - 1e-12, prior[block])
             # hi can only fall later in the level, so these include every
             # cell that the Lipschitz bound and the minorants would split.
-            weak = low < best_f[0] - _BNB_ATOL
+            weak = low < hi - _BNB_ATOL
             # Past this target a cell stops.
-            target = best_f[0] - _BNB_ATOL + 1e-12
+            target = hi - _BNB_ATOL + 1e-12
             if not may_stop:
                 # The first-order bound is at most cos(rho) f(c), because
                 # (g_i, c) = f_i(c); below the target it would split anyway.
@@ -971,23 +958,23 @@ def branch_and_bound_min_max_face_distance(
                 low[weak] = np.maximum(low[weak], first - 1e-12)
             lower[block] = low
         evaluations += len(c)
-        split = lower < best_f[0] - _BNB_ATOL
-        if split.any() and r.max() <= _NEWTON_RADIUS and best_f[0] < newton_top:
-            found = _kkt_point(face, best[0], min(float(r.max()), 0.5 * float(best_f[0])))
-            newton_top = float(best_f[0]) - _BNB_ATOL
+        split = lower < hi - _BNB_ATOL
+        if split.any() and r.max() <= _NEWTON_RADIUS and hi < newton_top:
+            found = _kkt_point(face, best, min(float(r.max()), 0.5 * hi))
+            newton_top = hi - _BNB_ATOL
             if found is not None:
-                if found.dists.max() < best_f[0]:
+                if found.dists.max() < hi:
                     kept = _kept_point(face, found.y, interior_seed)
                     if kept is not None:
-                        best_f, best = _keep_best(best_f, best, [kept[1]], kept[0][None])
-                        newton_top = float(best_f[0])
+                        hi, best = _keep_best(hi, best, [kept[1]], kept[0][None])
+                        newton_top = hi
                 bound = _minorant(found, face.normals)
                 if bound is not None:
                     gs = np.vstack([gs, bound[0]])
                     slacks = np.append(slacks, bound[1])
                     fresh = _minorant_lower(c, r, gs[-1:], slacks[-1:])
                     lower = np.maximum(lower, fresh - 1e-12)
-            split = lower < best_f[0] - _BNB_ATOL
+            split = lower < hi - _BNB_ATOL
         if not split.all():
             lo = min(lo, float(lower[~split].min()))
         # The children left open, screened in blocks of parents: each
@@ -998,7 +985,7 @@ def branch_and_bound_min_max_face_distance(
         for p in (rows[s : s + step] for s in range(0, len(rows), step)):
             kx = (x[p, None, :] + half * offsets[which[p]]).reshape(-1, m)
             carried = np.repeat(grads[p], q, axis=0), np.repeat(slack[p], q)
-            top = best_f[0] - _BNB_ATOL
+            top = hi - _BNB_ATOL
             cells, least = _open_cells(kx, np.repeat(which[p], q), half, signs, at, carried, (gs, slacks), top)
             lo = min(lo, least)
             kids.append(cells)
@@ -1012,4 +999,4 @@ def branch_and_bound_min_max_face_distance(
             cells = [np.concatenate(part) for part in zip(*kids)]
     if not math.isfinite(lo):
         raise DegenerateArrangement("branch-and-bound found no cell inside the cone")
-    return Bracket(lo, float(best_f[0]), best, evaluations, complete)
+    return Bracket(lo, hi, best, evaluations, complete)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conebilliards.cli import main
-from conebilliards.errors import ConeBilliardsError
+from conebilliards.errors import ConeBilliardsError, InvalidState, NonpositiveMass
 
 
 @pytest.fixture
@@ -138,3 +138,21 @@ def test_hardball_conjugacy(capsys):
     assert len(doc["events"]) == 3
     assert doc["conjugacy"]["matched"] is True
     assert doc["conjugacy"]["pair_sequence"] == doc["conjugacy"]["wall_sequence"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--positions", "0,1", "--velocities=inf,-1"], InvalidState),
+        (["--positions", "0,nan", "--velocities=1,-1"], InvalidState),
+        (["--masses", "1,nan", "--positions", "0,1", "--velocities=1,-1"], NonpositiveMass),
+        (["--positions", "0,1", "--velocities=1,-1", "--max-events", "-2"], InvalidState),
+    ],
+)
+def test_hardball_rejects_invalid_input(flags, error):
+    # Rejected before any arithmetic, so no NaN reaches the output.
+    if "--masses" not in flags:
+        flags = ["--masses", "1,1", *flags]
+    with pytest.raises(error):
+        main(["hardball", *flags])

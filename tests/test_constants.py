@@ -20,6 +20,7 @@ from conebilliards.constants import (
 from conebilliards.errors import DegenerateArrangement, DimensionMismatch
 from conebilliards.geometry import gram, make_cone
 from conebilliards.harness import interior_starts, make_rng, random_cone
+from conebilliards.minimax import FaceDistance
 from conebilliards.simulator import run_batch
 from conebilliards.wedge import wedge_from_angle
 
@@ -232,23 +233,30 @@ class TestBfkConstant:
                 assert est.certified_lower <= multi
                 assert est.value <= multi + 1e-4
                 assert est.certified_lower >= math.sqrt(cone.lambda_min / n)
-                # stopping rule of the branch-and-bound; a complete bracket
-                # needs no polish
+                # stopping rule of the branch-and-bound
                 assert est.value - est.certified_lower <= 1e-4 + 1e-12
                 assert est.starts_used == 0
 
-    def test_budget_cut_adds_multistart_starts(self, monkeypatch):
+    def test_budget_cut_reports_its_bracket(self, monkeypatch):
+        # A cut search is reported as it stands, like a complete one: value
+        # is the bracket's hi, and no starts are drawn.
         from conebilliards import minimax
 
         cone = random_cone(4, 4, seed=20241, stream=4000)
         monkeypatch.setattr(minimax, "_BNB_PROJECTIONS", 32 * 100)
+        bracket = minimax.branch_and_bound_min_max_face_distance(
+            FaceDistance(cone.normals), inscribed_ball(cone).e
+        )
         cut = bfk_constant(cone)
+        assert not bracket.complete
         assert cut.method is EstimateMethod.branch_and_bound
-        assert cut.starts_used > 256
-        assert cut.value <= c_multistart(cone) + 1e-9
+        assert cut.value == bracket.hi
+        assert cut.starts_used == 0
+        assert cut.certified_lower == max(bracket.lo, math.sqrt(cone.lambda_min / 4))
+        assert cut.certified_lower == 0.1165542345226962
         monkeypatch.undo()
         full = bfk_constant(cone)
-        assert cut.certified_lower <= full.certified_lower <= full.value
+        assert cut.certified_lower <= full.value <= cut.value
 
     def test_pinned_multistart_miss(self):
         # 256 Sobol starts stop at 0.146031 here; feasible points reach 0.14562
@@ -398,22 +406,31 @@ def test_bounds_past_float_range_are_infinite():
 
 
 def test_bounds_report_imports_no_scipy():
+    # Also with a budget of 100 evaluations, which cuts the search on
+    # stream 5000: C is still reported without scipy.
     import subprocess
     import textwrap
 
-    code = textwrap.dedent(
-        """
-        import sys
-        import conebilliards
-        cone = conebilliards.random_cone(5, 5, seed=20241, stream=5000)
-        conebilliards.bounds_report(cone)
-        print(any(name.split(".")[0] == "scipy" for name in sys.modules))
-        """
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+    for budget in (None, 100 * 5 * 16):
+        code = textwrap.dedent(
+            f"""
+            import sys
+            import conebilliards
+            from conebilliards import minimax
+            if {budget} is not None:
+                minimax._BNB_PROJECTIONS = {budget}
+            cone = conebilliards.random_cone(5, 5, seed=20241, stream=5000)
+            conebilliards.bounds_report(cone)
+            print(any(name.split(".")[0] == "scipy" for name in sys.modules))
+            face = minimax.FaceDistance(cone.normals)
+            seed = conebilliards.constants.inscribed_ball(cone).e
+            print(minimax.branch_and_bound_min_max_face_distance(face, seed).complete)
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["False", str(budget is None)]
 
 
 def test_constant_estimate_validates_certificate():

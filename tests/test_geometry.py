@@ -113,13 +113,6 @@ class TestMinEigenvalue:
             ref = np.linalg.eigvalsh(s)
             np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-10)
 
-    def test_eigenvectors_reconstruct(self):
-        rng = make_rng(13, 0)
-        a = rng.standard_normal((5, 5))
-        s = 0.5 * (a + a.T)
-        vals, vecs = jacobi_eigenvalues(s, with_vectors=True)
-        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, s, atol=1e-10)
-
 
 class TestReduceToSpan:
     def test_coordinate_subspace(self):

@@ -138,6 +138,34 @@ class TestSimulateBalls:
                 velocities=np.array([0.0]),
             )
 
+    @pytest.mark.parametrize(
+        "positions, velocities",
+        [
+            ([0, math.nan], [1, -1]),
+            ([0, math.inf], [1, -1]),
+            ([-math.inf, 0], [1, -1]),
+            ([0, 1], [math.inf, -1]),
+            ([0, 1], [1, math.nan]),
+            ([0, 1], [1, -math.inf]),
+        ],
+    )
+    def test_rejects_non_finite_state(self, positions, velocities):
+        with pytest.raises(InvalidState, match="finite"):
+            system([1, 1], positions, velocities)
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_rejects_non_finite_mass(self, mass):
+        with pytest.raises(NonpositiveMass, match="finite and positive"):
+            system([1, mass], [0, 1], [1, -1])
+        with pytest.raises(NonpositiveMass, match="finite and positive"):
+            balls_to_cone([1.0, mass])
+
+    @pytest.mark.parametrize("max_events", [0, -2])
+    def test_rejects_event_budget_below_one(self, max_events):
+        # as run and run_batch reject max_steps < 1
+        with pytest.raises(InvalidState):
+            simulate_balls(system([1, 1], [0, 1], [1, -1]), max_events=max_events)
+
 
 class TestConjugacy:
     def test_equal_masses(self):
