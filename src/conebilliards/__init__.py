@@ -29,6 +29,7 @@ from .errors import (
     DegenerateArrangement,
     DegenerateSampling,
     DimensionMismatch,
+    InvalidParameter,
     InvalidState,
     NonpositiveMass,
     NotPositiveDefinite,

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .constants import BoundsReport, bounds_report
-from .errors import InvalidState, ZeroVector
+from .errors import DimensionMismatch, InvalidState, ZeroVector
 from .geometry import ConeSpec, make_cone
 from .harness import ExperimentConfig, adversarial_search, ensemble_run, format_value
 from .hardball import HardBallSystem, conjugacy_check, simulate_balls
@@ -23,9 +23,14 @@ from .wedge import sharp_bound, unfold, wedge_from_angle
 
 
 def load_cone(path: str) -> ConeSpec:
+    """The cone of a JSON document {"dim": m, "normals": [[...], ...]};
+    a document of another shape raises DimensionMismatch, as `make_cone`
+    does for a non-integer dim or normals that are not rows of numbers."""
     with open(path) as fh:
         doc = json.load(fh)
-    return make_cone(int(doc["dim"]), doc["normals"])
+    if not isinstance(doc, dict) or "dim" not in doc or "normals" not in doc:
+        raise DimensionMismatch('a cone file must hold {"dim": m, "normals": [[...], ...]}')
+    return make_cone(doc["dim"], doc["normals"])
 
 
 def _parse_floats(text: str) -> np.ndarray:

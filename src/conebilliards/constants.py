@@ -11,7 +11,9 @@ computes:
 * the charge S(Q) = max over rays in Q of the least angle to a wall, the
   arrangement charge phi = min of S over all full-dimensional sign cones,
   which equals psi (see `charge_phi`);
-* the nondegeneracy constant C = min over unit y in Q of max_i dist(y, B_i);
+* the nondegeneracy constant C = min over unit y in Q of max_i dist(y, B_i),
+  at least the floor delta_Q of the largest 0/1 vertex and equal to it
+  where that vertex's feet lie in their faces;
 * every collision-count bound built from these constants.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateArrangement, DimensionMismatch
+from .errors import DegenerateArrangement, DimensionMismatch, InvalidParameter
 from .geometry import ConeSpec, GramMatrix, make_cone, reduce_to_span
 from . import minimax
 from .minimax import FaceDistance
@@ -32,10 +34,11 @@ from .minimax import FaceDistance
 
 class EstimateMethod(enum.Enum):
     """How a constant was obtained: closed_form is exact up to rounding
-    (delta up to n = 16, phi, and C of wedges and orthants);
-    subset_enumeration is exact (S(Q)); multistart is an estimate from
-    above (delta past n = 16); branch_and_bound is a certified interval
-    (every other C)."""
+    (delta up to n = 16, phi, and C of wedges and of the cones whose
+    largest 0/1 vertex has every face-distance foot in its face, orthants
+    among them); subset_enumeration is exact (S(Q)); multistart is an
+    estimate from above (delta past n = 16); branch_and_bound is a
+    certified interval (every other C)."""
 
     closed_form = "closed_form"
     subset_enumeration = "subset_enumeration"
@@ -50,9 +53,10 @@ class ConstantEstimate:
     `value` is always a valid estimate from above for minimization targets
     (exact for closed forms and enumerations); `certified_lower` is a lower
     bound when one is available: the value itself for a closed form, the
-    a-priori sqrt(lambda_min / n) for the multistart route, or the larger
-    end of a branch-and-bound certificate.  The constant lies in
-    [certified_lower, value].  `starts_used` counts the sign vectors,
+    a-priori sqrt(lambda_min / n) for the multistart route, or for a
+    branch-and-bound the larger of that and the bracket's lo, which is at
+    least the floor delta_Q less its rounding allowance.  The constant lies
+    in [certified_lower, value].  `starts_used` counts the sign vectors,
     subsets or multistart starts the route solved; the branch-and-bound
     and the closed forms of C report 0.
     """
@@ -64,7 +68,7 @@ class ConstantEstimate:
 
     def __post_init__(self):
         if self.certified_lower is not None and self.certified_lower > self.value + 1e-9:
-            raise ValueError(
+            raise InvalidParameter(
                 f"certified lower bound {self.certified_lower} exceeds value {self.value}"
             )
 
@@ -239,45 +243,43 @@ def _wedge_angle(g: GramMatrix) -> float:
     return math.acos(min(1.0, max(-1.0, -g.entries[0, 1])))
 
 
-def _bfk_closed_form(cone: ConeSpec) -> float | None:
-    """C where a closed form is known, else None.
-
-    Every two-wall cone in R^2 is a wedge, minimized on its bisector:
-    C = sin(theta / 2).  In an orthant (identity Gram matrix) the distance
-    to face i is the i-th coordinate, so C = 1 / sqrt(n).
-    """
-    n = cone.n_walls
-    g = cone.gram_matrix
-    if n == 2:
-        return math.sin(_wedge_angle(g) / 2.0)
-    if np.abs(g.entries - np.eye(n)).max() <= 1e-12:
-        return 1.0 / math.sqrt(n)
-    return None
-
-
 def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     """Nondegeneracy constant C = min over unit y in Q of max_i dist(y, B_i).
 
-    Wedges and orthants have a closed form.  Otherwise face distances are
-    exact (active-set enumeration), and the outer minimum over the
-    sphere-in-cone is bracketed by the cube-sphere branch-and-bound, whose
-    cells carry a Lipschitz and a first-order lower bound, stopped once
-    hi - lo <= 1e-4.  A split cell's first-order bound is a linear minorant
-    on the whole sphere, so its children inherit it, and a child that it
-    closes is never evaluated (the bracket's `evaluations` counts evaluated
-    centres only).
+    Every two-wall cone in R^2 is a wedge, minimized on its bisector:
+    C = sin(theta / 2).  Past two walls C starts from the floor
+    delta_Q = 1 / max |y_x| over the vertices (y_x, a_i) = x_i, x in
+    {0, 1}^n (`minimax.zero_one_vertex`): C >= delta_Q because
+    dist(y, B_i) >= (y, a_i) on Q.  Let y_Q be the largest vertex,
+    normalized, with support S = {i : x_i = 1}.  For i outside S, y_Q lies
+    on B_i; for i in S the foot of y_Q on the hyperplane of wall i is
+    y_Q - delta_Q a_i, with margins delta_Q (x_j - G_ij).  When G_ij <= 0
+    for every i in S and j outside S, every foot lies in its face, so
+    f(y_Q) = delta_Q and C = delta_Q, exact up to rounding as for delta:
+    the closed form, with no face distance computed.  An orthant is the
+    case S = every wall, where delta_Q = 1 / sqrt(n).
+
+    Otherwise face distances are exact (active-set enumeration), and the
+    outer minimum over the sphere-in-cone is bracketed by the cube-sphere
+    branch-and-bound, which starts hi from the better of e and y_Q and
+    stops once hi - lo <= 1e-4 or hi - delta_Q <= 1e-4, with lo at least
+    delta_Q less a 1e-12 rounding allowance.  Its cells carry a Lipschitz
+    and a first-order lower bound.  A split cell's first-order bound is a
+    linear minorant on the whole sphere, so its children inherit it, and a
+    child that it closes is never evaluated (the bracket's `evaluations`
+    counts evaluated points only).
 
     Once its cells are small, an active-set Newton solve of the KKT
     conditions gives a point, evaluated exactly, and multipliers lam
     (faces) and nu >= 0 (walls) whose linear minorant
     f(y) >= (sum lam_i g_i - sum nu_j a_j, y) holds on the whole cone for
     any such multipliers, converged or not, and bounds every cell near the
-    minimizer.  `value` = hi, the best feasible centre or Newton point, and
+    minimizer.  `value` = hi, the best feasible point, and
     `certified_lower` = max(lo, sqrt(lambda_min / n)), so
     value - certified_lower <= 1e-4, and `starts_used` is 0.
 
     When the work budget cuts the search (none of the cones measured at
-    n <= 7; two of three at n = 8), the same two ends are returned and the
+    n <= 7; one of three at n = 8), the same two ends are returned and the
     interval is only wider.  Any feasible evaluation is <= 1 because the
     apex belongs to every face, so 0 < C <= 1 always holds for the value.
     """
@@ -288,8 +290,13 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     if n == 1:
         # dist(y, {0}) = ||y|| = 1 on the unit sphere.
         return ConstantEstimate(1.0, lower, EstimateMethod.closed_form, 0)
-    closed = _bfk_closed_form(cone)
-    if closed is not None:
+    if n == 2:
+        closed = math.sin(_wedge_angle(cone.gram_matrix) / 2.0)
+        return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
+    vertex = minimax.zero_one_vertex(cone.normals)
+    support = vertex.support
+    if (cone.gram_matrix.entries[np.ix_(support, ~support)] <= 0.0).all():
+        closed = min(vertex.value, 1.0)
         return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
 
     bracket = minimax.branch_and_bound_min_max_face_distance(

@@ -9,6 +9,13 @@ class DimensionMismatch(ConeBilliardsError):
     """A vector does not have the number of components the cone expects."""
 
 
+class InvalidParameter(ConeBilliardsError, ValueError):
+    """A numeric parameter lies outside its allowed range.
+
+    Also a ValueError, which such errors were before they had a type of
+    their own."""
+
+
 class ZeroVector(ConeBilliardsError):
     """A direction vector with (near-)zero norm was supplied."""
 

@@ -9,6 +9,7 @@ the Gram matrix of pairwise inner products positive definite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,10 +158,19 @@ def make_cone(dim: int, normals) -> ConeSpec:
     1e-6 only sets the `renormalized` flag.  Raises DegenerateArrangement
     for a NaN or infinite component and when the smallest singular value
     of the normal matrix is below 1e-9,
-    ZeroVector for a (near-)zero input, and DimensionMismatch for a wrong
-    component count or more normals than dimensions.
+    ZeroVector for a (near-)zero input, and DimensionMismatch for a `dim`
+    that is not an integer, normals that are not a rectangular array of
+    numbers, a wrong component count or more normals than dimensions.
     """
-    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise DimensionMismatch(f"dim must be an integer, got {dim!r}")
+    try:
+        raw = np.asarray(normals)
+    except ValueError as exc:
+        raise DimensionMismatch(f"normals must be a rectangular array: {exc}") from None
+    if raw.dtype.kind not in "iuf":
+        raise DimensionMismatch(f"normals must be numbers, got {raw.dtype} entries")
+    arr = np.atleast_2d(raw.astype(np.float64, copy=False))
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DimensionMismatch(
             f"normals must each have {dim} components, got shape {arr.shape}"

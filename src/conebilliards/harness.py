@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import bounds_report, inscribed_ball
-from .errors import DegenerateArrangement, DegenerateSampling, DimensionMismatch
+from .errors import DegenerateArrangement, DegenerateSampling, DimensionMismatch, InvalidParameter
 # `audit` and `jacobi_eigenvalues` are not called here; they stay importable
 # from this module, where the profiling code in perfbench/ looks them up by
 # name.
@@ -164,13 +164,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise InvalidParameter("trials must be >= 1")
         if self.n_walls > self.dim:
-            raise ValueError("n_walls must not exceed dim")
+            raise InvalidParameter("n_walls must not exceed dim")
         if self.format not in ("csv", "structured"):
-            raise ValueError(f"unknown format {self.format!r}")
+            raise InvalidParameter(f"unknown format {self.format!r}")
         if self.paths_per_cone is not None and self.paths_per_cone < 1:
-            raise ValueError("paths_per_cone must be >= 1")
+            raise InvalidParameter("paths_per_cone must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -338,7 +338,7 @@ def adversarial_search(cone: ConeSpec, budget: int, seed: int) -> SearchResult:
     all drawn from one Philox stream.  `budget` counts trajectory runs.
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise InvalidParameter("budget must be >= 1")
     basis = None
     work = cone
     if cone.n_walls < cone.dim:

@@ -5,7 +5,9 @@ from cone geometry:
 
 * the sign-vertex formula for min over unit y of max_i |(y, a_i)|: the
   largest vertex of the parallelotope {y : |(y, a_i)| <= 1}, one linear
-  solve for all 2^(n-1) sign vectors;
+  solve for all 2^(n-1) sign vectors; the same solve over the 2^n - 1
+  nonzero 0/1 vectors gives the floor delta_Q of the largest face
+  distance, and its vertex, where that floor is often attained;
 * exact stationary-point enumeration (equal-margin subsets) for
   max over unit u of min_i (u, a_i), valid because every optimizer lies in
   the span of its active normals with equal margins;
@@ -14,8 +16,9 @@ from cone geometry:
   for face distances the multistart oracle that the tests check C against;
 * a cube-sphere branch-and-bound (after Piyavskii 1972; Shubert 1972)
   that brackets the minimum of the largest face distance over
-  sphere-in-cone to 1e-4, with a Lipschitz and a first-order lower bound
-  on each cell (the face distances are 1-Lipschitz, convex and
+  sphere-in-cone to 1e-4, starting from the 0/1 vertex and stopping once
+  hi is within 1e-4 of its floor, with a Lipschitz and a first-order lower
+  bound on each cell (the face distances are 1-Lipschitz, convex and
   1-homogeneous; the latter is a minorant its children inherit), and an
   active-set Newton solve of the KKT conditions whose point sets the
   upper end and whose multipliers give a linear minorant of the largest
@@ -34,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateArrangement
+from .errors import DegenerateArrangement, InvalidParameter
 from .geometry import gram_schmidt_row, orthonormal_rows
 
 # Fixed scramble seed: starts are low-discrepancy yet reproducible.
@@ -89,10 +92,14 @@ _KKT_TIE = 1e-9
 _PUSH = 1e-15
 # Work budget of the branch-and-bound, in face projections (a point costs
 # n 2^(n-1)): about 6 s on one core at n = 6; the cones measured at
-# n = 6, 7 used at most 56% of it, those at n <= 5 under 1%, and two of
-# the three at n = 8 ran out of it.  A cut search returns a wider bracket,
-# still certified, and C is that bracket as on every other cone.
+# n = 6, 7 used at most 56% of it, those at n <= 5 under 1%, and one of
+# the three at n = 8 (stream 8001) runs out of it.  A cut search returns a
+# wider bracket, still certified, and C is that bracket as on every other
+# cone.
 _BNB_PROJECTIONS = 1 << 26
+# Rounding allowance of the floor delta_Q of `zero_one_vertex` when it is
+# used as a lower end of C.
+_VERTEX_ERROR = 1e-12
 # Points per distances_and_feet call in max_face_distance and in the
 # branch-and-bound, which bounds the feet array (k, n, m).
 _MAX_DISTANCE_ROWS = 1 << 12
@@ -167,6 +174,28 @@ def max_min_margin(normals: np.ndarray):
     return best_val, best_u
 
 
+def _largest_vertex(arr: np.ndarray, first: int, stop: int, rhs):
+    """The vertex y with (y, a_i) = x_i of largest norm, over the right-hand
+    sides x = column k of rhs(codes) for codes first..stop-1.
+
+    The vertices are solved in an orthonormal basis of the span of the
+    normals, from the normals rather than from G, whose condition number
+    is their square, in blocks of bounded size.  Returns (|y|^2, y, code).
+    """
+    basis = orthonormal_rows(arr)
+    coords = arr @ basis.T
+    step = max(1, _BLOCK_ENTRIES // arr.shape[0])
+    best_q, best_z, best_code = 0.0, None, None
+    for s0 in range(first, stop, step):
+        codes = np.arange(s0, min(s0 + step, stop))
+        z = np.linalg.solve(coords, rhs(codes))
+        q = (z * z).sum(axis=0)
+        k = int(q.argmax())
+        if q[k] > best_q:
+            best_q, best_z, best_code = float(q[k]), z[:, k], int(codes[k])
+    return best_q, best_z @ basis, best_code
+
+
 def min_max_abs_margin(normals: np.ndarray):
     """Minimize max_i |(y, a_i)| over unit y in the span of the normals, exactly.
 
@@ -174,30 +203,55 @@ def min_max_abs_margin(normals: np.ndarray):
     with (y_s, a_i) = s_i has |y_s|^2 = s^T G^{-1} s.  The objective is
     1-homogeneous, so its minimum over unit y is 1 / max over P of |y|,
     and the convex |y| is largest at a vertex.  Opposite sign vectors give
-    opposite vertices, so s_1 = +1.  The vertices are solved in an
-    orthonormal basis of the span, from the normals rather than from G,
-    whose condition number is their square, in blocks of bounded size.
+    opposite vertices, so s_1 = +1.
 
     Returns (value, argmin unit vector).
     """
     arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
     n = arr.shape[0]
-    basis = orthonormal_rows(arr)
-    coords = arr @ basis.T
     bits = np.arange(n - 1)
-    step = max(1, _BLOCK_ENTRIES // n)
-    best_q, best_z = 0.0, None
-    for s0 in range(0, 1 << (n - 1), step):
-        codes = np.arange(s0, min(s0 + step, 1 << (n - 1)))
-        signs = np.ones((n, len(codes)))
-        signs[1:] -= 2.0 * ((codes >> bits[:, None]) & 1)
-        z = np.linalg.solve(coords, signs)
-        q = (z * z).sum(axis=0)
-        k = int(q.argmax())
-        if q[k] > best_q:
-            best_q, best_z = float(q[k]), z[:, k]
-    root = math.sqrt(best_q)
-    return 1.0 / root, best_z @ basis / root
+
+    def signs(codes):
+        s = np.ones((n, len(codes)))
+        s[1:] -= 2.0 * ((codes >> bits[:, None]) & 1)
+        return s
+
+    q, y, _ = _largest_vertex(arr, 0, 1 << (n - 1), signs)
+    root = math.sqrt(q)
+    return 1.0 / root, y / root
+
+
+class ZeroOneVertex(NamedTuple):
+    """delta_Q = 1 / max |y_x| over the vertices (y_x, a_i) = x_i, x in
+    {0, 1}^n nonzero, with y_Q = y_x / |y_x| at the largest and its support
+    S = {i : x_i = 1} as a boolean mask."""
+
+    value: float
+    y: np.ndarray
+    support: np.ndarray
+
+
+def zero_one_vertex(normals: np.ndarray) -> ZeroOneVertex:
+    """The floor delta_Q <= C of the largest face distance, and its vertex.
+
+    On the cone, dist(y, B_i) >= (y, a_i) because B_i lies in the
+    hyperplane (x, a_i) = 0.  For unit y in the cone let t = max_i (y, a_i)
+    > 0: y / t lies in the parallelotope {0 <= (y, a_i) <= 1}, whose norm is
+    largest at a vertex, so t >= delta_Q and C >= delta_Q.  The vertices
+    are solved as in `min_max_abs_margin`, from 0/1 right-hand sides, and
+    delta_Q is exact up to rounding: at most 2.9e-15 relative against
+    exact rational solves from the same normals on the 100 cones
+    random_cone(n, n, 20241, n*1000+c), n = 3..6, c < 25.  y_Q lies in the
+    cone and on every wall outside S.
+    """
+    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
+    n = arr.shape[0]
+    bits = np.arange(n)
+    q, y, code = _largest_vertex(
+        arr, 1, 1 << n, lambda codes: ((codes >> bits[:, None]) & 1).astype(np.float64)
+    )
+    root = math.sqrt(q)
+    return ZeroOneVertex(1.0 / root, y / root, (code >> bits) & 1 == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +347,7 @@ def sphere_grid_minimize(f_batch, dim: int, seeds: np.ndarray | None = None):
         grid = fibonacci_sphere(_FIBONACCI_POINTS)
         gap = math.sqrt(4.0 * math.pi / _FIBONACCI_POINTS)
     else:
-        raise ValueError("grid oracle supports dim 2 and 3 only")
+        raise InvalidParameter("grid oracle supports dim 2 and 3 only")
     if seeds is not None and len(seeds):
         grid = np.vstack([grid, np.atleast_2d(seeds)])
 
@@ -852,13 +906,14 @@ def _kept_point(face: FaceDistance, y, inward):
 
 class Bracket(NamedTuple):
     """Result of the branch-and-bound: lo <= C <= hi, and hi - lo <= 1e-4
-    (up to a 1e-12 rounding allowance) when `complete`."""
+    (up to a 1e-12 rounding allowance) when `complete`.  lo is at least the
+    floor delta_Q of `zero_one_vertex` less that allowance."""
 
     lo: float
     hi: float
     # The feasible unit point that attains hi.
     best: np.ndarray
-    # Centres (and the seed) whose face distances were computed.
+    # Centres (and the seed and 0/1 vertex) whose face distances were computed.
     evaluations: int
     # False when the budget stopped the search before the gap closed.
     complete: bool
@@ -889,7 +944,11 @@ def branch_and_bound_min_max_face_distance(
       they close stops unevaluated, and `evaluations` counts only the
       evaluated centres;
     * hi, the best f at a feasible centre or Newton point, bounds C from
-      above.
+      above; it starts from the better of the seed and the largest 0/1
+      vertex y_Q of `zero_one_vertex`, moved inside the cone;
+    * C >= delta_Q on the whole cone, so the search stops before any
+      level at which hi - delta_Q <= 1e-4, and lo is at least
+      delta_Q - 1e-12 (the open cells' bounds count too when it stops so).
 
     Once the cells are within _NEWTON_RADIUS of their centres and some
     would split, `_kkt_point` runs from the best feasible point.  A point
@@ -918,6 +977,11 @@ def branch_and_bound_min_max_face_distance(
     best = interior_seed
     hi = float(face.max_face_distance(interior_seed[None])[0])
     evaluations = 1
+    vertex = zero_one_vertex(face.normals)
+    kept = _kept_point(face, vertex.y, interior_seed)
+    if kept is not None:
+        hi, best = _keep_best(hi, best, [kept[1]], kept[0][None])
+        evaluations += 1
     # Minorants from the KKT solves (rows, less their slacks), and the hi
     # below which the solve runs again.
     gs, slacks = np.empty((0, m)), np.empty(0)
@@ -927,7 +991,7 @@ def branch_and_bound_min_max_face_distance(
     carried = np.zeros((2 * m, m)), np.full(2 * m, np.inf)
     cells, lo = _open_cells(x, np.arange(2 * m), half, signs, at, carried, (gs, slacks), np.inf)
     count = len(cells[0])
-    while count:
+    while count and hi - vertex.value > _BNB_ATOL:
         x, which, c, r, margin, prior = cells
         # Whether the budget can stop the search after this level.
         may_stop = evaluations + len(c) * (1 + q) > max_points
@@ -997,6 +1061,9 @@ def branch_and_bound_min_max_face_distance(
                 break
         if count:
             cells = [np.concatenate(part) for part in zip(*kids)]
-    if not math.isfinite(lo):
+    if count:
+        # Stopped by the floor: the open cells' own bounds count too.
+        lo = min(lo, float(cells[5].min()))
+    elif not math.isfinite(lo):
         raise DegenerateArrangement("branch-and-bound found no cell inside the cone")
-    return Bracket(lo, hi, best, evaluations, complete)
+    return Bracket(max(lo, vertex.value - _VERTEX_ERROR), hi, best, evaluations, complete)

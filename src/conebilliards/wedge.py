@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import _wedge_angle, ceil_snapped
-from .errors import AlternationError, ConeMismatch, TooFewEvents, WrongWallCount
+from .errors import AlternationError, ConeMismatch, InvalidParameter, TooFewEvents, WrongWallCount
 from .geometry import ConeSpec, make_cone
 from .simulator import Terminal, TrajectoryRecord
 
@@ -41,7 +41,7 @@ def wedge_from_cone(cone: ConeSpec) -> WedgeSpec:
 def wedge_from_angle(theta: float) -> WedgeSpec:
     """Planar wedge between the positive x-axis and the ray at angle theta."""
     if not 0.0 < theta < math.pi:
-        raise ValueError(f"wedge angle must lie in (0, pi), got {theta}")
+        raise InvalidParameter(f"wedge angle must lie in (0, pi), got {theta}")
     cone = make_cone(2, [[0.0, 1.0], [math.sin(theta), -math.cos(theta)]])
     return WedgeSpec(theta=theta, cone=cone)
 
@@ -49,7 +49,7 @@ def wedge_from_angle(theta: float) -> WedgeSpec:
 def sharp_bound(theta: float) -> int:
     """ceil(pi / theta), the sharp reflection bound for a wedge."""
     if not 0.0 < theta < math.pi:
-        raise ValueError(f"wedge angle must lie in (0, pi), got {theta}")
+        raise InvalidParameter(f"wedge angle must lie in (0, pi), got {theta}")
     return ceil_snapped(math.pi / theta)
 
 

@@ -22,7 +22,7 @@ from conebilliards.geometry import (
 )
 from conebilliards.hardball import balls_to_cone
 from conebilliards.harness import interior_starts, make_rng, random_cone
-from conebilliards.minimax import FaceDistance
+from conebilliards.minimax import FaceDistance, min_max_abs_margin
 from conebilliards.simulator import (
     APPROACH_TOL,
     CONTAINMENT_TOL,
@@ -283,6 +283,44 @@ def test_face_projectors_match_reference(n):
         faces, cone = face_projectors_reference(normals)
         assert (face._faces == face._stack(faces)).all()
         assert (face._cone == face._stack(cone)).all()
+
+
+def min_max_abs_margin_reference(normals):
+    """The sign-vertex solve as it was written before it shared its blocked
+    solve with the 0/1 vertices."""
+    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
+    n = arr.shape[0]
+    basis = orthonormal_rows(arr)
+    coords = arr @ basis.T
+    bits = np.arange(n - 1)
+    step = max(1, (1 << 18) // n)
+    best_q, best_z = 0.0, None
+    for s0 in range(0, 1 << (n - 1), step):
+        codes = np.arange(s0, min(s0 + step, 1 << (n - 1)))
+        signs = np.ones((n, len(codes)))
+        signs[1:] -= 2.0 * ((codes >> bits[:, None]) & 1)
+        z = np.linalg.solve(coords, signs)
+        q = (z * z).sum(axis=0)
+        k = int(q.argmax())
+        if q[k] > best_q:
+            best_q, best_z = float(q[k]), z[:, k]
+    root = math.sqrt(best_q)
+    return 1.0 / root, best_z @ basis / root
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_sign_vertices_match_reference(n):
+    # n = 16 solves its 2^15 sign vectors in two blocks
+    for normals in (
+        random_cone(n, n, seed=20241, stream=n * 1000).normals,
+        random_cone(n, n, seed=20241, stream=n * 1000 + 1).normals,
+        random_cone(n, n + 2, seed=5, stream=n).normals,
+        np.eye(n),
+    ):
+        value, y = min_max_abs_margin(normals)
+        ref_value, ref_y = min_max_abs_margin_reference(normals)
+        assert value == ref_value
+        assert (y == ref_y).all()
 
 
 def test_run_batch_mixed_terminals_match_run():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conebilliards.cli import main
-from conebilliards.errors import ConeBilliardsError, InvalidState, NonpositiveMass
+from conebilliards.errors import ConeBilliardsError, DimensionMismatch, InvalidState, NonpositiveMass
 
 
 @pytest.fixture
@@ -40,6 +40,31 @@ def test_bounds_rejects_non_finite_normals(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps({"dim": 2, "normals": [[1, math.nan], [0, 1]]}))
     with pytest.raises(ConeBilliardsError):
+        main(["bounds", "--cone", str(path)])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"normals": [[1, 0], [0, 1]]},
+        {"dim": 2},
+        {"dim": "x", "normals": [[1, 0], [0, 1]]},
+        {"dim": 2.7, "normals": [[1, 0], [0, 1]]},
+        {"dim": True, "normals": [[1.0]]},
+        {"dim": 2, "normals": [[1, 0], [0]]},
+        {"dim": 2, "normals": [[1, "x"], [0, 1]]},
+        {"dim": 2, "normals": [[1, None], [0, 1]]},
+        [[1, 0], [0, 1]],
+    ],
+    ids=["no-dim", "no-normals", "dim-text", "dim-fraction", "dim-bool", "ragged",
+         "text-entry", "null-entry", "top-level-list"],
+)
+def test_bounds_rejects_malformed_cone_documents(tmp_path, doc):
+    # each escaped as a bare KeyError, ValueError or TypeError, or (a
+    # fractional dim) was silently truncated
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DimensionMismatch):
         main(["bounds", "--cone", str(path)])
 
 

@@ -17,10 +17,10 @@ from conebilliards.constants import (
     main_bound,
     tridiagonal_case,
 )
-from conebilliards.errors import DegenerateArrangement, DimensionMismatch
+from conebilliards.errors import ConeBilliardsError, DegenerateArrangement, DimensionMismatch
 from conebilliards.geometry import gram, make_cone
 from conebilliards.harness import interior_starts, make_rng, random_cone
-from conebilliards.minimax import FaceDistance
+from conebilliards.minimax import FaceDistance, zero_one_vertex
 from conebilliards.simulator import run_batch
 from conebilliards.wedge import wedge_from_angle
 
@@ -224,18 +224,31 @@ class TestBfkConstant:
         # The criterion-4 cones at n = 4, 5 against the multistart oracle.
         # The multistart is an estimate from above that stalls on some of
         # them (by 4.4e-3 on stream 5003), so only one side is held to 1e-4.
+        # C is the closed form delta_Q exactly where every face-distance
+        # foot of the largest 0/1 vertex lies in its face (streams 5001,
+        # 5005, 5007 and 5014), and the branch-and-bound's bracket elsewhere.
+        closed = []
         for n in (4, 5):
             for c in range(25):
                 cone = random_cone(n, n, seed=20241, stream=n * 1000 + c)
                 est = bfk_constant(cone)
                 multi = c_multistart(cone)
-                assert est.method is EstimateMethod.branch_and_bound
+                vertex = zero_one_vertex(cone.normals)
+                s = vertex.support
+                if (cone.gram_matrix.entries[np.ix_(s, ~s)] <= 0.0).all():
+                    closed.append(n * 1000 + c)
+                    assert est.method is EstimateMethod.closed_form
+                    assert est.value == est.certified_lower == vertex.value
+                else:
+                    assert est.method is EstimateMethod.branch_and_bound
+                    assert est.certified_lower >= vertex.value - 1e-12
                 assert est.certified_lower <= multi
                 assert est.value <= multi + 1e-4
                 assert est.certified_lower >= math.sqrt(cone.lambda_min / n)
                 # stopping rule of the branch-and-bound
                 assert est.value - est.certified_lower <= 1e-4 + 1e-12
                 assert est.starts_used == 0
+        assert closed == [5001, 5005, 5007, 5014]
 
     def test_budget_cut_reports_its_bracket(self, monkeypatch):
         # A cut search is reported as it stands, like a complete one: value
@@ -434,7 +447,8 @@ def test_bounds_report_imports_no_scipy():
 
 
 def test_constant_estimate_validates_certificate():
-    with pytest.raises(ValueError):
-        ConstantEstimate(
-            value=0.1, certified_lower=0.5, method=EstimateMethod.multistart, starts_used=1
-        )
+    for error in (ValueError, ConeBilliardsError):
+        with pytest.raises(error):
+            ConstantEstimate(
+                value=0.1, certified_lower=0.5, method=EstimateMethod.multistart, starts_used=1
+            )

@@ -59,6 +59,20 @@ class TestMakeCone:
         with pytest.raises(DimensionMismatch):
             make_cone(2, [(1, 0), (0, 1), (1, 1)])
 
+    @pytest.mark.parametrize(
+        "dim, normals",
+        [
+            (2.0, [(1, 0), (0, 1)]),
+            (2, [(1, 0), (0,)]),
+            (2, [(1, "x"), (0, 1)]),
+            (2, [(1, "1"), (0, 1)]),
+        ],
+        ids=["dim-float", "ragged", "text", "numeric-text"],
+    )
+    def test_malformed_input(self, dim, normals):
+        with pytest.raises(DimensionMismatch):
+            make_cone(dim, normals)
+
     def test_unit_norms_within_tolerance(self):
         cone = make_cone(3, [(1, 2, 2), (4, 0, 3), (0, 0, 5)])
         np.testing.assert_allclose(np.linalg.norm(cone.normals, axis=1), 1.0, atol=1e-12)

@@ -6,7 +6,7 @@ import pytest
 
 from conebilliards import harness
 from conebilliards.constants import bounds_report, inscribed_ball
-from conebilliards.errors import DimensionMismatch
+from conebilliards.errors import ConeBilliardsError, DimensionMismatch
 from conebilliards.geometry import gram, make_cone, reduce_to_span
 from conebilliards.harness import (
     EnsembleRow,
@@ -164,6 +164,19 @@ class TestEnsembleRun:
         with pytest.raises(ValueError):
             ExperimentConfig(n_walls=2, dim=2, trials=1, seed=0, paths_per_cone=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_walls": 3, "dim": 2, "trials": 1},
+            {"n_walls": 2, "dim": 2, "trials": 0},
+            {"n_walls": 2, "dim": 2, "trials": 1, "paths_per_cone": 0},
+            {"n_walls": 2, "dim": 2, "trials": 1, "format": "xml"},
+        ],
+    )
+    def test_config_errors_are_package_errors(self, kwargs):
+        with pytest.raises(ConeBilliardsError):
+            ExperimentConfig(seed=0, **kwargs)
+
     @staticmethod
     def _scalar_rows(config):
         """Reference: per-path run + audit on the same interior_starts draws."""
@@ -232,6 +245,13 @@ class TestAdversarialSearch:
         assert r1.best_n == r2.best_n
         np.testing.assert_array_equal(r1.best_state.q, r2.best_state.q)
         np.testing.assert_array_equal(r1.best_state.v, r2.best_state.v)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_rejects_empty_budget(self, orthant2, budget):
+        with pytest.raises(ConeBilliardsError):
+            adversarial_search(orthant2, budget=budget, seed=0)
+        with pytest.raises(ValueError):
+            adversarial_search(orthant2, budget=budget, seed=0)
 
     def test_wide_cone_maps_back_to_ambient(self):
         cone = make_cone(4, [(1, 0, 0, 0), (0, 1, 0, 0)])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conebilliards.errors import ConeMismatch, TooFewEvents, WrongWallCount
+from conebilliards.errors import ConeBilliardsError, ConeMismatch, TooFewEvents, WrongWallCount
 from conebilliards.geometry import make_cone
 from conebilliards.harness import adversarial_search, interior_starts, make_rng
 from conebilliards.constants import inscribed_ball
@@ -55,6 +55,13 @@ class TestSharpBound:
             sharp_bound(0.0)
         with pytest.raises(ValueError):
             sharp_bound(math.pi)
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0, math.pi, 4.0, math.nan])
+    def test_out_of_range_is_a_package_error(self, theta):
+        with pytest.raises(ConeBilliardsError):
+            sharp_bound(theta)
+        with pytest.raises(ConeBilliardsError):
+            wedge_from_angle(theta)
 
 
 class TestUnfold:
