@@ -13,7 +13,8 @@ computes:
   which equals psi (see `charge_phi`);
 * the nondegeneracy constant C = min over unit y in Q of max_i dist(y, B_i),
   at least the floor delta_Q of the largest 0/1 vertex and equal to it
-  where that vertex's feet lie in their faces;
+  where that vertex's feet lie in their faces, searched between its two
+  ends up to n = 8 and given by those ends past it;
 * every collision-count bound built from these constants.
 """
 
@@ -36,12 +37,13 @@ class EstimateMethod(enum.Enum):
     """How a constant was obtained: closed_form is exact up to rounding
     (delta up to n = 16, phi, and C of wedges and of the cones whose
     largest 0/1 vertex has every face-distance foot in its face, orthants
-    among them); subset_enumeration is exact (S(Q)); multistart is an
-    estimate from above (delta past n = 16); branch_and_bound is a
-    certified interval (every other C)."""
+    among them); nearest_point is one NNLS per problem with certified ends
+    (S(Q), and C past n = 8); multistart is an estimate from above (delta
+    past n = 16); branch_and_bound is a certified interval (every other C
+    up to n = 8)."""
 
     closed_form = "closed_form"
-    subset_enumeration = "subset_enumeration"
+    nearest_point = "nearest_point"
     multistart = "multistart"
     branch_and_bound = "branch_and_bound"
 
@@ -51,14 +53,16 @@ class ConstantEstimate:
     """A computed constant plus how it was obtained.
 
     `value` is always a valid estimate from above for minimization targets
-    (exact for closed forms and enumerations); `certified_lower` is a lower
-    bound when one is available: the value itself for a closed form, the
-    a-priori sqrt(lambda_min / n) for the multistart route, or for a
-    branch-and-bound the larger of that and the bracket's lo, which is at
-    least the floor delta_Q less its rounding allowance.  The constant lies
-    in [certified_lower, value].  `starts_used` counts the sign vectors,
-    subsets or multistart starts the route solved; the branch-and-bound
-    and the closed forms of C report 0.
+    (exact for closed forms); `certified_lower` is a lower bound when one
+    is available: the value itself for a closed form, the a-priori
+    sqrt(lambda_min / n) for the multistart route, or for C's bracket the
+    larger of that and the bracket's lo, which is at least the floor
+    delta_Q less its rounding allowance where that floor is solved.  The
+    constant lies in [certified_lower, value].  S(Q) is a maximum: its
+    value is its certified lower end, within 1e-12 of the upper end of
+    `minimax.nearest_point_margin` on every cone tested.  `starts_used`
+    counts the sign vectors, NNLS problems or multistart starts the route
+    solved; every route of C reports 0.
     """
 
     value: float
@@ -175,6 +179,14 @@ def inscribed_ball(cone: ConeSpec) -> InscribedBall:
 # delta's sign-vertex formula solves 2^(n-1) vertices; past this n the
 # multistart route estimates delta from above.
 _FORMULA_MAX_N = 16
+# C's floor delta_Q solves 2^n - 1 vertices; past this n C has no floor
+# but the a-priori one, and no closed form.
+_VERTEX_MAX_N = 16
+# Up to this n, C between its two ends is searched by the branch-and-bound,
+# whose projector table holds n 2^(n-1) + 2^n projectors.  Past it C is
+# those ends: on random_cone(n, n, 20241, n*1000+c), n = 9..14, c < 3, the
+# search never moved either of them, and it took 2-15 s and up to 1.1 GB.
+_SEARCH_MAX_N = 8
 
 
 def capacity_delta(cone: ConeSpec) -> ConstantEstimate:
@@ -200,18 +212,19 @@ def capacity_delta(cone: ConeSpec) -> ConstantEstimate:
 def charge_SQ(cone: ConeSpec) -> ConstantEstimate:
     """Charge S(Q): largest least angle between a ray inside Q and a wall.
 
-    Equal-margin subset enumeration solves the concave problem
-    max over ||u|| <= 1 of min_i (u, a_i) exactly; the charge is the
-    arcsine of that optimal margin.
+    sin S(Q) = max over unit u of min_i (u, a_i) = 1 / min{|u| : A u >= 1},
+    from one NNLS (`minimax.nearest_point_margin`).  The value is the
+    arcsine of its lower end, the least margin of a feasible unit vector,
+    and is its own certified lower end; its upper end, from the clipped
+    multipliers, was within 6.4e-15 of it on every cone tested.  A cone
+    with fewer walls than dimensions is reduced to the span of its normals
+    first: the maximum is attained there, since a component off the span
+    changes no margin and takes up norm.
     """
-    val, _ = minimax.max_min_margin(cone.normals)
-    val = min(1.0, max(-1.0, val))
-    return ConstantEstimate(
-        value=math.asin(val),
-        certified_lower=None,
-        method=EstimateMethod.subset_enumeration,
-        starts_used=2 ** cone.n_walls - 1,
-    )
+    if cone.n_walls < cone.dim:
+        cone, _ = reduce_to_span(cone.dim, cone.normals)
+    value = math.asin(min(1.0, minimax.nearest_point_margin(cone.normals).lower))
+    return ConstantEstimate(value, value, EstimateMethod.nearest_point, 1)
 
 
 def charge_phi(normals) -> ConstantEstimate:
@@ -247,8 +260,8 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     """Nondegeneracy constant C = min over unit y in Q of max_i dist(y, B_i).
 
     Every two-wall cone in R^2 is a wedge, minimized on its bisector:
-    C = sin(theta / 2).  Past two walls C starts from the floor
-    delta_Q = 1 / max |y_x| over the vertices (y_x, a_i) = x_i, x in
+    C = sin(theta / 2).  Past two walls, up to n = 16, C starts from the
+    floor delta_Q = 1 / max |y_x| over the vertices (y_x, a_i) = x_i, x in
     {0, 1}^n (`minimax.zero_one_vertex`): C >= delta_Q because
     dist(y, B_i) >= (y, a_i) on Q.  Let y_Q be the largest vertex,
     normalized, with support S = {i : x_i = 1}.  For i outside S, y_Q lies
@@ -259,15 +272,16 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     the closed form, with no face distance computed.  An orthant is the
     case S = every wall, where delta_Q = 1 / sqrt(n).
 
-    Otherwise face distances are exact (active-set enumeration), and the
-    outer minimum over the sphere-in-cone is bracketed by the cube-sphere
-    branch-and-bound, which starts hi from the better of e and y_Q and
-    stops once hi - lo <= 1e-4 or hi - delta_Q <= 1e-4, with lo at least
-    delta_Q less a 1e-12 rounding allowance.  Its cells carry a Lipschitz
-    and a first-order lower bound.  A split cell's first-order bound is a
-    linear minorant on the whole sphere, so its children inherit it, and a
-    child that it closes is never evaluated (the bracket's `evaluations`
-    counts evaluated points only).
+    Otherwise, up to n = 8, face distances are exact (active-set
+    enumeration), and the outer minimum over the sphere-in-cone is
+    bracketed by the cube-sphere branch-and-bound, which starts hi from
+    the better of e and y_Q and stops once hi - lo <= 1e-4 or
+    hi - delta_Q <= 1e-4, with lo at least delta_Q less a 1e-12 rounding
+    allowance.  Its cells carry a Lipschitz and a first-order lower bound.
+    A split cell's first-order bound is a linear minorant on the whole
+    sphere, so its children inherit it, and a child that it closes is
+    never evaluated (the bracket's `evaluations` counts evaluated points
+    only).
 
     Once its cells are small, an active-set Newton solve of the KKT
     conditions gives a point, evaluated exactly, and multipliers lam
@@ -276,12 +290,17 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     any such multipliers, converged or not, and bounds every cell near the
     minimizer.  `value` = hi, the best feasible point, and
     `certified_lower` = max(lo, sqrt(lambda_min / n)), so
-    value - certified_lower <= 1e-4, and `starts_used` is 0.
+    value - certified_lower <= 1e-4, and `starts_used` is 0.  When the
+    work budget cuts the search (none of the cones measured at n <= 7; one
+    of three at n = 8), the same two ends are returned and the interval is
+    only wider.
 
-    When the work budget cuts the search (none of the cones measured at
-    n <= 7; one of three at n = 8), the same two ends are returned and the
-    interval is only wider.  Any feasible evaluation is <= 1 because the
-    apex belongs to every face, so 0 < C <= 1 always holds for the value.
+    Past n = 8 there is no search and no projector table (method
+    nearest_point): `value` is the smaller NNLS largest face distance at e
+    and at y_Q, each moved inside the cone, and `certified_lower` is
+    max(sqrt(lambda_min / n), delta_Q - 1e-12), with delta_Q solved only
+    up to n = 16.  Any feasible evaluation is <= 1 because the apex
+    belongs to every face, so 0 < C <= 1 always holds for the value.
     """
     _require_square(cone, "bfk_constant")
     n = cone.n_walls
@@ -293,15 +312,22 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     if n == 2:
         closed = math.sin(_wedge_angle(cone.gram_matrix) / 2.0)
         return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
-    vertex = minimax.zero_one_vertex(cone.normals)
-    support = vertex.support
-    if (cone.gram_matrix.entries[np.ix_(support, ~support)] <= 0.0).all():
-        closed = min(vertex.value, 1.0)
-        return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
+    vertex = None
+    if n <= _VERTEX_MAX_N:
+        vertex = minimax.zero_one_vertex(cone.normals)
+        support = vertex.support
+        if (cone.gram_matrix.entries[np.ix_(support, ~support)] <= 0.0).all():
+            closed = min(vertex.value, 1.0)
+            return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
 
-    bracket = minimax.branch_and_bound_min_max_face_distance(
-        FaceDistance(cone.normals), inscribed_ball(cone).e
-    )
+    seed = inscribed_ball(cone).e
+    if n <= _SEARCH_MAX_N:
+        face = FaceDistance(cone.normals)
+        bracket = minimax.branch_and_bound_min_max_face_distance(face, seed, vertex)
+        method = EstimateMethod.branch_and_bound
+    else:
+        bracket = minimax.nearest_point_min_max_face_distance(cone.normals, seed, vertex)
+        method = EstimateMethod.nearest_point
     value = bracket.hi
     lower = max(lower, bracket.lo)
 
@@ -309,7 +335,7 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
         raise DegenerateArrangement(f"nondegeneracy constant {value} outside (0, 1]")
     value = min(value, 1.0)
     value = max(value, lower - 1e-12)
-    return ConstantEstimate(value, min(lower, value), EstimateMethod.branch_and_bound, 0)
+    return ConstantEstimate(value, min(lower, value), method, 0)
 
 
 def tridiagonal_case(g) -> tuple[bool, int | None]:

@@ -133,7 +133,8 @@ class TestChargeSQ:
         est = charge_SQ(orthant2)
         assert est.value == pytest.approx(math.pi / 4, abs=1e-12)
         assert est.value == pytest.approx(charge_circle_oracle(orthant2), abs=2e-6)
-        assert est.method is EstimateMethod.subset_enumeration
+        assert est.method is EstimateMethod.nearest_point
+        assert est.certified_lower == est.value
 
     def test_wedge_all_active(self):
         cone = wedge_cone(math.pi / 3)
@@ -258,7 +259,7 @@ class TestBfkConstant:
         cone = random_cone(4, 4, seed=20241, stream=4000)
         monkeypatch.setattr(minimax, "_BNB_PROJECTIONS", 32 * 100)
         bracket = minimax.branch_and_bound_min_max_face_distance(
-            FaceDistance(cone.normals), inscribed_ball(cone).e
+            FaceDistance(cone.normals), inscribed_ball(cone).e, zero_one_vertex(cone.normals)
         )
         cut = bfk_constant(cone)
         assert not bracket.complete
@@ -437,7 +438,8 @@ def test_bounds_report_imports_no_scipy():
             print(any(name.split(".")[0] == "scipy" for name in sys.modules))
             face = minimax.FaceDistance(cone.normals)
             seed = conebilliards.constants.inscribed_ball(cone).e
-            print(minimax.branch_and_bound_min_max_face_distance(face, seed).complete)
+            vertex = minimax.zero_one_vertex(cone.normals)
+            print(minimax.branch_and_bound_min_max_face_distance(face, seed, vertex).complete)
             """
         )
         out = subprocess.run(

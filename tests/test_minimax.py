@@ -19,6 +19,7 @@ from conebilliards.minimax import (
     _minorant_lower,
     _normalize_rows,
     branch_and_bound_min_max_face_distance,
+    zero_one_vertex,
 )
 from conebilliards.wedge import wedge_from_angle
 
@@ -103,7 +104,8 @@ class TestFaceDistance:
 
 def _bnb(cone):
     face = FaceDistance(cone.normals)
-    return branch_and_bound_min_max_face_distance(face, inscribed_ball(cone).e)
+    seed, vertex = inscribed_ball(cone).e, zero_one_vertex(cone.normals)
+    return branch_and_bound_min_max_face_distance(face, seed, vertex)
 
 
 class TestBranchAndBound:
