@@ -16,7 +16,7 @@ import numpy as np
 from .constants import BoundsReport, bounds_report
 from .errors import DimensionMismatch, InvalidState, ZeroVector
 from .geometry import ConeSpec, make_cone
-from .harness import ExperimentConfig, adversarial_search, ensemble_run, format_value
+from .harness import ExperimentConfig, adversarial_search, csv_line, ensemble_run, format_value
 from .hardball import HardBallSystem, conjugacy_check, simulate_balls
 from .simulator import BilliardState, audit, record_to_json, run
 from .wedge import sharp_bound, unfold, wedge_from_angle
@@ -38,10 +38,7 @@ def _parse_floats(text: str) -> np.ndarray:
 
 
 def report_to_csv(report: BoundsReport) -> str:
-    d = report.to_dict()
-    header = ",".join(d.keys())
-    values = ",".join(format_value(v) for v in d.values())
-    return header + "\n" + values + "\n"
+    return csv_line(BoundsReport.FIELDS) + csv_line(report.to_dict().values())
 
 
 def report_to_structured(report: BoundsReport) -> str:

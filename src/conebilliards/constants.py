@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -115,31 +115,18 @@ class BoundsReport:
     tridiagonal_applicable: bool
     cone: ConeSpec = field(repr=False, compare=False, default=None)
 
-    FIELDS = (
-        "lambda_min",
-        "d",
-        "delta",
-        "psi",
-        "charge_SQ",
-        "charge_phi",
-        "bfk_C",
-        "bound_main",
-        "bound_dd",
-        "bound_sevryuk",
-        "bound_bfk",
-        "bound_wedge",
-        "bound_tridiagonal",
-        "tridiagonal_applicable",
-    )
-
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
-def ceil_snapped(x: float, tol: float = 1e-9) -> int:
-    """Ceiling that forgives sub-tolerance floating noise around integers."""
+# The data fields in declaration order; the reduced cone is not data.
+BoundsReport.FIELDS = tuple(f.name for f in fields(BoundsReport) if f.name != "cone")
+
+
+def ceil_snapped(x: float) -> int:
+    """Ceiling that forgives floating noise up to 1e-9 relative around integers."""
     r = round(x)
-    if abs(x - r) <= tol * max(1.0, abs(x)):
+    if abs(x - r) <= 1e-9 * max(1.0, abs(x)):
         return int(r)
     return int(math.ceil(x))
 
@@ -260,7 +247,7 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     """Nondegeneracy constant C = min over unit y in Q of max_i dist(y, B_i).
 
     Every two-wall cone in R^2 is a wedge, minimized on its bisector:
-    C = sin(theta / 2).  Past two walls, up to n = 16, C starts from the
+    C = sin(theta / 2).  Otherwise, up to n = 16, C starts from the
     floor delta_Q = 1 / max |y_x| over the vertices (y_x, a_i) = x_i, x in
     {0, 1}^n (`minimax.zero_one_vertex`): C >= delta_Q because
     dist(y, B_i) >= (y, a_i) on Q.  Let y_Q be the largest vertex,
@@ -270,18 +257,21 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     for every i in S and j outside S, every foot lies in its face, so
     f(y_Q) = delta_Q and C = delta_Q, exact up to rounding as for delta:
     the closed form, with no face distance computed.  An orthant is the
-    case S = every wall, where delta_Q = 1 / sqrt(n).
+    case S = every wall, where delta_Q = 1 / sqrt(n); so is the half-line
+    (n = 1), where C = delta_Q = 1 because the only face is the apex.
 
     Otherwise, up to n = 8, face distances are exact (active-set
     enumeration), and the outer minimum over the sphere-in-cone is
-    bracketed by the cube-sphere branch-and-bound, which starts hi from
-    the better of e and y_Q and stops once hi - lo <= 1e-4 or
-    hi - delta_Q <= 1e-4, with lo at least delta_Q less a 1e-12 rounding
-    allowance.  Its cells carry a Lipschitz and a first-order lower bound.
-    A split cell's first-order bound is a linear minorant on the whole
-    sphere, so its children inherit it, and a child that it closes is
-    never evaluated (the bracket's `evaluations` counts evaluated points
-    only).
+    bracketed by the cube-sphere branch-and-bound.  It starts from C's two
+    ends (`minimax._ends`): hi is the better of e and y_Q, each moved
+    inside the cone and evaluated on two rows as every cell centre is (so
+    hi is bit for bit the largest face distance at the returned point),
+    and lo is delta_Q less a 1e-12 rounding allowance.  It stops once
+    hi - lo <= 1e-4 or hi - delta_Q <= 1e-4.  Its cells carry a Lipschitz
+    and a first-order lower bound.  A split cell's first-order bound is a
+    linear minorant on the whole sphere, so its children inherit it, and a
+    child that it closes is never evaluated (the bracket's `evaluations`
+    counts evaluated points only).
 
     Once its cells are small, an active-set Newton solve of the KKT
     conditions gives a point, evaluated exactly, and multipliers lam
@@ -296,19 +286,17 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     only wider.
 
     Past n = 8 there is no search and no projector table (method
-    nearest_point): `value` is the smaller NNLS largest face distance at e
-    and at y_Q, each moved inside the cone, and `certified_lower` is
-    max(sqrt(lambda_min / n), delta_Q - 1e-12), with delta_Q solved only
-    up to n = 16.  Any feasible evaluation is <= 1 because the apex
-    belongs to every face, so 0 < C <= 1 always holds for the value.
+    nearest_point): C is the same two ends, with NNLS face distances, so
+    `value` is the smaller largest face distance at e and at y_Q and
+    `certified_lower` is max(sqrt(lambda_min / n), delta_Q - 1e-12), with
+    delta_Q solved only up to n = 16.  Any feasible evaluation is <= 1
+    because the apex belongs to every face, so 0 < C <= 1 always holds for
+    the value.
     """
     _require_square(cone, "bfk_constant")
     n = cone.n_walls
     lower = math.sqrt(max(cone.lambda_min, 0.0) / n)
 
-    if n == 1:
-        # dist(y, {0}) = ||y|| = 1 on the unit sphere.
-        return ConstantEstimate(1.0, lower, EstimateMethod.closed_form, 0)
     if n == 2:
         closed = math.sin(_wedge_angle(cone.gram_matrix) / 2.0)
         return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)

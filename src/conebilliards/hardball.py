@@ -202,16 +202,15 @@ class ConjugacyReport:
     terminal_cone: Terminal
 
 
-def conjugacy_check(system: HardBallSystem, horizon: int | None = None) -> ConjugacyReport:
-    """Run both simulators and compare event-by-event.
+def conjugacy_check(system: HardBallSystem) -> ConjugacyReport:
+    """Run both simulators within step_cap's budget and compare event-by-event.
 
     Event counts and wall/pair index sequences must agree exactly; event
     times agree within 1e-8 relative after rescaling cone time by the
     mass-weighted speed.
     """
     cone, cmap = balls_to_cone(system.masses)
-    if horizon is None:  # both simulators' default budget
-        horizon = step_cap(cone.n_walls, cone.lambda_min)
+    horizon = step_cap(cone.n_walls, cone.lambda_min)
     balls = simulate_balls(system, max_events=horizon)
     q0, v0, speed = cmap.to_cone(system.positions, system.velocities)
     if speed == 0.0:

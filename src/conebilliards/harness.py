@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -191,26 +191,11 @@ class EnsembleRow:
     lemma1_ceiling: float
     all_checks_pass: bool
 
-    FIELDS = (
-        "cone_id",
-        "seed",
-        "lambda_min",
-        "d",
-        "delta",
-        "C",
-        "phi",
-        "bound_main",
-        "bound_dd",
-        "bound_sevryuk",
-        "bound_bfk",
-        "max_observed_N",
-        "zigzag_max_L",
-        "lemma1_ceiling",
-        "all_checks_pass",
-    )
-
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}
+
+
+EnsembleRow.FIELDS = tuple(f.name for f in fields(EnsembleRow))
 
 
 def format_value(v) -> str:
@@ -224,12 +209,13 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _csv_line(row: EnsembleRow) -> str:
-    return ",".join(format_value(getattr(row, f)) for f in EnsembleRow.FIELDS) + "\n"
+def csv_line(values) -> str:
+    """One CSV line of values (or of field names) in `format_value` text."""
+    return ",".join(format_value(v) for v in values) + "\n"
 
 
 def rows_to_csv(rows) -> str:
-    return ",".join(EnsembleRow.FIELDS) + "\n" + "".join(_csv_line(row) for row in rows)
+    return csv_line(EnsembleRow.FIELDS) + "".join(csv_line(row.to_dict().values()) for row in rows)
 
 
 def rows_to_structured(rows) -> str:
@@ -255,7 +241,7 @@ def ensemble_run(config: ExperimentConfig) -> list[EnsembleRow]:
     handle = open(config.output_path, "w") if config.output_path else None
     try:
         if handle and config.format == "csv":
-            handle.write(",".join(EnsembleRow.FIELDS) + "\n")
+            handle.write(csv_line(EnsembleRow.FIELDS))
             handle.flush()
         for trial in range(config.trials):
             cone = random_cone(config.n_walls, config.dim, config.seed, stream=trial)
@@ -285,7 +271,7 @@ def ensemble_run(config: ExperimentConfig) -> list[EnsembleRow]:
             )
             rows.append(row)
             if handle and config.format == "csv":
-                handle.write(_csv_line(row))
+                handle.write(csv_line(row.to_dict().values()))
                 handle.flush()
         if handle and config.format == "structured":
             handle.write(rows_to_structured(rows))

@@ -18,15 +18,15 @@ from cone geometry:
   for face distances the multistart oracle that the tests check C against;
 * a cube-sphere branch-and-bound (after Piyavskii 1972; Shubert 1972)
   that brackets the minimum of the largest face distance over
-  sphere-in-cone to 1e-4, starting from the 0/1 vertex and stopping once
-  hi is within 1e-4 of its floor, with a Lipschitz and a first-order lower
-  bound on each cell (the face distances are 1-Lipschitz, convex and
-  1-homogeneous; the latter is a minorant its children inherit), and an
-  active-set Newton solve of the KKT conditions whose point sets the
-  upper end and whose multipliers give a linear minorant of the largest
-  face distance on the whole cone; the minorant is valid for any
-  multipliers of the right signs, so the certificate never rests on the
-  solve converging;
+  sphere-in-cone to 1e-4, starting from C's two ends (`_ends`, which are
+  C past the search's range) and stopping once hi is within 1e-4 of its
+  floor, with a Lipschitz and a first-order lower bound on each cell (the
+  face distances are 1-Lipschitz, convex and 1-homogeneous; the latter
+  is a minorant its children inherit), and an active-set Newton solve of
+  the KKT conditions whose point sets the upper end and whose
+  multipliers give a linear minorant of the largest face distance on the
+  whole cone; the minorant is valid for any multipliers of the right
+  signs, so the certificate never rests on the solve converging;
 * dense grid minimization (circle / Fibonacci sphere) with a local zoom
   stage, for dimensions 2 and 3, which the test oracles build on.
 
@@ -1019,30 +1019,37 @@ def _pushed_inside(normals: np.ndarray, y, inward):
     return pair
 
 
-def _kept_point(face: FaceDistance, y, inward):
-    """y as a feasible unit point to keep (`_pushed_inside`), with its f,
-    or None."""
-    pair = _pushed_inside(face.normals, y, inward)
-    if pair is None:
-        return None
-    return pair[0], face.max_face_distance(pair)[0]
-
-
 class Bracket(NamedTuple):
-    """Result of the branch-and-bound or of the nearest-point ends:
-    lo <= C <= hi, and hi - lo <= 1e-4 (up to a 1e-12 rounding allowance)
-    when `complete`.  lo is at least the floor delta_Q of `zero_one_vertex`
-    less that allowance, when that floor was solved."""
+    """lo <= C <= hi, and hi - lo <= 1e-4 (up to a 1e-12 rounding allowance)
+    when `complete`: C's two ends (`_ends`), or the branch-and-bound that
+    starts from them.  lo is at least the floor delta_Q of
+    `zero_one_vertex` less that allowance, when that floor was solved."""
 
     lo: float
     hi: float
-    # The feasible unit point that attains hi.
+    # The feasible unit point whose evaluation on two rows (`_evaluate`) is hi.
     best: np.ndarray
-    # Centres (and the seed and 0/1 vertex) whose face distances were computed.
+    # Points evaluated: the ends' seed and 0/1 vertex, and cell centres.
     evaluations: int
     # False when the budget stopped the search before the gap closed, or
-    # when the nearest-point ends are farther apart than the gap.
+    # when the ends alone are farther apart than the gap.
     complete: bool
+
+
+def _ends(largest, normals: np.ndarray, seed: np.ndarray, vertex: ZeroOneVertex | None) -> Bracket:
+    """C's two ends: hi is the smaller largest face distance at the seed e
+    and at the 0/1 vertex y_Q, each moved inside the cone by
+    `_pushed_inside` and evaluated on its two rows, and lo is the floor
+    delta_Q less _VERTEX_ERROR (0 without a vertex).  `largest` maps rows
+    to their largest face distances."""
+    hi, best, evaluations = math.inf, seed, 0
+    for y in (seed,) if vertex is None else (seed, vertex.y):
+        pair = _pushed_inside(normals, y, seed)
+        if pair is not None:
+            hi, best = _keep_best(hi, best, largest(pair)[:1], pair)
+            evaluations += 1
+    lo = 0.0 if vertex is None else vertex.value - _VERTEX_ERROR
+    return Bracket(lo, hi, best, evaluations, hi - lo <= _BNB_ATOL)
 
 
 def branch_and_bound_min_max_face_distance(
@@ -1070,17 +1077,17 @@ def branch_and_bound_min_max_face_distance(
       they close stops unevaluated, and `evaluations` counts only the
       evaluated centres;
     * hi, the best f at a feasible centre or Newton point, bounds C from
-      above; it starts from the better of the seed and the largest 0/1
-      vertex y_Q of `zero_one_vertex` (`vertex`, which the caller has
-      solved), moved inside the cone;
+      above; it starts from C's upper end (`_ends`), the better of the
+      seed and the largest 0/1 vertex y_Q of `zero_one_vertex` (`vertex`,
+      which the caller has solved), moved inside the cone;
     * C >= delta_Q on the whole cone, so the search stops before any
       level at which hi - delta_Q <= 1e-4, and lo is at least
       delta_Q - 1e-12 (the open cells' bounds count too when it stops so).
 
     Once the cells are within _NEWTON_RADIUS of their centres and some
     would split, `_kkt_point` runs from the best feasible point.  A point
-    it finds below hi, moved inside the cone and evaluated exactly, joins
-    the kept points, and its minorant bounds this level's cells and every
+    it finds below hi, moved inside the cone and evaluated exactly, can
+    become hi, and its minorant bounds this level's cells and every
     later one.  It runs again when a centre falls below its point, or, if
     it did not lower hi, once hi has fallen by the stopping gap.  At a
     KKT point the minorant is C (y*, y), which closes every cell within
@@ -1101,13 +1108,8 @@ def branch_and_bound_min_max_face_distance(
     q = len(signs)
     max_points = _BNB_PROJECTIONS // (face.n << (face.n - 1))
     complete = True
-    best = interior_seed
-    hi = float(face.max_face_distance(interior_seed[None])[0])
-    evaluations = 1
-    kept = _kept_point(face, vertex.y, interior_seed)
-    if kept is not None:
-        hi, best = _keep_best(hi, best, [kept[1]], kept[0][None])
-        evaluations += 1
+    start = _ends(face.max_face_distance, face.normals, interior_seed, vertex)
+    hi, best, evaluations = start.hi, start.best, start.evaluations
     # Minorants from the KKT solves (rows, less their slacks), and the hi
     # below which the solve runs again.
     gs, slacks = np.empty((0, m)), np.empty(0)
@@ -1154,9 +1156,9 @@ def branch_and_bound_min_max_face_distance(
             newton_top = hi - _BNB_ATOL
             if found is not None:
                 if found.dists.max() < hi:
-                    kept = _kept_point(face, found.y, interior_seed)
-                    if kept is not None:
-                        hi, best = _keep_best(hi, best, [kept[1]], kept[0][None])
+                    pair = _pushed_inside(face.normals, found.y, interior_seed)
+                    if pair is not None:
+                        hi, best = _keep_best(hi, best, face.max_face_distance(pair), pair)
                         newton_top = hi
                 bound = _minorant(found, face.normals)
                 if bound is not None:
@@ -1192,29 +1194,20 @@ def branch_and_bound_min_max_face_distance(
         lo = min(lo, float(cells[5].min()))
     elif not math.isfinite(lo):
         raise DegenerateArrangement("branch-and-bound found no cell inside the cone")
-    return Bracket(max(lo, vertex.value - _VERTEX_ERROR), hi, best, evaluations, complete)
+    return Bracket(max(lo, start.lo), hi, best, evaluations, complete)
 
 
 def nearest_point_min_max_face_distance(
     normals: np.ndarray, interior_seed: np.ndarray, vertex: ZeroOneVertex | None
 ) -> Bracket:
-    """C's two ends without a search: hi is the least NNLS largest face
-    distance (`nearest_point_face_distances`) at the seed and at the 0/1
-    vertex y_Q, each moved inside the cone as `_kept_point` moves it, and
-    lo is the floor delta_Q less _VERTEX_ERROR (0 without a vertex).
+    """C's two ends (`_ends`) from the NNLS face distances of
+    `nearest_point_face_distances`, without a search.
 
     No projector table is built, so time and memory are polynomial in n
     beyond the vertex, which the caller solves (or skips).
     """
     arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    hi, best, evaluations = math.inf, interior_seed, 0
-    for y in (interior_seed,) if vertex is None else (interior_seed, vertex.y):
-        pair = _pushed_inside(arr, y, interior_seed)
-        if pair is None:
-            continue
-        f = float(nearest_point_face_distances(arr, pair[0])[0].max())
-        evaluations += 1
-        if f < hi:
-            hi, best = f, pair[0]
-    lo = 0.0 if vertex is None else vertex.value - _VERTEX_ERROR
-    return Bracket(lo, hi, best, evaluations, hi - lo <= _BNB_ATOL)
+    return _ends(
+        lambda pair: nearest_point_face_distances(arr, pair[0])[0].max(keepdims=True),
+        arr, interior_seed, vertex,
+    )

@@ -179,8 +179,14 @@ class TestBfkConstant:
         assert est.value == pytest.approx(bfk_orthant_oracle(2), abs=1e-5)
 
     def test_half_line(self):
-        est = bfk_constant(make_cone(1, [[1.0]]))
-        assert est.value == 1.0
+        # The 0/1-vertex closed form: C = delta_Q = 1, the distance to the apex.
+        for normals in ([[1.0]], [[-2.5]]):
+            est = bfk_constant(make_cone(1, normals))
+            assert est == ConstantEstimate(1.0, 1.0, EstimateMethod.closed_form, 0)
+        # One wall in R^3 reduces to the half-line: 8 (1 / C + 2)^0 = 8.
+        rep = bounds_report(make_cone(3, [[0.0, 0.6, -0.8]]))
+        assert rep.bfk_C == 1.0
+        assert rep.bound_bfk == 8.0
 
     def test_orthant3(self, orthant3):
         est = bfk_constant(orthant3)
@@ -421,7 +427,8 @@ def test_bounds_past_float_range_are_infinite():
 
 def test_bounds_report_imports_no_scipy():
     # Also with a budget of 100 evaluations, which cuts the search on
-    # stream 5000: C is still reported without scipy.
+    # stream 5000: C is still reported without scipy.  The n = 9 and 16
+    # cones take C's two ends without the search.
     import subprocess
     import textwrap
 
@@ -433,6 +440,8 @@ def test_bounds_report_imports_no_scipy():
             from conebilliards import minimax
             if {budget} is not None:
                 minimax._BNB_PROJECTIONS = {budget}
+            for n in (9, 16):
+                conebilliards.bounds_report(conebilliards.random_cone(n, n, seed=20241, stream=n * 1000))
             cone = conebilliards.random_cone(5, 5, seed=20241, stream=5000)
             conebilliards.bounds_report(cone)
             print(any(name.split(".")[0] == "scipy" for name in sys.modules))

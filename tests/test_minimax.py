@@ -124,15 +124,25 @@ class TestBranchAndBound:
         assert lo <= 1.0 / math.sqrt(n) <= hi + 1e-15
         assert hi - lo <= 1e-4 + 1e-12
 
-    def test_best_centres_feasible_and_sorted(self):
-        cone = next(cone_suite((4,), 1, seed=50))
-        face = FaceDistance(cone.normals)
-        lo, hi, best, _, _ = _bnb(cone)
-        # one point, feasible and of unit length, that attains hi
-        assert best.shape == (4,)
-        assert (best @ cone.matrix).min() >= 0.0
-        assert abs(np.linalg.norm(best) - 1.0) <= 1e-15
-        assert _evaluate(face, best)[0].max() == hi
+    def test_best_centres_feasible(self):
+        # These stop at the floor after C's two ends alone, so hi is an
+        # end's value, which must be the two-row evaluation of best too.
+        at_floor = [wedge_from_angle(0.2).cone] + [
+            random_cone(s // 1000, s // 1000, seed=20241, stream=s)
+            for s in (2022, 3003, 3010, 5001, 5005, 5007)
+        ]
+        # These are searched, with 50 to 500 evaluations.
+        searched = [next(cone_suite((4,), 1, seed=50))] + [
+            random_cone(s // 1000, s // 1000, seed=20241, stream=s) for s in (3000, 4000, 4003, 5000)
+        ]
+        for cone in at_floor + searched:
+            face = FaceDistance(cone.normals)
+            lo, hi, best, _, _ = _bnb(cone)
+            # one point, feasible and of unit length, that attains hi
+            assert best.shape == (cone.dim,)
+            assert (best @ cone.matrix).min() >= 0.0
+            assert abs(np.linalg.norm(best) - 1.0) <= 1e-15
+            assert _evaluate(face, best)[0].max() == hi
 
     def test_six_walls_complete(self):
         # Lipschitz bounds alone needed 136k evaluations here (2 s)
