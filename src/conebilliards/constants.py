@@ -35,12 +35,12 @@ from .minimax import FaceDistance
 
 class EstimateMethod(enum.Enum):
     """How a constant was obtained: closed_form is exact up to rounding
-    (delta up to n = 16, phi, and C of wedges and of the cones whose
+    (delta and phi up to n = 16, and C of wedges and of the cones whose
     largest 0/1 vertex has every face-distance foot in its face, orthants
     among them); nearest_point is one NNLS per problem with certified ends
-    (S(Q), and C past n = 8); multistart is an estimate from above (delta
-    past n = 16); branch_and_bound is a certified interval (every other C
-    up to n = 8)."""
+    (S(Q), and C past n = 8); multistart is an estimate from above, the
+    best of a few ascents over sign vertices (delta and phi past n = 16);
+    branch_and_bound is a certified interval (every other C up to n = 8)."""
 
     closed_form = "closed_form"
     nearest_point = "nearest_point"
@@ -61,7 +61,7 @@ class ConstantEstimate:
     constant lies in [certified_lower, value].  S(Q) is a maximum: its
     value is its certified lower end, within 1e-12 of the upper end of
     `minimax.nearest_point_margin` on every cone tested.  `starts_used`
-    counts the sign vectors, NNLS problems or multistart starts the route
+    counts the sign vectors, NNLS problems or flip-ascent starts the route
     solved; every route of C reports 0.
     """
 
@@ -163,8 +163,9 @@ def inscribed_ball(cone: ConeSpec) -> InscribedBall:
     return InscribedBall(d=d, e=e)
 
 
-# delta's sign-vertex formula solves 2^(n-1) vertices; past this n the
-# multistart route estimates delta from above.
+# delta's sign-vertex formula solves 2^(n-1) vertices; past this n, delta
+# and phi come from the flip ascent over the same vertices, an estimate
+# from above in polynomial time.
 _FORMULA_MAX_N = 16
 # C's floor delta_Q solves 2^n - 1 vertices; past this n C has no floor
 # but the a-priori one, and no closed form.
@@ -176,24 +177,29 @@ _VERTEX_MAX_N = 16
 _SEARCH_MAX_N = 8
 
 
+def _delta(cone: ConeSpec) -> ConstantEstimate:
+    """delta of the cone's normals, in their span, by the route its n takes."""
+    n = cone.n_walls
+    lower = math.sqrt(max(cone.lambda_min, 0.0) / n)
+    if n <= _FORMULA_MAX_N:
+        value = min(max(minimax.min_max_abs_margin(cone.normals)[0], lower - 1e-12), 1.0)
+        return ConstantEstimate(value, value, EstimateMethod.closed_form, 1 << (n - 1))
+    value, _, used = minimax.flip_min_max_abs_margin(cone.normals)
+    return ConstantEstimate(min(max(value, lower - 1e-12), 1.0), lower, EstimateMethod.multistart, used)
+
+
 def capacity_delta(cone: ConeSpec) -> ConstantEstimate:
     """Capacity delta = min over unit y of max_i |(y, a_i)|; psi = arcsin(delta).
 
     Up to n = 16 the sign-vertex formula of `minimax.min_max_abs_margin`
     gives delta exactly, and the value is its own certified lower end.
-    Past it, multistart projected subgradient descent gives an estimate
-    from above, with the a-priori sqrt(lambda_min / n) as the lower end.
+    Past it, the one-flip ascent of `minimax.flip_min_max_abs_margin` over
+    the same sign vertices gives an estimate from above (method
+    multistart), with the a-priori sqrt(lambda_min / n) as the lower end;
+    it matched the formula exactly on every cone tested at n = 2..16.
     """
     _require_square(cone, "capacity_delta")
-    n = cone.n_walls
-    lower = math.sqrt(max(cone.lambda_min, 0.0) / n)
-    if n <= _FORMULA_MAX_N:
-        value, _ = minimax.min_max_abs_margin(cone.normals)
-        value = float(min(max(value, lower - 1e-12), 1.0))
-        return ConstantEstimate(value, value, EstimateMethod.closed_form, 1 << (n - 1))
-    value, _, used = minimax.multistart_min_max_abs(cone.normals)
-    value = float(min(max(value, lower - 1e-12), 1.0))
-    return ConstantEstimate(value, lower, EstimateMethod.multistart, used)
+    return _delta(cone)
 
 
 def charge_SQ(cone: ConeSpec) -> ConstantEstimate:
@@ -223,18 +229,18 @@ def charge_phi(normals) -> ConstantEstimate:
     has sin S(Q_s) >= 1 / |y_s| >= delta.  At the vertex of largest norm,
     optimality gives y_s = sum_i mu_i s_i a_i with mu >= 0, so
     (u, y_s) >= sum_i mu_i = |y_s|^2 whenever s_i (u, a_i) >= 1, and that
-    sign cone has sin S = delta exactly.  Raw arrays go through `make_cone`.
+    sign cone has sin S = delta exactly.  So phi takes delta's route
+    (`capacity_delta`): exact up to n = 16, and past it the flip ascent's
+    estimate from above, with arcsin(sqrt(lambda_min / n)) as its certified
+    end.  Cones with fewer walls than dimensions work in the span of their
+    normals; raw arrays go through `make_cone`.
     """
     if not isinstance(normals, ConeSpec):
         arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
         normals = make_cone(arr.shape[1], arr)
-    value, _ = minimax.min_max_abs_margin(normals.normals)
-    value = math.asin(min(1.0, value))
+    delta = _delta(normals)
     return ConstantEstimate(
-        value=value,
-        certified_lower=value,
-        method=EstimateMethod.closed_form,
-        starts_used=1 << (normals.n_walls - 1),
+        math.asin(delta.value), math.asin(delta.certified_lower), delta.method, delta.starts_used
     )
 
 

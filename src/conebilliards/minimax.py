@@ -5,7 +5,9 @@ from cone geometry:
 
 * the sign-vertex formula for min over unit y of max_i |(y, a_i)|: the
   largest vertex of the parallelotope {y : |(y, a_i)| <= 1}, one linear
-  solve for all 2^(n-1) sign vectors; the same solve over the 2^n - 1
+  solve for all 2^(n-1) sign vectors, and past the formula's range a
+  one-flip ascent over the same vertices from nine starts, which gives
+  delta from above in polynomial time; the same solve over the 2^n - 1
   nonzero 0/1 vectors gives the floor delta_Q of the largest face
   distance, and its vertex, where that floor is often attained;
 * one non-negative least-squares kernel (`nnls`, Lawson and Hanson 1974)
@@ -13,9 +15,9 @@ from cone geometry:
   1 / min{|u| : (u, a_i) >= 1}, with both ends certified, and the
   distance from a point to each face as the distance to the cone over
   that face's rays, an upper end whether or not the solve converged;
-* deterministic multistart projected subgradient descent with step halving,
-  vectorized across starts: delta's route past the formula's range, and
-  for face distances the multistart oracle that the tests check C against;
+* projected subgradient descent of the largest face distance with step
+  halving, vectorized across the starts it is given: the multistart
+  oracle that the tests check C against;
 * a cube-sphere branch-and-bound (after Piyavskii 1972; Shubert 1972)
   that brackets the minimum of the largest face distance over
   sphere-in-cone to 1e-4, starting from C's two ends (`_ends`, which are
@@ -45,15 +47,13 @@ import numpy as np
 from .errors import DegenerateArrangement, InvalidParameter
 from .geometry import gram_schmidt_row, orthonormal_rows
 
-# Fixed scramble seed: starts are low-discrepancy yet reproducible.
-_SOBOL_SEED = 20090
-# Starts (Sobol points, plus the interior seed for face distances) and the
-# iteration cap of the multistart routes; their first step lengths for
-# max |margin| and for face distances; and the iterations without
-# improvement after which the face-distance route stops.
-N_STARTS = 256
+# Eigenvectors of G^-1 whose sign patterns start the flip ascent, beside
+# all ones, and the least relative rise of s^T G^-1 s that counts as a flip.
+_FLIP_STARTS = 8
+_FLIP_RISE = 1e-12
+# The iteration cap of the multistart face-distance route, its first step
+# length, and the iterations without improvement after which it stops.
 _ITERS = 500
-_ABS_STEP0 = 0.5
 _FACE_STEP0 = 0.25
 _STALL_LIMIT = 60
 # Global grid points of the grid minimization (circle for dim 2, Fibonacci
@@ -110,28 +110,6 @@ _VERTEX_ERROR = 1e-12
 _MAX_DISTANCE_ROWS = 1 << 12
 
 
-def sphere_starts(dim: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy points on the unit sphere in R^dim."""
-    if dim == 1:
-        return np.array([[1.0], [-1.0]] * ((count + 1) // 2))[:count]
-    # Imported here: scipy.stats costs about a second and 70 MB at import,
-    # and only the multistart routes draw Sobol starts.
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(d=dim, scramble=True, seed=_SOBOL_SEED)
-    m = max(1, math.ceil(math.log2(count)))
-    u = sob.random_base2(m)[:count]
-    # Inverse-normal map sends the low-discrepancy cube to the sphere.
-    from scipy.special import ndtri
-
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms < 1e-12] = 1.0
-    pts = z / norms[:, None]
-    pts[np.linalg.norm(z, axis=1) < 1e-12] = np.eye(dim)[0]
-    return pts
-
-
 def _normalize_rows(y: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(y, axis=1)
     n[n < 1e-300] = 1.0
@@ -161,13 +139,10 @@ def max_min_margin(normals: np.ndarray):
     best_u = None
     for k in range(1, n + 1):
         for subset in itertools.combinations(range(n), k):
-            sub = arr[list(subset)]
-            g = sub @ sub.T
-            try:
-                w = np.linalg.solve(g, np.ones(k))
-            except np.linalg.LinAlgError:
-                continue
-            u0 = w @ sub
+            # The least-norm u with (u, a_i) = 1 on the subset, from its
+            # rows rather than from their Gram matrix, whose condition
+            # number is their square.
+            u0 = np.linalg.lstsq(arr[list(subset)], np.ones(k), rcond=None)[0]
             nrm = np.linalg.norm(u0)
             if nrm < 1e-12:
                 continue
@@ -226,6 +201,43 @@ def min_max_abs_margin(normals: np.ndarray):
     q, y, _ = _largest_vertex(arr, 0, 1 << (n - 1), signs)
     root = math.sqrt(q)
     return 1.0 / root, y / root
+
+
+def flip_min_max_abs_margin(normals: np.ndarray):
+    """min over unit y of max_i |(y, a_i)| from above, by a one-flip ascent
+    over the sign vertices of `min_max_abs_margin`, in polynomial time.
+
+    G^-1 is built from the normals in an orthonormal basis, as in
+    `_largest_vertex`.  From all ones and from the sign patterns of the
+    top _FLIP_STARTS eigenvectors of G^-1, s^T G^-1 s rises by flipping
+    the sign whose flip raises it most, while that rise is more than a
+    relative _FLIP_RISE, at most n^2 times.  Every vertex y_s gives the
+    unit vector y_s / |y_s| whose largest |margin| is 1 / |y_s|, so the
+    value, from the largest vertex found, is an estimate from above
+    wherever the ascent stops.
+
+    Returns (value, unit vector, starts).
+    """
+    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
+    n = arr.shape[0]
+    rays = np.linalg.inv(arr @ orthonormal_rows(arr).T)
+    inv_gram = rays.T @ rays
+    top = np.linalg.eigh(inv_gram)[1][:, -_FLIP_STARTS:]
+    s = np.hstack([np.ones((n, 1)), np.where(top >= 0.0, 1.0, -1.0)])
+    cols = np.arange(s.shape[1])
+    diag = np.diag(inv_gram)[:, None]
+    for _ in range(n * n):
+        hs = inv_gram @ s
+        # Flipping s_i changes s^T G^-1 s by 4 (G^-1_ii - s_i (G^-1 s)_i).
+        rise = 4.0 * (diag - s * hs)
+        i = rise.argmax(axis=0)
+        flip = rise[i, cols] > _FLIP_RISE * (s * hs).sum(axis=0)
+        if not flip.any():
+            break
+        s[i[flip], cols[flip]] *= -1.0
+    q, y, _ = _largest_vertex(arr, 0, s.shape[1], lambda codes: s[:, codes])
+    root = math.sqrt(q)
+    return 1.0 / root, y / root, s.shape[1]
 
 
 class ZeroOneVertex(NamedTuple):
@@ -367,43 +379,6 @@ def nearest_point_face_distances(normals: np.ndarray, y: np.ndarray):
         feet[i] = face @ nnls(face, y)
     diff = y - feet
     return np.sqrt((diff * diff).sum(axis=1)), feet
-
-
-# ---------------------------------------------------------------------------
-# Multistart projected subgradient descent
-# ---------------------------------------------------------------------------
-
-def multistart_min_max_abs(normals: np.ndarray):
-    """Multistart subgradient route for min over the sphere of max |margin|.
-
-    All N_STARTS Sobol starts advance in lockstep as one array; a start
-    that fails to improve halves its step.  Returns (value, argmin vector,
-    starts used).
-    """
-    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    m = arr.shape[1]
-    y = sphere_starts(m, N_STARTS)
-    margins = y @ arr.T
-    f = np.abs(margins).max(axis=1)
-    eta = np.full(N_STARTS, _ABS_STEP0)
-    rows = np.arange(N_STARTS)
-    for _ in range(_ITERS):
-        idx = np.abs(margins).argmax(axis=1)
-        s = np.sign(margins[rows, idx])
-        s[s == 0.0] = 1.0
-        grad = s[:, None] * arr[idx]
-        cand = _normalize_rows(y - eta[:, None] * grad)
-        cand_margins = cand @ arr.T
-        cand_f = np.abs(cand_margins).max(axis=1)
-        better = cand_f < f
-        y = np.where(better[:, None], cand, y)
-        margins = np.where(better[:, None], cand_margins, margins)
-        f = np.where(better, cand_f, f)
-        eta = np.where(better, eta, eta * 0.5)
-        if eta.max() < 1e-14:
-            break
-    best = int(f.argmin())
-    return float(f[best]), y[best].copy(), N_STARTS
 
 
 # ---------------------------------------------------------------------------
@@ -589,20 +564,21 @@ class FaceDistance:
         return self._nearest_feasible(pts, self._cone, 1)[1][:, 0]
 
 
-def multistart_min_max_face_distance(face: FaceDistance, interior_seed: np.ndarray):
-    """Minimize max_i dist(y, B_i) over the unit sphere inside the cone.
+def multistart_min_max_face_distance(face: FaceDistance, interior_seed: np.ndarray, starts: np.ndarray):
+    """Minimize max_i dist(y, B_i) over the unit sphere inside the cone by
+    projected subgradient descent, vectorized across starts.
 
     The multistart oracle that the tests check C against; the library
     takes C from `branch_and_bound_min_max_face_distance` alone.  Starts
-    are N_STARTS - 1 Sobol points plus `interior_seed`.  Iterates stay
-    feasible: each step is projected back onto the cone and renormalized.
-    The reported value is the best feasible evaluation seen, hence always
-    an estimate from above.  Stops early once the incumbent has not
-    improved for _STALL_LIMIT iterations (the best start's step has
-    collapsed by then).  Returns (value, point, starts).
+    are the rows of `starts`, projected onto the cone, plus
+    `interior_seed`.  Iterates stay feasible: each step is projected back
+    onto the cone and renormalized.  The reported value is the best
+    feasible evaluation seen, hence always an estimate from above.  Stops
+    early once the incumbent has not improved for _STALL_LIMIT iterations
+    (the best start's step has collapsed by then).  Returns (value, point,
+    starts).
     """
-    m = face.m
-    y = face.project_to_cone(sphere_starts(m, N_STARTS - 1))
+    y = face.project_to_cone(starts)
     norms = np.linalg.norm(y, axis=1)
     y[norms < 1e-9] = interior_seed
     y = np.vstack([y, interior_seed[None, :]])

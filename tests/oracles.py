@@ -1,11 +1,13 @@
 """Independent oracles for delta and C, built from the `minimax` routines.
 
-The library computes delta by the sign-vertex formula (up to n = 16) and C
-by its closed forms and the certified branch-and-bound.  These routes
-check them from above: multistart projected subgradient descent from
-Sobol starts, and, in dimension 2 and 3, dense grid minimization on the
-sphere.  Each returns its value clamped as the library clamps its own:
-at most 1, and at least the a-priori sqrt(lambda_min / n) less 1e-12.
+The library computes delta by the sign-vertex formula (up to n = 16, and
+by a flip ascent over the same vertices past it) and C by its closed
+forms and the certified branch-and-bound.  These routes check them from
+above: multistart projected subgradient descent from Sobol starts, and,
+in dimension 2 and 3, dense grid minimization on the sphere.  Each
+returns its value clamped as the library clamps its own: at most 1, and
+at least the a-priori sqrt(lambda_min / n) less 1e-12.  scipy draws the
+Sobol starts here, in the tests; the library imports none of it.
 """
 
 import functools
@@ -16,7 +18,69 @@ import numpy as np
 from conebilliards import minimax
 from conebilliards.constants import inscribed_ball
 from conebilliards.errors import DegenerateArrangement
-from conebilliards.minimax import FaceDistance
+from conebilliards.minimax import _ITERS, FaceDistance, _normalize_rows
+
+# Fixed scramble seed: starts are low-discrepancy yet reproducible.
+_SOBOL_SEED = 20090
+# Starts of the multistart routes (Sobol points, plus the interior seed for
+# face distances), and the first step length for max |margin|.
+N_STARTS = 256
+_ABS_STEP0 = 0.5
+
+
+def sphere_starts(dim: int, count: int) -> np.ndarray:
+    """Deterministic low-discrepancy points on the unit sphere in R^dim."""
+    if dim == 1:
+        return np.array([[1.0], [-1.0]] * ((count + 1) // 2))[:count]
+    # Imported here: scipy.stats costs about a second and 70 MB at import,
+    # and only the multistart routes draw Sobol starts.
+    from scipy.stats import qmc
+
+    sob = qmc.Sobol(d=dim, scramble=True, seed=_SOBOL_SEED)
+    m = max(1, math.ceil(math.log2(count)))
+    u = sob.random_base2(m)[:count]
+    # Inverse-normal map sends the low-discrepancy cube to the sphere.
+    from scipy.special import ndtri
+
+    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms < 1e-12] = 1.0
+    pts = z / norms[:, None]
+    pts[np.linalg.norm(z, axis=1) < 1e-12] = np.eye(dim)[0]
+    return pts
+
+
+def multistart_min_max_abs(normals: np.ndarray):
+    """Multistart subgradient route for min over the sphere of max |margin|.
+
+    All N_STARTS Sobol starts advance in lockstep as one array; a start
+    that fails to improve halves its step.  Returns (value, argmin vector,
+    starts used).
+    """
+    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
+    m = arr.shape[1]
+    y = sphere_starts(m, N_STARTS)
+    margins = y @ arr.T
+    f = np.abs(margins).max(axis=1)
+    eta = np.full(N_STARTS, _ABS_STEP0)
+    rows = np.arange(N_STARTS)
+    for _ in range(_ITERS):
+        idx = np.abs(margins).argmax(axis=1)
+        s = np.sign(margins[rows, idx])
+        s[s == 0.0] = 1.0
+        grad = s[:, None] * arr[idx]
+        cand = _normalize_rows(y - eta[:, None] * grad)
+        cand_margins = cand @ arr.T
+        cand_f = np.abs(cand_margins).max(axis=1)
+        better = cand_f < f
+        y = np.where(better[:, None], cand, y)
+        margins = np.where(better[:, None], cand_margins, margins)
+        f = np.where(better, cand_f, f)
+        eta = np.where(better, eta, eta * 0.5)
+        if eta.max() < 1e-14:
+            break
+    best = int(f.argmin())
+    return float(f[best]), y[best].copy(), N_STARTS
 
 
 def _a_priori(cone):
@@ -35,7 +99,7 @@ def _c(cone, value):
 
 def delta_multistart(cone) -> float:
     """delta from above: max_i |(y, a_i)| descended from Sobol starts."""
-    return _delta(cone, minimax.multistart_min_max_abs(cone.normals)[0])
+    return _delta(cone, multistart_min_max_abs(cone.normals)[0])
 
 
 def delta_grid(cone) -> float:
@@ -52,9 +116,10 @@ def delta_grid(cone) -> float:
 
 def c_multistart(cone) -> float:
     """C from above: the largest face distance descended, inside the cone,
-    from Sobol starts and the inscribed centre."""
+    from N_STARTS - 1 Sobol starts and the inscribed centre."""
     face = FaceDistance(cone.normals)
-    value, _, _ = minimax.multistart_min_max_face_distance(face, inscribed_ball(cone).e)
+    starts = sphere_starts(cone.dim, N_STARTS - 1)
+    value, _, _ = minimax.multistart_min_max_face_distance(face, inscribed_ball(cone).e, starts)
     return _c(cone, value)
 
 

@@ -181,3 +181,45 @@ def test_hardball_rejects_invalid_input(flags, error):
         flags = ["--masses", "1,1", *flags]
     with pytest.raises(error):
         main(["hardball", *flags])
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # The runtime needs numpy alone.  With scipy unimportable, each of the
+    # six commands runs, bounds on an n = 17 cone among them, where delta
+    # comes from the flip ascent past the sign-vertex formula.
+    import subprocess
+    import sys
+    import textwrap
+
+    code = textwrap.dedent(
+        f"""
+        import json
+        import sys
+        sys.modules["scipy"] = None
+        from conebilliards import random_cone
+        from conebilliards.cli import main
+
+        tmp = {str(tmp_path)!r}
+        cone = random_cone(17, 17, 20241, 17000)
+        with open(tmp + "/cone17.json", "w") as fh:
+            json.dump({{"dim": cone.dim, "normals": cone.normals.tolist()}}, fh)
+        with open(tmp + "/orthant.json", "w") as fh:
+            json.dump({{"dim": 2, "normals": [[1, 0], [0, 1]]}}, fh)
+        for argv in (
+            ["bounds", "--cone", tmp + "/cone17.json", "--format", "csv"],
+            ["simulate", "--cone", tmp + "/orthant.json", "--q", "1,2", "--v=-2,-1", "--audit"],
+            ["ensemble", "--walls", "3", "--dim", "3", "--trials", "2", "--seed", "7",
+             "--out", tmp + "/rows.csv", "--paths", "10"],
+            ["search", "--cone", tmp + "/orthant.json", "--budget", "200", "--seed", "1"],
+            ["wedge", "--theta", "1.0", "--search", "--budget", "200"],
+            ["hardball", "--masses", "1,1,1", "--positions", "0,1,3", "--velocities=1,0,-1",
+             "--conjugacy"],
+        ):
+            assert main(argv) == 0, argv
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("lambda_min,d,delta,")

@@ -20,7 +20,7 @@ from conebilliards.constants import (
 from conebilliards.errors import ConeBilliardsError, DegenerateArrangement, DimensionMismatch
 from conebilliards.geometry import gram, make_cone
 from conebilliards.harness import interior_starts, make_rng, random_cone
-from conebilliards.minimax import FaceDistance, zero_one_vertex
+from conebilliards.minimax import FaceDistance, flip_min_max_abs_margin, zero_one_vertex
 from conebilliards.simulator import run_batch
 from conebilliards.wedge import wedge_from_angle
 
@@ -368,12 +368,12 @@ class TestBoundsReport:
 
         cone = next(cone_suite((3,), 1, seed=53))
         exact = bounds_report(cone)
-        # n = 3 takes the multistart route that delta takes past n = 16
+        # n = 3 takes the flip route that delta takes past n = 16
         monkeypatch.setattr(constants, "_FORMULA_MAX_N", 2)
         rep = bounds_report(cone)
         est = capacity_delta(cone)
         assert est.method is EstimateMethod.multistart
-        assert est.value == delta_multistart(cone)
+        assert est.value == flip_min_max_abs_margin(cone.normals)[0]
         assert est.certified_lower < est.value
         assert rep.delta == est.value
         assert rep.bound_dd == (4.0 / (rep.d * est.certified_lower)) ** 2
@@ -427,8 +427,9 @@ def test_bounds_past_float_range_are_infinite():
 
 def test_bounds_report_imports_no_scipy():
     # Also with a budget of 100 evaluations, which cuts the search on
-    # stream 5000: C is still reported without scipy.  The n = 9 and 16
-    # cones take C's two ends without the search.
+    # stream 5000: C is still reported without scipy.  The n = 9, 16 and
+    # 17 cones take C's two ends without the search, and at n = 17 delta
+    # takes the flip ascent.
     import subprocess
     import textwrap
 
@@ -440,7 +441,7 @@ def test_bounds_report_imports_no_scipy():
             from conebilliards import minimax
             if {budget} is not None:
                 minimax._BNB_PROJECTIONS = {budget}
-            for n in (9, 16):
+            for n in (9, 16, 17):
                 conebilliards.bounds_report(conebilliards.random_cone(n, n, seed=20241, stream=n * 1000))
             cone = conebilliards.random_cone(5, 5, seed=20241, stream=5000)
             conebilliards.bounds_report(cone)

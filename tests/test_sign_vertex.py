@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conebilliards.constants import EstimateMethod, capacity_delta, charge_phi
+from conebilliards.constants import EstimateMethod, bounds_report, capacity_delta, charge_phi
 from conebilliards.geometry import make_cone, reduce_to_span
 from conebilliards.harness import random_cone
 from conebilliards.minimax import max_min_margin, min_max_abs_margin
@@ -100,11 +100,43 @@ def test_exact_past_the_enumeration_range(n):
 
 
 def test_multistart_past_the_formula_range():
-    # Past n = 16 delta comes from the library's one call of
-    # multistart_min_max_abs: an estimate from above, with the a-priori
-    # lower end.
+    # Past n = 16 delta and phi come from the flip ascent over the sign
+    # vertices: an estimate from above, with the a-priori lower end.  phi
+    # takes the same route from a cone, a raw array or n < m walls, so it
+    # is psi, as in the bounds report, and never runs the 2^(n-1) formula.
     cone = random_cone(17, 17, seed=20241, stream=17000)
     est = capacity_delta(cone)
     assert est.method is EstimateMethod.multistart
     assert est.certified_lower == math.sqrt(cone.lambda_min / 17)
     assert est.certified_lower <= est.value <= 1.0
+    assert est.value == pytest.approx(0.0018131853982790232, rel=1e-12)
+    phi = charge_phi(cone)
+    assert phi.method is EstimateMethod.multistart
+    assert phi.value == bounds_report(cone).charge_phi == math.asin(est.value)
+    assert phi.certified_lower == math.asin(est.certified_lower)
+    assert charge_phi(cone.normals).value == pytest.approx(phi.value, rel=1e-12)
+    for n, m in ((17, 19), (22, 22)):
+        wide = random_cone(n, m, seed=20241, stream=n * 1000)
+        phi = charge_phi(wide)
+        assert phi.method is EstimateMethod.multistart
+        assert math.asin(math.sqrt(wide.lambda_min / n)) == phi.certified_lower <= phi.value
+
+
+def test_flip_route_matches_the_formula(monkeypatch):
+    import conebilliards.constants as constants
+
+    cones = [
+        random_cone(n, n, seed=20241, stream=n * 1000 + c)
+        for n in range(2, 17)
+        for c in range(25 if n <= 6 else 3)
+    ]
+    exact = [capacity_delta(cone).value for cone in cones]
+    monkeypatch.setattr(constants, "_FORMULA_MAX_N", 1)
+    for cone, value in zip(cones, exact):
+        est = capacity_delta(cone)
+        assert est.method is EstimateMethod.multistart
+        assert est.value == pytest.approx(value, rel=1e-15, abs=0.0)
+        assert est.certified_lower == math.sqrt(cone.lambda_min / cone.n_walls)
+        # At n = 2 delta is sqrt(lambda_min / 2) exactly, so the rounding
+        # of lambda_min shows; the library allows 1e-12 for it.
+        assert est.certified_lower <= est.value + 1e-12
