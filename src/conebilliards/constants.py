@@ -13,8 +13,8 @@ computes:
   which equals psi (see `charge_phi`);
 * the nondegeneracy constant C = min over unit y in Q of max_i dist(y, B_i),
   at least the floor delta_Q of the largest 0/1 vertex and equal to it
-  where that vertex's feet lie in their faces, searched between its two
-  ends up to n = 8 and given by those ends past it;
+  where that vertex's feet lie in their faces, and otherwise bracketed by
+  outer approximation from that vertex;
 * every collision-count bound built from these constants.
 """
 
@@ -30,22 +30,21 @@ import numpy as np
 from .errors import DegenerateArrangement, DimensionMismatch, InvalidParameter
 from .geometry import ConeSpec, GramMatrix, make_cone, reduce_to_span
 from . import minimax
-from .minimax import FaceDistance
 
 
 class EstimateMethod(enum.Enum):
     """How a constant was obtained: closed_form is exact up to rounding
     (delta and phi up to n = 16, and C of wedges and of the cones whose
     largest 0/1 vertex has every face-distance foot in its face, orthants
-    among them); nearest_point is one NNLS per problem with certified ends
-    (S(Q), and C past n = 8); multistart is an estimate from above, the
-    best of a few ascents over sign vertices (delta and phi past n = 16);
-    branch_and_bound is a certified interval (every other C up to n = 8)."""
+    among them); nearest_point is one NNLS with certified ends (S(Q));
+    multistart is an estimate from above, the best of a few ascents over
+    sign vertices (delta and phi past n = 16); outer_approximation is a
+    certified interval (every other C)."""
 
     closed_form = "closed_form"
     nearest_point = "nearest_point"
     multistart = "multistart"
-    branch_and_bound = "branch_and_bound"
+    outer_approximation = "outer_approximation"
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,10 @@ class ConstantEstimate:
     `value` is always a valid estimate from above for minimization targets
     (exact for closed forms); `certified_lower` is a lower bound when one
     is available: the value itself for a closed form, the a-priori
-    sqrt(lambda_min / n) for the multistart route, or for C's bracket the
-    larger of that and the bracket's lo, which is at least the floor
-    delta_Q less its rounding allowance where that floor is solved.  The
+    sqrt(lambda_min / n) for the multistart route, or for C's outer
+    approximation the larger of that and the bracket's lo, which is at
+    least the floor delta_Q less its rounding allowance where that floor
+    is solved (n <= 16).  The
     constant lies in [certified_lower, value].  S(Q) is a maximum: its
     value is its certified lower end, within 1e-12 of the upper end of
     `minimax.nearest_point_margin` on every cone tested.  `starts_used`
@@ -124,7 +124,10 @@ BoundsReport.FIELDS = tuple(f.name for f in fields(BoundsReport) if f.name != "c
 
 
 def ceil_snapped(x: float) -> int:
-    """Ceiling that forgives floating noise up to 1e-9 relative around integers."""
+    """Ceiling that forgives floating noise up to 1e-9 relative around
+    integers.  Raises InvalidParameter for NaN or +-inf."""
+    if not math.isfinite(x):
+        raise InvalidParameter(f"ceil_snapped needs a finite number, got {x!r}")
     r = round(x)
     if abs(x - r) <= 1e-9 * max(1.0, abs(x)):
         return int(r)
@@ -170,11 +173,6 @@ _FORMULA_MAX_N = 16
 # C's floor delta_Q solves 2^n - 1 vertices; past this n C has no floor
 # but the a-priori one, and no closed form.
 _VERTEX_MAX_N = 16
-# Up to this n, C between its two ends is searched by the branch-and-bound,
-# whose projector table holds n 2^(n-1) + 2^n projectors.  Past it C is
-# those ends: on random_cone(n, n, 20241, n*1000+c), n = 9..14, c < 3, the
-# search never moved either of them, and it took 2-15 s and up to 1.1 GB.
-_SEARCH_MAX_N = 8
 
 
 def _delta(cone: ConeSpec) -> ConstantEstimate:
@@ -266,38 +264,26 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     case S = every wall, where delta_Q = 1 / sqrt(n); so is the half-line
     (n = 1), where C = delta_Q = 1 because the only face is the apex.
 
-    Otherwise, up to n = 8, face distances are exact (active-set
-    enumeration), and the outer minimum over the sphere-in-cone is
-    bracketed by the cube-sphere branch-and-bound.  It starts from C's two
-    ends (`minimax._ends`): hi is the better of e and y_Q, each moved
-    inside the cone and evaluated on two rows as every cell centre is (so
-    hi is bit for bit the largest face distance at the returned point),
-    and lo is delta_Q less a 1e-12 rounding allowance.  It stops once
-    hi - lo <= 1e-4 or hi - delta_Q <= 1e-4.  Its cells carry a Lipschitz
-    and a first-order lower bound.  A split cell's first-order bound is a
-    linear minorant on the whole sphere, so its children inherit it, and a
-    child that it closes is never evaluated (the bracket's `evaluations`
-    counts evaluated points only).
-
-    Once its cells are small, an active-set Newton solve of the KKT
-    conditions gives a point, evaluated exactly, and multipliers lam
-    (faces) and nu >= 0 (walls) whose linear minorant
-    f(y) >= (sum lam_i g_i - sum nu_j a_j, y) holds on the whole cone for
-    any such multipliers, converged or not, and bounds every cell near the
-    minimizer.  `value` = hi, the best feasible point, and
-    `certified_lower` = max(lo, sqrt(lambda_min / n)), so
-    value - certified_lower <= 1e-4, and `starts_used` is 0.  When the
-    work budget cuts the search (none of the cones measured at n <= 7; one
-    of three at n = 8), the same two ends are returned and the interval is
-    only wider.
-
-    Past n = 8 there is no search and no projector table (method
-    nearest_point): C is the same two ends, with NNLS face distances, so
-    `value` is the smaller largest face distance at e and at y_Q and
-    `certified_lower` is max(sqrt(lambda_min / n), delta_Q - 1e-12), with
-    delta_Q solved only up to n = 16.  Any feasible evaluation is <= 1
-    because the apex belongs to every face, so 0 < C <= 1 always holds for
-    the value.
+    Otherwise C is bracketed by outer approximation
+    (`minimax.outer_approximation_min_max_face_distance`, method
+    outer_approximation).  f = max_i dist(., B_i) is convex and
+    1-homogeneous, so C = 1 / max{|y| : y in K} for the convex
+    K = {y in Q : f(y) <= 1}, and K lies in the parallelotope
+    {0 <= (y, a_i) <= 1}, whose largest vertex is y_Q / delta_Q.  Each
+    round takes the largest vertex v of the current polytope: 1 / |v|
+    less a 1e-12 rounding allowance is a lower end, the largest NNLS face
+    distance at v / |v|, moved inside the cone, is an upper end, and each
+    face with dist(v, B_i) > 1 adds a cut from its foot, clipped to that
+    face's polar so that it holds however inexact the foot.  The rounds
+    stop once the ends are within 1e-4, when a round cuts off no vertex,
+    or before the vertex list passes its cap of 2^14; past n = 14 there
+    are no rounds, and the ends are those of the inscribed centre e and
+    of y_Q.  `value` = hi, the largest face distance at the returned
+    point, and `certified_lower` = max(lo, sqrt(lambda_min / n)), where
+    lo is at least delta_Q less 1e-12 up to n = 16 and 0 past it (no
+    vertex is solved there).  `starts_used` is 0.  Any feasible
+    evaluation is <= 1 because the apex belongs to every face, so
+    0 < C <= 1 always holds for the value.
     """
     _require_square(cone, "bfk_constant")
     n = cone.n_walls
@@ -315,13 +301,7 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
             return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
 
     seed = inscribed_ball(cone).e
-    if n <= _SEARCH_MAX_N:
-        face = FaceDistance(cone.normals)
-        bracket = minimax.branch_and_bound_min_max_face_distance(face, seed, vertex)
-        method = EstimateMethod.branch_and_bound
-    else:
-        bracket = minimax.nearest_point_min_max_face_distance(cone.normals, seed, vertex)
-        method = EstimateMethod.nearest_point
+    bracket = minimax.outer_approximation_min_max_face_distance(cone.normals, seed, vertex)
     value = bracket.hi
     lower = max(lower, bracket.lo)
 
@@ -329,7 +309,7 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
         raise DegenerateArrangement(f"nondegeneracy constant {value} outside (0, 1]")
     value = min(value, 1.0)
     value = max(value, lower - 1e-12)
-    return ConstantEstimate(value, min(lower, value), method, 0)
+    return ConstantEstimate(value, min(lower, value), EstimateMethod.outer_approximation, 0)
 
 
 def tridiagonal_case(g) -> tuple[bool, int | None]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -71,11 +72,16 @@ def sphere_sample(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return _to_sphere(gaussians(rng, count * dim).reshape(count, dim))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def random_cone(n: int, dim: int, seed: int, stream: int = 0) -> ConeSpec:
     """Random cone with normals uniform on the sphere, resampled until the
-    smallest singular value of the normal matrix exceeds 1e-3."""
-    if n > dim:
-        raise DimensionMismatch(f"need n <= dim, got n={n}, dim={dim}")
+    smallest singular value of the normal matrix exceeds 1e-3.  Raises
+    DimensionMismatch unless n and dim are integers with 1 <= n <= dim."""
+    if not (_is_int(n) and _is_int(dim) and 1 <= n <= dim):
+        raise DimensionMismatch(f"need integers 1 <= n <= dim, got n={n!r}, dim={dim!r}")
     rng = make_rng(seed, stream)
     for _ in range(1000):
         try:
@@ -108,8 +114,11 @@ def interior_starts(
     rounds, at most 4096 uniforms): after a block in which round r accepts,
     the generator is rewound and advanced by rounds 0..r only.  The draws,
     and so the starts and the generator's next state, are those of one
-    round at a time.
+    round at a time.  Raises InvalidParameter unless count is an integer
+    >= 0.
     """
+    if not (_is_int(count) and count >= 0):
+        raise InvalidParameter(f"count must be an integer >= 0, got {count!r}")
     a = cone.matrix
     dim = cone.dim
     q = np.empty((count, dim))

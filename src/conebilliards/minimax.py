@@ -15,20 +15,17 @@ from cone geometry:
   1 / min{|u| : (u, a_i) >= 1}, with both ends certified, and the
   distance from a point to each face as the distance to the cone over
   that face's rays, an upper end whether or not the solve converged;
+* outer approximation of C = min over sphere-in-cone of the largest face
+  distance (`outer_approximation_min_max_face_distance`): C is 1 / the
+  largest norm over the convex set where the largest face distance is at
+  most 1, which lies in every polytope P_k of a shrinking sequence that
+  starts from the 0/1 parallelotope and takes cuts from the NNLS feet;
+  the largest vertex of P_k gives lo, the NNLS face distances there give
+  hi, and the rounds stop at a gap of 1e-4 or at a vertex cap;
 * projected subgradient descent of the largest face distance with step
-  halving, vectorized across the starts it is given: the multistart
-  oracle that the tests check C against;
-* a cube-sphere branch-and-bound (after Piyavskii 1972; Shubert 1972)
-  that brackets the minimum of the largest face distance over
-  sphere-in-cone to 1e-4, starting from C's two ends (`_ends`, which are
-  C past the search's range) and stopping once hi is within 1e-4 of its
-  floor, with a Lipschitz and a first-order lower bound on each cell (the
-  face distances are 1-Lipschitz, convex and 1-homogeneous; the latter
-  is a minorant its children inherit), and an active-set Newton solve of
-  the KKT conditions whose point sets the upper end and whose
-  multipliers give a linear minorant of the largest face distance on the
-  whole cone; the minorant is valid for any multipliers of the right
-  signs, so the certificate never rests on the solve converging;
+  halving, vectorized across the starts it is given, on the exact face
+  distances of `FaceDistance`: the multistart oracle that the tests check
+  C against;
 * dense grid minimization (circle / Fibonacci sphere) with a local zoom
   stage, for dimensions 2 and 3, which the test oracles build on.
 
@@ -67,46 +64,23 @@ _FEAS_TOL = 1e-9
 # threshold); larger ones start its threads, which doubled the CPU time per
 # face-distance point at n = 5 and 6 and made wall time erratic.
 _BLOCK_ENTRIES = 1 << 18
-# Stopping gap of the branch-and-bound (absolute).
-_BNB_ATOL = 1e-4
-# Frank-Wolfe steps for the weights of the first-order cell bound, and the
-# rounding error allowed in a projection foot: against 40-digit projections
-# it was at most 5.2e-15 at 960 points of random_cone(n, n, 20241, n*1000+k),
-# n = 3..6, k < 6.  Steps: evaluations, ms of the branch-and-bound on those
-# cones n = 3..5, k < 25 (2 vCPU, CPU time): 1: 55,794, 929; 2: 49,497, 887;
-# 3: 48,389, 985; 4: 48,832, 1014; 8: 49,398, 1213.
-_FW_STEPS = 2
-_FOOT_ERROR = 1e-14
-# The KKT Newton solve of the branch-and-bound runs once a level's cells are
-# within _NEWTON_RADIUS of their centres (0.05 to 0.3 gave evaluation
-# counts within 2x of one another on random_cone(n, n, 20241, n*1000+c),
-# n = 3..6), takes at most _NEWTON_STEPS steps of at most _NEWTON_REACH per
-# active set, stops at a step under _NEWTON_STOP, and tries at most
-# _NEWTON_ROUNDS active sets.
-_NEWTON_RADIUS = 0.1
-_NEWTON_STEPS = 12
-_NEWTON_REACH = 0.1
-_NEWTON_ROUNDS = 4
-_NEWTON_STOP = 1e-8
-# A wall passes through a foot when its margin there is at most _ON_WALL
-# (rounded on-wall margins were under 1e-16); at a Newton point, a face is
-# at the maximum within a relative _KKT_TIE and a wall within _KKT_TIE.
-_ON_WALL = 1e-12
-_KKT_TIE = 1e-9
-# Least margin of a Newton point that is offered as hi.
+# Stopping gap of C's bracket (absolute).
+_GAP = 1e-4
+# Least margin of a point that is evaluated for hi.
 _PUSH = 1e-15
-# Work budget of the branch-and-bound, in face projections (a point costs
-# n 2^(n-1)): about 6 s on one core at n = 6; the cones measured at
-# n = 6, 7 used at most 56% of it, those at n <= 5 under 1%, and one of
-# the three at n = 8 (stream 8001) runs out of it.  A cut search returns a
-# wider bracket, still certified, and C is that bracket as on every other
-# cone.
-_BNB_PROJECTIONS = 1 << 26
-# Rounding allowance of the floor delta_Q of `zero_one_vertex` when it is
-# used as a lower end of C.
+# Most vertices the outer approximation of C holds: its rounds stop before
+# an update would take the vertex list past it, and a cone with more 0/1
+# vertices than this has no rounds.
+_VERTEX_CAP = 1 << 14
+# Rounding allowance of 1 / |v| for the largest vertex v of the outer
+# approximation when it is used as a lower end of C, round 0's floor
+# delta_Q of `zero_one_vertex` among them: against exact rational solves
+# of v's tight constraints it was off by at most 3.2e-15 relative on the
+# 86 cones with cuts among random_cone(n, n, 20241, n*1000+c), n = 3..6,
+# c < 25.
 _VERTEX_ERROR = 1e-12
-# Points per distances_and_feet call in max_face_distance and in the
-# branch-and-bound, which bounds the feet array (k, n, m).
+# Points per distances_and_feet call in max_face_distance, which bounds the
+# feet array (k, n, m).
 _MAX_DISTANCE_ROWS = 1 << 12
 
 
@@ -156,15 +130,17 @@ def max_min_margin(normals: np.ndarray):
     return best_val, best_u
 
 
-def _largest_vertex(arr: np.ndarray, first: int, stop: int, rhs):
+def _largest_vertex(arr: np.ndarray, first: int, stop: int, rhs, basis=None):
     """The vertex y with (y, a_i) = x_i of largest norm, over the right-hand
     sides x = column k of rhs(codes) for codes first..stop-1.
 
     The vertices are solved in an orthonormal basis of the span of the
-    normals, from the normals rather than from G, whose condition number
-    is their square, in blocks of bounded size.  Returns (|y|^2, y, code).
+    normals (`orthonormal_rows(arr)`, unless the caller gives it), from the
+    normals rather than from G, whose condition number is their square, in
+    blocks of bounded size.  Returns (|y|^2, y, code).
     """
-    basis = orthonormal_rows(arr)
+    if basis is None:
+        basis = orthonormal_rows(arr)
     coords = arr @ basis.T
     step = max(1, _BLOCK_ENTRIES // arr.shape[0])
     best_q, best_z, best_code = 0.0, None, None
@@ -569,7 +545,7 @@ def multistart_min_max_face_distance(face: FaceDistance, interior_seed: np.ndarr
     projected subgradient descent, vectorized across starts.
 
     The multistart oracle that the tests check C against; the library
-    takes C from `branch_and_bound_min_max_face_distance` alone.  Starts
+    takes C from `outer_approximation_min_max_face_distance` alone.  Starts
     are the rows of `starts`, projected onto the cone, plus
     `interior_seed`.  Iterates stay feasible: each step is projected back
     onto the cone and renormalized.  The reported value is the best
@@ -628,358 +604,18 @@ def multistart_min_max_face_distance(face: FaceDistance, interior_seed: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Cube-sphere branch-and-bound
+# C by outer approximation
 # ---------------------------------------------------------------------------
-
-def _cube_faces(m: int):
-    """Centres of the 2m faces of [-1, 1]^m, and each face's corner offsets
-    (+-1 on the m - 1 free axes), shapes (2m, m) and (2m, 2^(m-1), m)."""
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m - 1)))
-    centres = np.zeros((2 * m, m))
-    offsets = np.zeros((2 * m, len(signs), m))
-    for k in range(m):
-        free = [j for j in range(m) if j != k]
-        for t, sign in enumerate((1.0, -1.0)):
-            centres[2 * k + t, k] = sign
-            offsets[2 * k + t][:, free] = signs
-    return centres, offsets
-
-
-def _cell_radii(x, axis, h, signs) -> np.ndarray:
-    """Longest chord from each normalized centre to its normalized corners
-    k = x + h s, s = +-1 off `axis` (rows of `signs`), in blocks: with
-    S = (s, x), 2 - 2 (x, k) / (|x| |k|) = 2 h^2 (|x|^2 (m - 1) - S^2) /
-    (|x| |k| (|x| |k| + |x|^2 + h S)), free of cancellation."""
-    k, m = x.shape
-    q = signs.shape[0]
-    free = x[np.arange(m) != axis[:, None]].reshape(k, m - 1)
-    r = np.empty(k)
-    step = max(1, _BLOCK_ENTRIES // q)
-    for s in range(0, k, step):
-        xx = (x[s : s + step] ** 2).sum(axis=1)[:, None]
-        sums = free[s : s + step] @ signs.T
-        xk = np.sqrt(xx * (xx + 2.0 * h * sums + (m - 1) * h * h))
-        chord2 = 2.0 * h * h * (xx * (m - 1) - sums * sums) / (xk * (xk + xx + h * sums))
-        r[s : s + step] = np.sqrt(chord2.max(axis=1))
-    return r
-
-
-def _first_order_lower(c, dists, feet, r, target=np.inf) -> np.ndarray:
-    """Lower bound on f over each cell from subgradients of the face distances.
-
-    f_i = dist(., B_i) is convex and 1-homogeneous, so f_i(y) >= (g_i, y)
-    for every y, where g_i = (c - p_i) / |c - p_i| and p_i is the foot of c
-    on face i (g_i = 0 when f_i(c) = 0).  A unit y of the cell lies within
-    angle rho = 2 asin(r / 2) of c, so for any lambda in the simplex, with
-    G = sum_i lambda_i g_i,
-
-        f(y) >= (G, y) >= cos(rho) (G, c) - sin(rho) |G - (G, c) c|
-
-    when rho <= pi / 2.  Rounding of the foot turns g_i by up to about
-    2 |p_i error| / f_i(c), so face i also pays _FOOT_ERROR / f_i(c) in the
-    sum; faces very near c then get no weight.  The weights start at the
-    face of largest distance (which gives about f(c) - r) and take up to
-    _FW_STEPS Frank-Wolfe steps with exact line search on this concave
-    bound; near the nonsmooth minimum they cancel the tangential parts and
-    the error falls to O(r^2).  The steps stop once every bound reaches
-    `target`, since the line search never lowers one.  Any lambda is
-    sound: an inexact one costs tightness, not validity.
-    Shapes: c (k, m), dists (k, n), feet (k, n, m), r (k,).
-
-    Also returns each cell's minorant (G, slack): f(y) >= (G, y) - slack
-    for every y, so it bounds the cell's children too.
-    """
-    diff = c[:, None, :] - feet
-    norm = np.sqrt((diff * diff).sum(axis=2))
-    inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
-    g = diff * inv[:, :, None]
-    h = (g * c[:, None, :]).sum(axis=2)
-    t = g - h[:, :, None] * c[:, None, :]
-    cos_r, sin_r = _cos_sin(r)
-    # Each face's rounding allowance, and the radial part of its bound.
-    e = np.where(norm > 0.0, 2.0 * _FOOT_ERROR * inv, 0.0)
-    v = cos_r[:, None] * h - e
-    rows = np.arange(len(c))
-    j = dists.argmax(axis=1)
-    a, tang, gs, slack = v[rows, j], t[rows, j], g[rows, j], e[rows, j]
-    for _ in range(_FW_STEPS):
-        length = np.sqrt((tang * tang).sum(axis=1))
-        if (a - sin_r * length >= target).all():
-            break
-        u = tang / np.where(length > 0.0, length, 1.0)[:, None]
-        score = v - sin_r[:, None] * (t @ u[:, :, None])[:, :, 0]
-        j = score.argmax(axis=1)
-        # Maximize alpha gamma - sin_r |tang + gamma w| over gamma in [0, 1].
-        w = t[rows, j] - tang
-        alpha = v[rows, j] - a
-        b = (tang * w).sum(axis=1)
-        cw = (w * w).sum(axis=1)
-        slope = sin_r * np.sqrt(cw)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = alpha / sin_r
-            z = ratio * np.sqrt(np.maximum(0.0, length * length * cw - b * b) / (cw - ratio * ratio))
-            gamma = np.clip((z - b) / cw, 0.0, 1.0)
-        gamma = np.where(alpha >= slope, 1.0, np.where(alpha <= -slope, 0.0, gamma))
-        a = a + gamma * alpha
-        tang = tang + gamma[:, None] * w
-        gs = gs + gamma[:, None] * (g[rows, j] - gs)
-        slack = slack + gamma * (e[rows, j] - slack)
-    bound = a - sin_r * np.sqrt((tang * tang).sum(axis=1))
-    return np.where(cos_r >= 0.0, bound, -np.inf), gs, slack
-
-
-def _evaluate(face: FaceDistance, y: np.ndarray):
-    """Face distances and feet at one point, shapes (n,) and (n, m).
-
-    Two rows keep the product on BLAS's matrix-matrix path, which also
-    evaluates the cell centres; a one-row product takes the matrix-vector
-    path, whose rounding differs in the last bit.
-    """
-    dists, feet = face.distances_and_feet(np.vstack([y, y]))
-    return dists[0], feet[0]
-
-
-def _subfaces(normals, feet, faces) -> np.ndarray:
-    """Walls through the foot of each face in the mask `faces`, as a boolean
-    (faces.sum(), n) array; each row holds its own face."""
-    on = feet[faces] @ normals.T <= _ON_WALL
-    on[:, faces] |= np.eye(len(on), dtype=bool)
-    return on
-
-
-def _projectors(normals, on) -> np.ndarray:
-    """Projector Q onto the span of the walls of each row of `on`: while the
-    foot stays on that sub-face, f_i(y) = |Q y|.  Shape (len(on), m, m).
-
-    With A_J the rows of those walls, Q = A_J^T (A_J A_J^T)^-1 A_J; each
-    Gram matrix is padded with the identity off J, so one batched solve
-    gives every Q.
-    """
-    gram = np.where(on[:, :, None] & on[:, None, :], normals @ normals.T, np.eye(len(normals)))
-    rows = np.where(on[:, :, None], normals, 0.0)
-    return rows.transpose(0, 2, 1) @ np.linalg.solve(gram, rows)
-
-
-def _newton(q, walls, y, f0):
-    """Newton's method on the KKT system of min t over unit y subject to
-    |Q_i y| <= t for each projector Q_i of `q` and (a_j, y) >= 0 for the
-    rows a_j of `walls`, all held as equalities:
-
-        sum_i lam_i g_i - sum_j nu_j a_j = mu y,   sum_i lam_i = 1,
-        |Q_i y| = t,   (a_j, y) = 0,   |y| = 1,
-
-    with g_i = Q_i y / |Q_i y| and Hessian (Q_i - g_i g_i^T) / |Q_i y|.
-    Steps move y by at most _NEWTON_REACH, and a step under _NEWTON_STOP
-    ends the iteration without moving y.  Returns (y, lam, nu, t), or
-    None when a step fails: a singular or non-finite system, or a face
-    distance below f0 / 4, where the local model is no longer trusted (it
-    also keeps 1 / |Q_i y| finite).
-    """
-    k, m = q.shape[:2]
-    w = len(walls)
-    lam, nu = np.full(k, 1.0 / k), np.zeros(w)
-    t = mu = f0
-    # Unknowns (y, lam, nu, t, mu); rows: stationarity, faces, walls,
-    # sum of lam, |y|.  The wall and constant blocks never change.
-    jac = np.zeros((m + k + w + 2, m + k + w + 2))
-    jac[:m, m + k : m + k + w] = -walls.T
-    jac[m + k : m + k + w, :m] = walls
-    jac[m : m + k, -2] = -1.0
-    jac[-2, m : m + k] = 1.0
-    res = np.zeros(m + k + w + 2)
-    diag = np.arange(m)
-    for _ in range(_NEWTON_STEPS):
-        qy = q @ y
-        f = np.sqrt((qy * qy).sum(axis=1))
-        if not (f > 0.25 * f0).all():
-            return None
-        g = qy / f[:, None]
-        s = lam / f
-        jac[:m, :m] = (s @ q.reshape(k, -1)).reshape(m, m) - (g.T * s) @ g
-        jac[diag, diag] -= mu
-        jac[:m, m : m + k] = g.T
-        jac[m : m + k, :m] = g
-        jac[:m, -1] = -y
-        jac[-1, :m] = y
-        res[:m] = lam @ g - nu @ walls - mu * y
-        res[m : m + k] = f - t
-        res[m + k : m + k + w] = walls @ y
-        res[-2] = lam.sum() - 1.0
-        # Nothing non-finite reaches LAPACK, and nothing leaves it.
-        if not (np.isfinite(jac).all() and np.isfinite(res).all()):
-            return None
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(step).all():
-            return None
-        length = math.sqrt(step[:m] @ step[:m])
-        if length > _NEWTON_REACH:
-            step *= _NEWTON_REACH / length
-        lam = lam - step[m : m + k]
-        nu = nu - step[m + k : m + k + w]
-        t -= step[-2]
-        mu -= step[-1]
-        if length <= _NEWTON_STOP:
-            break
-        y = y - step[:m]
-        y /= math.sqrt(y @ y)
-    return y, lam, nu, t
-
-
-class _KKTResult(NamedTuple):
-    # A Newton point, its exact face distances and feet.
-    y: np.ndarray
-    dists: np.ndarray
-    feet: np.ndarray
-    # Masks of the faces and walls held active, and their multipliers.
-    faces: np.ndarray
-    lam: np.ndarray
-    walls: np.ndarray
-    nu: np.ndarray
-
-
-def _kkt_point(face: FaceDistance, y: np.ndarray, tol: float) -> _KKTResult | None:
-    """Active-set Newton solve of the KKT conditions of min max_i f_i over
-    the sphere in the cone, from the feasible unit point y.
-
-    Faces within `tol` of the largest distance at y and walls with margin
-    at most `tol` start active.  After each solve, a multiplier below
-    -_KKT_TIE drops its face or wall; otherwise faces above the Newton
-    value and walls with negative margin are added, and the sub-face of
-    every foot is read again at the new point.  The loop stops when
-    nothing changes.  Returns the Newton point of least exact value, if
-    it is within _KKT_TIE of the cone and no worse than y, else None.
-    Nothing here needs to converge for the bracket to stay sound: see
-    `_minorant`.
-    """
-    normals = face.normals
-    dists, feet = _evaluate(face, y)
-    top = start = float(dists.max())
-    faces = dists >= top - tol
-    walls = normals @ y <= tol
-    on = _subfaces(normals, feet, faces)
-    best, best_top = None, top * (1.0 + _KKT_TIE)
-    for _ in range(_NEWTON_ROUNDS):
-        try:
-            q = _projectors(normals, on)
-        except np.linalg.LinAlgError:
-            break
-        solved = _newton(q, normals[walls], y, top)
-        if solved is None:
-            break
-        moved, lam, nu, t = solved
-        if moved is not y:
-            y = moved
-            dists, feet = _evaluate(face, y)
-        top = float(dists.max())
-        margins = normals @ y
-        if top <= best_top and margins.min() >= -_KKT_TIE:
-            best, best_top = _KKTResult(y, dists, feet, faces, lam, walls, nu), top
-        elif top > start + tol:
-            # Far worse than the start: this active set leads elsewhere.
-            break
-        multipliers = np.concatenate([lam, nu])
-        worst = int(multipliers.argmin())
-        if multipliers[worst] < -_KKT_TIE:
-            faces, walls = faces.copy(), walls.copy()
-            if worst < len(lam):
-                faces[np.flatnonzero(faces)[worst]] = False
-            else:
-                walls[np.flatnonzero(walls)[worst - len(lam)]] = False
-            if not faces.any():
-                break
-            on = _subfaces(normals, feet, faces)
-            continue
-        new_faces = faces | (dists > t + _KKT_TIE * t)
-        new_walls = walls | (margins < -_KKT_TIE)
-        new_on = _subfaces(normals, feet, new_faces)
-        if (new_faces == faces).all() and (new_walls == walls).all() and (new_on == on).all():
-            break
-        faces, walls, on = new_faces, new_walls, new_on
-    return best
-
-
-def _minorant(result: _KKTResult, normals: np.ndarray):
-    """(G, slack) with f(y) >= (G, y) - slack for every y in the cone.
-
-    Each f_i is convex and 1-homogeneous, so f_i(y) >= (g_i, y) for the
-    subgradient g_i = (y_n - p_i) / |y_n - p_i| from the exact foot p_i at
-    any point y_n.  For lam in the simplex and nu >= 0, f >= sum_i lam_i
-    f_i >= (sum_i lam_i g_i, y) >= (sum_i lam_i g_i - sum_j nu_j a_j, y)
-    on the cone, where every (a_j, y) >= 0.  The multipliers are clipped
-    to that set, so the bound holds whether or not Newton converged; at a
-    KKT point G = C y* and the bound is C (y*, y).  Rounding of the feet
-    costs _FOOT_ERROR / f_i per face, as in `_first_order_lower`.
-    """
-    diff = result.y - result.feet[result.faces]
-    norm = np.sqrt((diff * diff).sum(axis=1))
-    lam = np.where(norm > 0.0, np.maximum(result.lam, 0.0), 0.0)
-    if not lam.sum() > 0.0:
-        return None
-    lam /= lam.sum()
-    inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
-    g = diff * inv[:, None]
-    gs = lam @ g - np.maximum(result.nu, 0.0) @ normals[result.walls]
-    return gs, 2.0 * _FOOT_ERROR * float(lam @ inv)
-
-
-def _cos_sin(r):
-    """cos and sin of the angle rho = 2 asin(r / 2) subtended by a chord r."""
-    return 1.0 - 0.5 * r * r, r * np.sqrt(np.maximum(0.0, 1.0 - 0.25 * r * r))
-
-
-def _minorant_lower(c, r, gs, slack) -> np.ndarray:
-    """Best lower bound over each cell from the minorants (rows of gs, less
-    their slacks): for unit y within angle rho of the unit centre c,
-    (G, y) >= cos(rho) (G, c) - sin(rho) |G - (G, c) c| when rho <= pi / 2
-    (and when that is negative, f >= 0 is larger).  Shapes: c (k, m),
-    r (k,), and gs (p, m), slack (p,) for minorants shared by all cells,
-    or gs (k, p, m), slack (k, p) for each cell's own."""
-    cos_r, sin_r = _cos_sin(r)
-    h = (c[:, None, :] * gs).sum(axis=2)
-    tang = gs - h[:, :, None] * c[:, None, :]
-    tn = np.sqrt((tang * tang).sum(axis=2))
-    bound = (cos_r[:, None] * h - sin_r[:, None] * tn - slack).max(axis=1)
-    return np.where(cos_r >= 0.0, bound, -np.inf)
-
-
-def _open_cells(x, which, half, signs, at, carried, minorants, top):
-    """The cells x (rows) that meet the cone ((c, a_i) >= -r) and that no
-    minorant lifts to `top`, as (x, which, centre, radius, least margin,
-    minorant bound), and the least bound of the others (inf: none).
-    `carried` holds each cell's minorant, `minorants` the shared ones."""
-    c = _normalize_rows(x)
-    r = _cell_radii(x, which // 2, half, signs)
-    margin = (c @ at).min(axis=1)
-    prior = _minorant_lower(c, r, carried[0][:, None, :], carried[1][:, None])
-    if len(minorants[1]):
-        prior = np.maximum(prior, _minorant_lower(c, r, *minorants))
-    prior -= 1e-12
-    alive = margin >= -r
-    closed = alive & (prior >= top)
-    alive &= ~closed
-    least = float(prior[closed].min()) if closed.any() else np.inf
-    return (x[alive], which[alive], c[alive], r[alive], margin[alive], prior[alive]), least
-
-
-def _keep_best(hi, best, f, points):
-    """(hi, best), or the first point (row of `points`) of least f when its
-    f is below hi."""
-    if len(f):
-        k = int(np.argmin(f))
-        if f[k] < hi:
-            return float(f[k]), points[k]
-    return hi, best
-
 
 def _pushed_inside(normals: np.ndarray, y, inward):
     """Two rows of y as a feasible unit point, or None.
 
     y moves toward the interior point `inward` until every margin is at
     least _PUSH (by about _PUSH / the least margin of `inward`, which
-    bounds the change in f) and is normalized.
+    bounds the change in f) and is normalized.  Two rows keep the
+    products on BLAS's matrix-matrix path: a one-row product can round the
+    last bit otherwise, which would move the ends that C reports without
+    rounds (past n = 14) by an ulp.
     """
     at = normals.T
     pair = np.vstack([y, y])
@@ -995,195 +631,196 @@ def _pushed_inside(normals: np.ndarray, y, inward):
     return pair
 
 
+class _Polytope:
+    """P = {x : 0 <= x_j <= 1, (h_k, x) <= 1 for each cut h_k} in the
+    coordinates x_j = (y, a_j), with its vertices and their tight sets.
+
+    Constraint j < n is x_j >= 0, n + j is x_j <= 1, and 2n + k is cut k.
+    A vertex's tight set holds bit c % 64 of word c // 64 for each
+    constraint c that it lies on.  P starts as the cube, whose 2^n
+    vertices are the 0/1 vertices of `zero_one_vertex`.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        ones = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        self.x = ones.astype(np.float64)
+        # Distinct bits, so their sum is their union; 2n <= 64 bits here.
+        self.tight = (np.uint64(1) << (np.arange(n) + n * ones).astype(np.uint64)).sum(
+            axis=1, dtype=np.uint64, keepdims=True
+        )
+        self.cuts = np.empty((0, n))
+
+    def cut(self, h: np.ndarray) -> int | None:
+        """Add the cut (h, x) <= 1 and update the vertex list on-line
+        (Chen, Hansen and Jaumard, Oper. Res. Lett. 10, 1991).
+
+        A cut that takes no vertex more than a relative 1e-9 outside it is
+        not added (returns 0).  Otherwise it is relaxed until no kept
+        vertex lies outside it, a weaker cut that holds wherever the first
+        does, and a kept vertex on it counts as inside, as if each cut's
+        right side were raised by an infinitesimal that dwarfs those of
+        the cuts before it.  So P stays simple: every vertex lies on
+        exactly n constraints, and two vertices are adjacent exactly when
+        they share n - 1 of them, which hold on a line that meets P in the
+        segment between the two.  Such pairs share a key, a tight set less
+        one of its bits, and a new vertex lies on each edge from a cut-off
+        vertex to a kept one.  Its coordinates are interpolated, so an x_j
+        that is 0 or 1 at both ends stays exact.  Returns the number of
+        vertices removed, or None, leaving P as it was, when the new list
+        would hold more than _VERTEX_CAP vertices.
+        """
+        x, tight, n = self.x, self.tight, self.n
+        s = x @ h - 1.0
+        # x lies in [0, 1]^n, so |(h, x)| <= |h|_1.
+        out = s > 1e-9 * (1.0 + np.abs(h).sum())
+        if not out.any():
+            return 0
+        h = h / (1.0 + s[~out].max(initial=0.0))
+        s = x @ h - 1.0
+        # The tight sets less each of their n bits, in row order.
+        bits = np.unpackbits(tight.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+        pos = np.nonzero(bits)[1]
+        rows = np.repeat(np.arange(len(x)), n)
+        keys = tight[rows]
+        keys[np.arange(len(keys)), pos // 64] ^= np.uint64(1) << (pos % 64).astype(np.uint64)
+        # Equal keys get equal ids: the ranks of the distinct keys in order.
+        order = np.lexsort(keys.T)
+        ranked = keys[order]
+        ids = np.empty(len(keys), dtype=np.int64)
+        ids[order] = np.cumsum(np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])) - 1
+        kept = ~out[rows]
+        partner = np.full(len(keys), -1)
+        partner[ids[kept]] = rows[kept]
+        w = partner[ids[~kept]]
+        hit = w >= 0
+        u, w, shared = rows[~kept][hit], w[hit], keys[~kept][hit]
+        keep = ~out
+        if keep.sum() + len(u) > _VERTEX_CAP:
+            return None
+        word, bit = divmod(2 * n + len(self.cuts), 64)
+        if word == tight.shape[1]:
+            shared = np.hstack([shared, np.zeros((len(u), 1), dtype=np.uint64)])
+            tight = np.hstack([tight, np.zeros((len(x), 1), dtype=np.uint64)])
+        shared[:, word] |= np.uint64(1 << bit)
+        t = s[w] / (s[w] - s[u])
+        self.x = np.concatenate([x[keep], x[w] + t[:, None] * (x[u] - x[w])])
+        self.tight = np.concatenate([tight[keep], shared])
+        self.cuts = np.vstack([self.cuts, h])
+        return int(out.sum())
+
+
+def _cuts(normals, rays, u, dists, feet, level) -> np.ndarray:
+    """Rows h of the cuts (h, x) <= 1, in the coordinates x = A y, from
+    the faces with dist(u, B_i) > level at the unit point u.
+
+    A has the normals as rows, so B_i = {x >= 0, x_i = 0} and g = A^T h
+    lies in the polar of B_i exactly when h_k <= 0 for every k != i.  Then
+    (h, x) = (g, y) <= dist(y, B_i) for every y whenever |g| <= 1, since
+    dist(y, B_i) is the largest (g, y) over unit g in the polar.  h starts
+    from the subgradient g_i = (u - p_i) / |u - p_i| at the NNLS foot p_i,
+    as h_k = (g_i, r_k) for the rays r_k = A^-1 e_k.  Its entries k != i
+    are clipped at 0, which is g <- g - sum_{k != i} max(0, (g, r_k)) a_k,
+    and it is divided by max(1, |A^T h|).  So a cut holds however inexact
+    the foot and the rays are, up to the rounding of |A^T h|, and it is
+    tight at u where the foot is exact.
+    """
+    far = np.flatnonzero(dists > level)
+    h = ((u - feet[far]) / dists[far, None]) @ rays
+    other = np.arange(len(normals)) != far[:, None]
+    h[other] = np.minimum(h[other], 0.0)
+    norm = np.sqrt(((h @ normals) ** 2).sum(axis=1))
+    return h / np.maximum(1.0, norm)[:, None]
+
+
 class Bracket(NamedTuple):
-    """lo <= C <= hi, and hi - lo <= 1e-4 (up to a 1e-12 rounding allowance)
-    when `complete`: C's two ends (`_ends`), or the branch-and-bound that
-    starts from them.  lo is at least the floor delta_Q of
-    `zero_one_vertex` less that allowance, when that floor was solved."""
+    """lo <= C <= hi, and hi - lo <= 1e-4 when `complete`, from the outer
+    approximation of `outer_approximation_min_max_face_distance`.  lo is
+    at least the floor delta_Q of `zero_one_vertex` less its 1e-12
+    rounding allowance, when that floor was solved."""
 
     lo: float
     hi: float
-    # The feasible unit point whose evaluation on two rows (`_evaluate`) is hi.
+    # The feasible unit point whose largest NNLS face distance is hi.
     best: np.ndarray
-    # Points evaluated: the ends' seed and 0/1 vertex, and cell centres.
+    # Points evaluated: the seed, and the largest vertex of each round.
     evaluations: int
-    # False when the budget stopped the search before the gap closed, or
-    # when the ends alone are farther apart than the gap.
+    # False when the rounds stopped before the gap closed: at the vertex
+    # cap, on a round that cut off no vertex, or with no rounds at all.
     complete: bool
 
 
-def _ends(largest, normals: np.ndarray, seed: np.ndarray, vertex: ZeroOneVertex | None) -> Bracket:
-    """C's two ends: hi is the smaller largest face distance at the seed e
-    and at the 0/1 vertex y_Q, each moved inside the cone by
-    `_pushed_inside` and evaluated on its two rows, and lo is the floor
-    delta_Q less _VERTEX_ERROR (0 without a vertex).  `largest` maps rows
-    to their largest face distances."""
-    hi, best, evaluations = math.inf, seed, 0
-    for y in (seed,) if vertex is None else (seed, vertex.y):
-        pair = _pushed_inside(normals, y, seed)
-        if pair is not None:
-            hi, best = _keep_best(hi, best, largest(pair)[:1], pair)
-            evaluations += 1
-    lo = 0.0 if vertex is None else vertex.value - _VERTEX_ERROR
-    return Bracket(lo, hi, best, evaluations, hi - lo <= _BNB_ATOL)
-
-
-def branch_and_bound_min_max_face_distance(
-    face: FaceDistance, interior_seed: np.ndarray, vertex: ZeroOneVertex
+def outer_approximation_min_max_face_distance(
+    normals: np.ndarray, interior_seed: np.ndarray, vertex: ZeroOneVertex | None
 ) -> Bracket:
     """Certified bracket on C = min over unit y in the cone of max_i dist(y, B_i).
 
-    The sphere is covered by the 2m faces of the cube [-1, 1]^m, split
-    into squares and normalized.  For a cell with normalized centre c, let
-    r be the longest chord from c to a normalized corner; (x, c) / |x| is
-    positive (for m <= 16) and quasi-concave on the square, so its minimum
-    is at a corner and no point of the cell is farther from c.  Then:
+    f = max_i dist(., B_i) is convex and 1-homogeneous, so C = 1 / max{|y| :
+    y in K} for the convex K = {y in Q : f(y) <= 1}, a concave maximization
+    that outer approximation solves (Hoffman, Math. Programming 20, 1981).
+    On Q, dist(y, B_i) >= (y, a_i), so K lies in the parallelotope P_0 =
+    {0 <= (y, a_i) <= 1}, whose largest vertex is y_Q / delta_Q
+    (`zero_one_vertex`, which the caller solves, or skips: `vertex` None).
+    Each round takes the largest vertex v of P_k, which holds K:
 
-    * the cell misses the cone when (c, a_i) < -r for some wall i;
-    * f >= f(c) - r on the cell, whether or not c lies in the cone, because
-      f(y) = max_i dist(y, B_i) is 1-Lipschitz on all of R^m, being a
-      maximum of distances to sets;
-    * f >= the first-order bound of `_first_order_lower` on the cell,
-      computed for the cells that the other bounds would split and that
-      it can close (it is at most cos(rho) f(c)), or for every such cell
-      when the budget may stop the search after the level;
-    * f >= (G, y) - slack on the cell for its parent's Frank-Wolfe
-      minorant, and on the cell and cone for every minorant of a KKT solve
-      (`_minorant`), bounded over the cell by `_minorant_lower`; a cell
-      they close stops unevaluated, and `evaluations` counts only the
-      evaluated centres;
-    * hi, the best f at a feasible centre or Newton point, bounds C from
-      above; it starts from C's upper end (`_ends`), the better of the
-      seed and the largest 0/1 vertex y_Q of `zero_one_vertex` (`vertex`,
-      which the caller has solved), moved inside the cone;
-    * C >= delta_Q on the whole cone, so the search stops before any
-      level at which hi - delta_Q <= 1e-4, and lo is at least
-      delta_Q - 1e-12 (the open cells' bounds count too when it stops so).
+    * lo = max(lo, 1 / |v| - 1e-12), the allowance for the rounding of the
+      vertex solves, as for delta_Q;
+    * hi = min(hi, f(v / |v|)), with v / |v| moved inside the cone by
+      `_pushed_inside` and f from the NNLS feet of
+      `nearest_point_face_distances`, an upper end whether or not the
+      solves converged; the seed is evaluated first;
+    * every face with dist(v, B_i) > 1 adds the cut of `_cuts` to P_k.
 
-    Once the cells are within _NEWTON_RADIUS of their centres and some
-    would split, `_kkt_point` runs from the best feasible point.  A point
-    it finds below hi, moved inside the cone and evaluated exactly, can
-    become hi, and its minorant bounds this level's cells and every
-    later one.  It runs again when a centre falls below its point, or, if
-    it did not lower hi, once hi has fallen by the stopping gap.  At a
-    KKT point the minorant is C (y*, y), which closes every cell within
-    about sqrt(2e-4 / C) radians of the minimizer y*.
-
-    Level by level, a cell is split into 2^(m-1) children while the largest
-    of its lower bounds is below hi - 1e-4, and lo is the least lower
-    bound of the cells that stopped, so hi - lo <= 1e-4 up to a 1e-12
-    allowance for rounding.  If the children left open would take the
-    work past 2^26 face projections (n 2^(n-1) per evaluation), the split
-    cells stop too, and the bracket is wider but still certified, with
-    `complete` False.
+    The rounds stop when hi - lo <= 1e-4, when a round cuts off no vertex,
+    or before an update would take the vertex list past _VERTEX_CAP.  When
+    2^n already passes the cap, or without a vertex, there are no rounds:
+    hi is f at the seed and at y_Q, and lo is delta_Q less its allowance
+    (0 without a vertex).
     """
-    m = face.m
-    at = face.normals.T
-    x, offsets = _cube_faces(m)
-    signs = offsets[0, :, 1:]
-    q = len(signs)
-    max_points = _BNB_PROJECTIONS // (face.n << (face.n - 1))
-    complete = True
-    start = _ends(face.max_face_distance, face.normals, interior_seed, vertex)
-    hi, best, evaluations = start.hi, start.best, start.evaluations
-    # Minorants from the KKT solves (rows, less their slacks), and the hi
-    # below which the solve runs again.
-    gs, slacks = np.empty((0, m)), np.empty(0)
-    newton_top = np.inf
-    half = 1.0
-    # The 2m faces carry no minorant (slack inf), and none of them closes.
-    carried = np.zeros((2 * m, m)), np.full(2 * m, np.inf)
-    cells, lo = _open_cells(x, np.arange(2 * m), half, signs, at, carried, (gs, slacks), np.inf)
-    count = len(cells[0])
-    while count and hi - vertex.value > _BNB_ATOL:
-        x, which, c, r, margin, prior = cells
-        # Whether the budget can stop the search after this level.
-        may_stop = evaluations + len(c) * (1 + q) > max_points
-        lower = np.empty(len(c))
-        grads, slack = np.zeros((len(c), m)), np.full(len(c), np.inf)
-        for s in range(0, len(c), _MAX_DISTANCE_ROWS):
-            block = slice(s, s + _MAX_DISTANCE_ROWS)
-            cb, rb = c[block], r[block]
-            dists, feet = face.distances_and_feet(cb)
-            f = dists.max(axis=1)
-            feasible = margin[block] >= 0.0
-            hi, best = _keep_best(hi, best, f[feasible], cb[feasible])
-            # 1e-12 absorbs rounding in f and r, far below the stopping gap.
-            low = np.maximum(f - rb - 1e-12, prior[block])
-            # hi can only fall later in the level, so these include every
-            # cell that the Lipschitz bound and the minorants would split.
-            weak = low < hi - _BNB_ATOL
-            # Past this target a cell stops.
-            target = hi - _BNB_ATOL + 1e-12
-            if not may_stop:
-                # The first-order bound is at most cos(rho) f(c), because
-                # (g_i, c) = f_i(c); below the target it would split anyway.
-                weak &= (1.0 - 0.5 * rb * rb) * f + 1e-12 >= target
-            if weak.any():
-                first, grads[block][weak], slack[block][weak] = _first_order_lower(
-                    cb[weak], dists[weak], feet[weak], rb[weak], target
-                )
-                low[weak] = np.maximum(low[weak], first - 1e-12)
-            lower[block] = low
-        evaluations += len(c)
-        split = lower < hi - _BNB_ATOL
-        if split.any() and r.max() <= _NEWTON_RADIUS and hi < newton_top:
-            found = _kkt_point(face, best, min(float(r.max()), 0.5 * hi))
-            newton_top = hi - _BNB_ATOL
-            if found is not None:
-                if found.dists.max() < hi:
-                    pair = _pushed_inside(face.normals, found.y, interior_seed)
-                    if pair is not None:
-                        hi, best = _keep_best(hi, best, face.max_face_distance(pair), pair)
-                        newton_top = hi
-                bound = _minorant(found, face.normals)
-                if bound is not None:
-                    gs = np.vstack([gs, bound[0]])
-                    slacks = np.append(slacks, bound[1])
-                    fresh = _minorant_lower(c, r, gs[-1:], slacks[-1:])
-                    lower = np.maximum(lower, fresh - 1e-12)
-            split = lower < hi - _BNB_ATOL
-        if not split.all():
-            lo = min(lo, float(lower[~split].min()))
-        # The children left open, screened in blocks of parents: each
-        # inherits its parent's Frank-Wolfe minorant.
-        half *= 0.5
-        rows, step = np.flatnonzero(split), max(1, _BLOCK_ENTRIES // (q * m))
-        kids, count = [], 0
-        for p in (rows[s : s + step] for s in range(0, len(rows), step)):
-            kx = (x[p, None, :] + half * offsets[which[p]]).reshape(-1, m)
-            carried = np.repeat(grads[p], q, axis=0), np.repeat(slack[p], q)
-            top = hi - _BNB_ATOL
-            cells, least = _open_cells(kx, np.repeat(which[p], q), half, signs, at, carried, (gs, slacks), top)
-            lo = min(lo, least)
-            kids.append(cells)
-            count += len(cells[0])
-            if evaluations + count > max_points:
-                # The budget stops the search at the split cells.
-                lo = min(lo, float(lower[split].min()))
-                complete, count = False, 0
-                break
-        if count:
-            cells = [np.concatenate(part) for part in zip(*kids)]
-    if count:
-        # Stopped by the floor: the open cells' own bounds count too.
-        lo = min(lo, float(cells[5].min()))
-    elif not math.isfinite(lo):
-        raise DegenerateArrangement("branch-and-bound found no cell inside the cone")
-    return Bracket(max(lo, start.lo), hi, best, evaluations, complete)
+    return _outer_approximation(normals, interior_seed, vertex)[0]
 
 
-def nearest_point_min_max_face_distance(
-    normals: np.ndarray, interior_seed: np.ndarray, vertex: ZeroOneVertex | None
-) -> Bracket:
-    """C's two ends (`_ends`) from the NNLS face distances of
-    `nearest_point_face_distances`, without a search.
-
-    No projector table is built, so time and memory are polynomial in n
-    beyond the vertex, which the caller solves (or skips).
-    """
+def _outer_approximation(normals, interior_seed, vertex):
+    """`outer_approximation_min_max_face_distance`, and its last P_k (None
+    without rounds)."""
     arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    return _ends(
-        lambda pair: nearest_point_face_distances(arr, pair[0])[0].max(keepdims=True),
-        arr, interior_seed, vertex,
-    )
+    n = len(arr)
+    rays, basis = np.linalg.inv(arr), orthonormal_rows(arr)
+    hi, best, evaluations = math.inf, interior_seed, 0
+
+    def evaluate(y):
+        nonlocal hi, best, evaluations
+        pair = _pushed_inside(arr, y, interior_seed)
+        if pair is None:
+            return None
+        u = pair[0]
+        dists, feet = nearest_point_face_distances(arr, u)
+        evaluations += 1
+        if dists.max() < hi:
+            hi, best = float(dists.max()), u
+        return u, dists, feet
+
+    evaluate(interior_seed)
+    if vertex is None:
+        return Bracket(0.0, hi, best, evaluations, False), None
+    lo = vertex.value - _VERTEX_ERROR
+    poly = _Polytope(n) if 1 << n <= _VERTEX_CAP else None
+    y, level, capped = vertex.y, vertex.value, False
+    while True:
+        point = evaluate(y)
+        if capped or poly is None or point is None or hi - lo <= _GAP:
+            break
+        removed = 0
+        for h in _cuts(arr, rays, *point, level):
+            count = poly.cut(h)
+            capped = count is None
+            if capped:
+                break
+            removed += count
+        if not removed:
+            break
+        q, y, _ = _largest_vertex(arr, 0, len(poly.x), lambda codes: poly.x[codes].T, basis)
+        level = 1.0 / math.sqrt(q)
+        lo = max(lo, level - _VERTEX_ERROR)
+        y = y * level
+    return Bracket(lo, hi, best, evaluations, hi - lo <= _GAP), poly

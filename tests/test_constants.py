@@ -17,10 +17,15 @@ from conebilliards.constants import (
     main_bound,
     tridiagonal_case,
 )
-from conebilliards.errors import ConeBilliardsError, DegenerateArrangement, DimensionMismatch
+from conebilliards.errors import (
+    ConeBilliardsError,
+    DegenerateArrangement,
+    DimensionMismatch,
+    InvalidParameter,
+)
 from conebilliards.geometry import gram, make_cone
 from conebilliards.harness import interior_starts, make_rng, random_cone
-from conebilliards.minimax import FaceDistance, flip_min_max_abs_margin, zero_one_vertex
+from conebilliards.minimax import flip_min_max_abs_margin, zero_one_vertex
 from conebilliards.simulator import run_batch
 from conebilliards.wedge import wedge_from_angle
 
@@ -233,7 +238,8 @@ class TestBfkConstant:
         # them (by 4.4e-3 on stream 5003), so only one side is held to 1e-4.
         # C is the closed form delta_Q exactly where every face-distance
         # foot of the largest 0/1 vertex lies in its face (streams 5001,
-        # 5005, 5007 and 5014), and the branch-and-bound's bracket elsewhere.
+        # 5005, 5007 and 5014), and the outer approximation's bracket
+        # elsewhere, which replaced the cube-sphere branch-and-bound.
         closed = []
         for n in (4, 5):
             for c in range(25):
@@ -247,33 +253,33 @@ class TestBfkConstant:
                     assert est.method is EstimateMethod.closed_form
                     assert est.value == est.certified_lower == vertex.value
                 else:
-                    assert est.method is EstimateMethod.branch_and_bound
+                    assert est.method is EstimateMethod.outer_approximation
                     assert est.certified_lower >= vertex.value - 1e-12
                 assert est.certified_lower <= multi
                 assert est.value <= multi + 1e-4
                 assert est.certified_lower >= math.sqrt(cone.lambda_min / n)
-                # stopping rule of the branch-and-bound
+                # stopping rule of the outer approximation
                 assert est.value - est.certified_lower <= 1e-4 + 1e-12
                 assert est.starts_used == 0
         assert closed == [5001, 5005, 5007, 5014]
 
     def test_budget_cut_reports_its_bracket(self, monkeypatch):
-        # A cut search is reported as it stands, like a complete one: value
-        # is the bracket's hi, and no starts are drawn.
+        # Rounds stopped by the vertex cap are reported as they stand, like
+        # complete ones: value is the bracket's hi, and no starts are drawn.
         from conebilliards import minimax
 
         cone = random_cone(4, 4, seed=20241, stream=4000)
-        monkeypatch.setattr(minimax, "_BNB_PROJECTIONS", 32 * 100)
-        bracket = minimax.branch_and_bound_min_max_face_distance(
-            FaceDistance(cone.normals), inscribed_ball(cone).e, zero_one_vertex(cone.normals)
+        monkeypatch.setattr(minimax, "_VERTEX_CAP", 30)
+        bracket = minimax.outer_approximation_min_max_face_distance(
+            cone.normals, inscribed_ball(cone).e, zero_one_vertex(cone.normals)
         )
         cut = bfk_constant(cone)
         assert not bracket.complete
-        assert cut.method is EstimateMethod.branch_and_bound
+        assert cut.method is EstimateMethod.outer_approximation
         assert cut.value == bracket.hi
         assert cut.starts_used == 0
         assert cut.certified_lower == max(bracket.lo, math.sqrt(cone.lambda_min / 4))
-        assert cut.certified_lower == 0.1165542345226962
+        assert cut.certified_lower == 0.11590484211299669
         monkeypatch.undo()
         full = bfk_constant(cone)
         assert cut.certified_lower <= full.value <= cut.value
@@ -406,6 +412,12 @@ def test_ceil_snapped():
     assert ceil_snapped(2.0 + 1e-6) == 3
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_ceil_snapped_rejects_non_finite(x):
+    with pytest.raises(InvalidParameter):
+        ceil_snapped(x)
+
+
 def test_main_bound_values():
     assert main_bound(2, 1.0) == pytest.approx(8.0)
     assert main_bound(3, 1.0) == pytest.approx(96.0)
@@ -426,36 +438,35 @@ def test_bounds_past_float_range_are_infinite():
 
 
 def test_bounds_report_imports_no_scipy():
-    # Also with a budget of 100 evaluations, which cuts the search on
-    # stream 5000: C is still reported without scipy.  The n = 9, 16 and
-    # 17 cones take C's two ends without the search, and at n = 17 delta
-    # takes the flip ascent.
+    # Also with a vertex cap of 20, which stops the rounds on stream 5000
+    # before the first: C is still reported without scipy.  The n = 9, 16
+    # and 17 cones take the same route, and at n = 17 delta takes the flip
+    # ascent.
     import subprocess
     import textwrap
 
-    for budget in (None, 100 * 5 * 16):
+    for cap in (None, 20):
         code = textwrap.dedent(
             f"""
             import sys
             import conebilliards
             from conebilliards import minimax
-            if {budget} is not None:
-                minimax._BNB_PROJECTIONS = {budget}
+            if {cap} is not None:
+                minimax._VERTEX_CAP = {cap}
             for n in (9, 16, 17):
                 conebilliards.bounds_report(conebilliards.random_cone(n, n, seed=20241, stream=n * 1000))
             cone = conebilliards.random_cone(5, 5, seed=20241, stream=5000)
             conebilliards.bounds_report(cone)
             print(any(name.split(".")[0] == "scipy" for name in sys.modules))
-            face = minimax.FaceDistance(cone.normals)
             seed = conebilliards.constants.inscribed_ball(cone).e
             vertex = minimax.zero_one_vertex(cone.normals)
-            print(minimax.branch_and_bound_min_max_face_distance(face, seed, vertex).complete)
+            print(minimax.outer_approximation_min_max_face_distance(cone.normals, seed, vertex).complete)
             """
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert out.stdout.split() == ["False", str(budget is None)]
+        assert out.stdout.split() == ["False", str(cap is None)]
 
 
 def test_constant_estimate_validates_certificate():

@@ -6,7 +6,7 @@ import pytest
 
 from conebilliards import harness
 from conebilliards.constants import bounds_report, inscribed_ball
-from conebilliards.errors import ConeBilliardsError, DimensionMismatch
+from conebilliards.errors import ConeBilliardsError, DimensionMismatch, InvalidParameter
 from conebilliards.geometry import gram, make_cone, reduce_to_span
 from conebilliards.harness import (
     EnsembleRow,
@@ -52,6 +52,11 @@ class TestRandomCone:
     def test_rejects_bad_shape(self):
         with pytest.raises(DimensionMismatch):
             random_cone(3, 2, 0)
+
+    @pytest.mark.parametrize("n, dim", [(-1, 3), (0, 3), (2.5, 3), (2, 3.0), (True, 3), ("2", 3)])
+    def test_rejects_non_integer_or_empty_counts(self, n, dim):
+        with pytest.raises(DimensionMismatch):
+            random_cone(n, dim, 1)
 
     def test_degenerate_sampling_surfaces(self, monkeypatch):
         import conebilliards.harness as harness
@@ -110,6 +115,18 @@ class TestSampling:
             # same number of draws: the three streams stay in step
             assert rng_ref.random() == rng_batch.random() == rng_one.random()
         assert retries > 0  # the rejection path was exercised
+
+
+    @pytest.mark.parametrize("count", [-1, 2.5, True, "3"])
+    def test_rejects_a_bad_count(self, count):
+        cone = random_cone(3, 3, seed=8)
+        with pytest.raises(InvalidParameter):
+            interior_starts(make_rng(1, 2), cone, inscribed_ball(cone).e, count)
+
+    def test_zero_count_gives_empty_starts(self):
+        cone = random_cone(3, 3, seed=8)
+        q, v = interior_starts(make_rng(1, 2), cone, inscribed_ball(cone).e, 0)
+        assert q.shape == v.shape == (0, 3)
 
 
 class TestEnsembleRun:

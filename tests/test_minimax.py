@@ -1,24 +1,20 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conebilliards import minimax
 from conebilliards.constants import inscribed_ball
 from conebilliards.geometry import make_cone
 from conebilliards.harness import random_cone
 from conebilliards.minimax import (
     FaceDistance,
-    _cell_radii,
-    _KKTResult,
-    _cube_faces,
-    _evaluate,
-    _first_order_lower,
-    _kkt_point,
-    _minorant,
-    _minorant_lower,
-    _normalize_rows,
-    branch_and_bound_min_max_face_distance,
+    _cuts,
+    _largest_vertex,
+    _outer_approximation,
+    nearest_point_face_distances,
     zero_one_vertex,
 )
 from conebilliards.wedge import wedge_from_angle
@@ -47,18 +43,6 @@ def face_distances_reference(normals, points):
                     if (normals @ foot).min() >= -1e-9:
                         out[b, i] = min(out[b, i], float(np.linalg.norm(p - foot)))
     return out
-
-
-def cell_radii_reference(x, c, offsets, which, half):
-    """Longest chord from each normalized centre c to the normalized corners
-    x + half * offsets[which] of its cell, corner by corner."""
-    corners = x[:, None, :] + half * offsets[which]
-    corners = corners / np.linalg.norm(corners, axis=2, keepdims=True)
-    return np.sqrt(((corners - c[:, None, :]) ** 2).sum(axis=2).max(axis=1))
-
-
-def _radii(x, which, half, offsets):
-    return _cell_radii(x, which // 2, half, offsets[0, :, 1:])
 
 
 class TestFaceDistance:
@@ -102,338 +86,325 @@ class TestFaceDistance:
         np.testing.assert_allclose(proj[inside], points[inside], atol=1e-15)
 
 
-def _bnb(cone):
-    face = FaceDistance(cone.normals)
+
+
+# ---------------------------------------------------------------------------
+# C by outer approximation
+# ---------------------------------------------------------------------------
+
+# Rounding allowance of lo = 1 / |v| for the largest vertex v.
+ALLOWANCE = 1e-12
+
+
+def _outer(cone):
     seed, vertex = inscribed_ball(cone).e, zero_one_vertex(cone.normals)
-    return branch_and_bound_min_max_face_distance(face, seed, vertex)
+    return _outer_approximation(cone.normals, seed, vertex)
 
 
-class TestBranchAndBound:
+def criterion_4_cones(ns=(3, 4, 5)):
+    for n in ns:
+        for c in range(25):
+            yield random_cone(n, n, seed=20241, stream=n * 1000 + c)
+
+
+def constraints(poly):
+    """Rows and right-hand sides of every constraint of P, in the order of
+    its tight-set bits: -x_j <= 0, x_j <= 1, then (h_k, x) <= 1."""
+    n = poly.n
+    rows = np.vstack([-np.eye(n), np.eye(n), poly.cuts])
+    rhs = np.concatenate([np.zeros(n), np.ones(n), np.ones(len(poly.cuts))])
+    return rows, rhs
+
+
+def brute_force_largest_norm(poly, normals):
+    """max |y| over the vertices of P, y = A^-1 x, from the solution of
+    every n-subset of its constraints that is feasible."""
+    rows, rhs = constraints(poly)
+    rays = np.linalg.inv(normals)
+    best = 0.0
+    subsets = itertools.combinations(range(len(rows)), poly.n)
+    for chunk in iter(lambda: list(itertools.islice(subsets, 20_000)), []):
+        chunk = np.array(chunk)
+        a = rows[chunk]
+        ok = np.abs(np.linalg.det(a)) > 1e-12
+        x = np.linalg.solve(a[ok], rhs[chunk][ok][:, :, None])[:, :, 0]
+        x = x[(x @ rows.T <= rhs + 1e-11).all(axis=1)]
+        if len(x):
+            best = max(best, float(np.linalg.norm(x @ rays.T, axis=1).max()))
+    return best
+
+
+def tight_bits(poly, k):
+    words = poly.tight[k]
+    return [c for c in range(64 * len(words)) if int(words[c // 64]) >> (c % 64) & 1]
+
+
+def exact_solve(a, b):
+    """x with a x = b, in Fractions, by Gauss-Jordan with pivoting."""
+    n = len(a)
+    aug = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(a, b)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if aug[i][k] != 0)
+        aug[k], aug[p] = aug[p], aug[k]
+        aug[k] = [v / aug[k][k] for v in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k]:
+                f = aug[i][k]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[k])]
+    return [row[n] for row in aug]
+
+
+def exact_square_norm(normals, x):
+    """|y|^2 = x^T G^-1 x for (y, a_i) = x_i, exactly, for the Gram matrix
+    of the float normals."""
+    rows = [[Fraction(v) for v in row] for row in normals.tolist()]
+    gram = [[sum(p * q for p, q in zip(r, s)) for s in rows] for r in rows]
+    z = exact_solve(gram, x)
+    return sum(p * q for p, q in zip(x, z))
+
+
+# (certified lower end, value) of C by the cube-sphere branch-and-bound
+# that the outer approximation replaced, on every cone n = 3..5, c < 25
+# without a closed form.
+BRANCH_AND_BOUND = {
+    3000: (0.33825278441569473, 0.33835117427797756),
+    3002: (0.4510498522191223, 0.4511210811737183),
+    3004: (0.3735020011802317, 0.37359252819105165),
+    3007: (0.2851788028906008, 0.2852333821547268),
+    3008: (0.27549789854083767, 0.27559698514388514),
+    3011: (0.46683268975317765, 0.46690811514717556),
+    3012: (0.1866138112239954, 0.1866850875904142),
+    3013: (0.15324396219695327, 0.15333302272155877),
+    3014: (0.7178255904188748, 0.717875259195122),
+    3016: (0.6722481521377653, 0.6723120433648241),
+    3017: (0.40606965567026276, 0.4061686980515367),
+    3018: (0.4287051238225831, 0.4287914036683705),
+    3019: (0.6451336543045565, 0.6452037809983304),
+    3020: (0.3258319659596417, 0.3259228312277473),
+    3021: (0.3863046798593421, 0.3863634012931884),
+    3022: (0.0840997522905426, 0.08418786959852102),
+    3023: (0.4777564770703517, 0.4778502744618707),
+    3024: (0.5167059133330426, 0.5167932333378112),
+    4000: (0.12774955370208801, 0.12784671653229096),
+    4001: (0.19353858205854424, 0.19355339765014956),
+    4002: (0.14551853239196763, 0.14561784839822103),
+    4003: (0.07525126860692041, 0.07533519152432026),
+    4004: (0.24244845333961731, 0.24254605775178364),
+    4005: (0.06726438214897364, 0.06735129140805642),
+    4006: (0.3086063335046395, 0.3087010138941459),
+    4007: (0.1868302478349284, 0.18692010867183712),
+    4008: (0.11897241472344303, 0.11905519981425382),
+    4009: (0.36393843685109917, 0.36403172681928936),
+    4010: (0.24488711538918106, 0.24498170924518486),
+    4011: (0.05549233335055309, 0.05549350137513626),
+    4012: (0.0850851449798389, 0.0851574518694196),
+    4013: (0.4169083300206422, 0.41700638663549827),
+    4014: (0.0621292848499242, 0.06216404371836981),
+    4015: (0.29579649304324357, 0.2958937051754296),
+    4016: (0.004930813738365152, 0.00496692937753181),
+    4017: (0.36709971387846896, 0.3671993007617707),
+    4018: (0.32443261279259317, 0.3245316352750302),
+    4019: (0.06145196858134239, 0.06150098533492884),
+    4020: (0.0940080955751165, 0.09410314900702658),
+    4021: (0.29252531759009026, 0.29261255298951994),
+    4022: (0.15551611740116636, 0.15561396063880245),
+    4023: (0.1031321277744588, 0.10322017556016189),
+    4024: (0.03302658245424258, 0.03304713517111045),
+    5000: (0.05947377195495247, 0.059573653863547175),
+    5002: (0.015538565317159754, 0.01563153574564587),
+    5003: (0.22990165659599832, 0.23000042839903254),
+    5004: (0.048105568198680504, 0.04820348590852285),
+    5006: (0.060362577305071316, 0.06038452906081439),
+    5008: (0.19353525395369695, 0.19363513808449567),
+    5009: (0.18123865729382083, 0.18133830431309586),
+    5010: (0.14124646632610627, 0.14134610551248716),
+    5011: (0.027169776065196067, 0.027268159960762428),
+    5012: (0.0348395814965023, 0.034929562586438104),
+    5013: (0.12824071856405167, 0.12832560627378053),
+    5015: (0.20596635051383833, 0.20606480318477607),
+    5016: (0.07660395926330003, 0.07669066670964528),
+    5017: (0.16285308160546053, 0.16295234899200733),
+    5018: (0.11456832839751493, 0.11466718890352638),
+    5019: (0.008643461024187688, 0.008743420397675075),
+    5020: (0.2942123787747041, 0.2943107343635798),
+    5021: (0.10217993141495386, 0.1022781686828723),
+    5022: (0.249643191079411, 0.24974263339524175),
+    5023: (0.26068627350151935, 0.2607861411185476),
+    5024: (0.039296398114066676, 0.03939606043213515),
+}
+
+
+class TestOuterApproximation:
     @pytest.mark.parametrize("theta", [0.2, math.pi / 3, math.pi / 2, 2.2, 3.0])
     def test_wedge_bracket(self, theta):
-        lo, hi, best, evaluations, complete = _bnb(wedge_from_angle(theta).cone)
+        lo, hi, _, evaluations, complete = _outer(wedge_from_angle(theta).cone)[0]
         c = math.sin(theta / 2.0)
         assert complete and evaluations > 0
         assert lo <= c <= hi + 1e-15
-        assert hi - lo <= 1e-4 + 1e-12
+        assert hi - lo <= 1e-4
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_orthant_bracket(self, n):
-        lo, hi, best, _, complete = _bnb(make_cone(n, np.eye(n)))
+        lo, hi, _, _, complete = _outer(make_cone(n, np.eye(n)))[0]
         assert complete
         assert lo <= 1.0 / math.sqrt(n) <= hi + 1e-15
-        assert hi - lo <= 1e-4 + 1e-12
+        assert hi - lo <= 1e-4
 
-    def test_best_centres_feasible(self):
-        # These stop at the floor after C's two ends alone, so hi is an
-        # end's value, which must be the two-row evaluation of best too.
-        at_floor = [wedge_from_angle(0.2).cone] + [
-            random_cone(s // 1000, s // 1000, seed=20241, stream=s)
-            for s in (2022, 3003, 3010, 5001, 5005, 5007)
-        ]
-        # These are searched, with 50 to 500 evaluations.
-        searched = [next(cone_suite((4,), 1, seed=50))] + [
-            random_cone(s // 1000, s // 1000, seed=20241, stream=s) for s in (3000, 4000, 4003, 5000)
-        ]
-        for cone in at_floor + searched:
-            face = FaceDistance(cone.normals)
-            lo, hi, best, _, _ = _bnb(cone)
-            # one point, feasible and of unit length, that attains hi
+    def test_best_is_feasible_and_attains_hi(self):
+        for cone in list(criterion_4_cones((3, 4))) + [wedge_from_angle(0.2).cone]:
+            bracket, _ = _outer(cone)
+            best = bracket.best
             assert best.shape == (cone.dim,)
             assert (best @ cone.matrix).min() >= 0.0
             assert abs(np.linalg.norm(best) - 1.0) <= 1e-15
-            assert _evaluate(face, best)[0].max() == hi
+            assert nearest_point_face_distances(cone.normals, best)[0].max() == bracket.hi
+
+    @pytest.mark.parametrize(
+        "streams",
+        [range(3000, 3025), range(4000, 4025), range(5000, 5012), (6001, 6002, 6007)],
+        ids=["n3", "n4", "n5", "n6"],
+    )
+    def test_vertex_list_against_brute_force(self, streams):
+        # The largest vertex of the final P, from its vertex list and from
+        # every n-subset of its constraints.  An adjacency test that shares
+        # n - 1 tight constraints without keeping P simple put a duplicate
+        # vertex on a cut and lo above the true bound (stream 6009).
+        checked = 0
+        for stream in streams:
+            cone = random_cone(stream // 1000, stream // 1000, seed=20241, stream=stream)
+            _, poly = _outer(cone)
+            if poly is None or not len(poly.cuts):
+                continue
+            rays = np.linalg.inv(cone.normals)
+            listed = float(np.linalg.norm(poly.x @ rays.T, axis=1).max())
+            brute = brute_force_largest_norm(poly, cone.normals)
+            assert abs(listed - brute) <= 1e-12 * brute, stream
+            # every vertex is feasible, and on exactly n of the constraints
+            rows, rhs = constraints(poly)
+            assert (poly.x @ rows.T <= rhs + 1e-12).all()
+            assert (np.bitwise_count(poly.tight).sum(axis=1) == poly.n).all()
+            checked += 1
+        assert checked >= 3
+
+    def test_tight_sets_past_one_word(self):
+        # 80 cuts tangent to the circle |x| = 0.9 in the unit square, in a
+        # shuffled order: 84 constraints need two words per tight set, and
+        # the list must still be the polytope's vertex set.
+        poly = minimax._Polytope(2)
+        angles = np.linspace(0.01, math.pi / 2 - 0.01, 80)
+        for theta in np.random.default_rng(18).permutation(angles):
+            assert poly.cut(np.array([math.cos(theta), math.sin(theta)]) / 0.9) > 0
+        assert poly.tight.shape[1] == 2
+        assert (np.bitwise_count(poly.tight).sum(axis=1) == 2).all()
+        rows, rhs = constraints(poly)
+        found = []
+        for pair in itertools.combinations(range(len(rows)), 2):
+            a = rows[list(pair)]
+            if abs(np.linalg.det(a)) > 1e-12:
+                x = np.linalg.solve(a, rhs[list(pair)])
+                if (rows @ x <= rhs + 1e-12).all():
+                    found.append(x)
+        brute = np.unique(np.round(found, 9), axis=0)
+        listed = np.unique(np.round(poly.x, 9), axis=0)
+        np.testing.assert_array_equal(listed, brute)
+
+    def test_cuts_hold_with_inexact_feet(self):
+        # (h_i, x) <= dist(y, B_i) for x = A y, at points of the cone, with
+        # the exact feet and with feet moved off their faces by 1e-2.
+        rng = np.random.default_rng(17)
+        worst = -np.inf
+        for cone in cone_suite((3, 4, 5, 6), 3, seed=54):
+            arr = cone.normals
+            n = len(arr)
+            rays = np.linalg.inv(arr)
+            face = FaceDistance(arr)
+            w = rng.exponential(size=(300, n))
+            w[np.arange(100), rng.integers(n, size=100)] = 0.0
+            y = w @ rays.T
+            y /= np.linalg.norm(y, axis=1)[:, None]
+            exact = face.distances_and_feet(y)[0]
+            for u in y[:6]:
+                dists, feet = nearest_point_face_distances(arr, u)
+                for noise in (0.0, 1e-2):
+                    moved = feet + noise * rng.standard_normal(feet.shape)
+                    # a cut for every face that u is off
+                    far = dists > 0.0
+                    h = _cuts(arr, rays, u, dists, moved, 0.0)
+                    assert h.shape == (far.sum(), n)
+                    worst = max(worst, float(((y @ arr.T) @ h.T - exact[:, far]).max()))
+                    if noise == 0.0:
+                        # tight at u itself, as far as the NNLS foot is
+                        # orthogonal to u - p: a rounding e in (u - p, p)
+                        # costs e / dist
+                        tight = h @ (arr @ u)
+                        assert (np.abs(tight - dists[far]) <= 1e-12 + 1e-14 / dists[far]).all()
+        assert worst <= 1e-12, worst
+
+    def test_lo_allowance_against_exact_solves(self):
+        # 1 / |v| for the largest listed vertex, against |v| solved exactly
+        # from its n tight constraints, as the floor delta_Q is.
+        worst, checked = 0.0, 0
+        for cone in criterion_4_cones():
+            bracket, poly = _outer(cone)
+            if poly is None or not len(poly.cuts):
+                continue
+            q, _, k = _largest_vertex(cone.normals, 0, len(poly.x), lambda codes: poly.x[codes].T)
+            level = 1.0 / math.sqrt(q)
+            rows, rhs = constraints(poly)
+            bits = tight_bits(poly, k)
+            square = exact_square_norm(cone.normals, exact_solve(rows[bits].tolist(), rhs[bits].tolist()))
+            exact = 1.0 / math.sqrt(square)
+            worst = max(worst, abs(level - exact) / exact)
+            # decided exactly: level - allowance <= 1 / |v| <= level + allowance
+            assert Fraction(level - ALLOWANCE) ** 2 * square <= 1
+            assert Fraction(level + ALLOWANCE) ** 2 * square >= 1
+            assert bracket.lo <= level - ALLOWANCE + 1e-18
+            checked += 1
+        assert checked >= 60
+        assert worst <= 1e-13, worst
 
     def test_six_walls_complete(self):
-        # Lipschitz bounds alone needed 136k evaluations here (2 s)
-        lo, hi, _, _, complete = _bnb(random_cone(6, 6, seed=20241, stream=6000))
-        assert complete
-        assert 0.0 < lo <= hi <= lo + 1e-4 + 1e-12
+        # (certified lower end, value) of C before outer approximation: 6000
+        # is a closed form, and 6009 and 7000 were searched by the
+        # branch-and-bound.
+        before = {
+            6000: (0.12552911629425859, 0.12552911629425859),
+            6009: (0.25458856738100455, 0.2546885034269781),
+            7000: (0.1121038478892214, 0.11220364546929987),
+        }
+        for stream, (lo, hi) in before.items():
+            n = stream // 1000
+            bracket, _ = _outer(random_cone(n, n, seed=20241, stream=stream))
+            assert bracket.complete
+            assert 0.0 < bracket.lo <= bracket.hi <= bracket.lo + 1e-4
+            assert bracket.lo <= hi and lo <= bracket.hi
 
-    def test_budget_keeps_a_valid_bracket(self, monkeypatch):
-        from conebilliards import minimax
-
-        cone = next(cone_suite((4,), 1, seed=51))
-        lo_full, hi_full, _, full, complete = _bnb(cone)
-        # 200 evaluations' worth of projections at n = 4
-        monkeypatch.setattr(minimax, "_BNB_PROJECTIONS", 200 * 4 * 8)
-        lo, hi, _, evaluations, cut = _bnb(cone)
-        assert complete and not cut
-        assert evaluations <= 200 < full
-        assert lo <= lo_full + 1e-12
-        assert hi >= hi_full - 1e-12
-        assert lo <= hi_full
-
-    def test_budget_counts_open_children_only(self, monkeypatch):
-        # 782 evaluations complete stream 5000; children that an inherited
-        # minorant closes cost nothing, so a budget of 800 evaluations is
-        # enough, although the cells split there have far more children.
-        from conebilliards import minimax
-
-        monkeypatch.setattr(minimax, "_BNB_PROJECTIONS", 800 * 5 * 16)
-        bracket = _bnb(random_cone(5, 5, seed=20241, stream=5000))
-        assert bracket.complete and bracket.evaluations <= 800
-
-
-class TestCellRadii:
-    def test_closed_form_matches_corners(self):
-        # Cells anywhere on every cube face, from half-width 1/2 down to
-        # 2^-20, where the corner route loses digits to cancellation.
-        rng = np.random.default_rng(15)
-        worst = 0.0
-        for m in range(2, 8):
-            _, offsets = _cube_faces(m)
-            for level in range(1, 21):
-                half = 2.0 ** -level
-                which = rng.integers(2 * m, size=50)
-                x = rng.uniform(half - 1.0, 1.0 - half, (50, m))
-                x[np.arange(50), which // 2] = np.where(which % 2 == 0, 1.0, -1.0)
-                c = _normalize_rows(x)
-                r = _radii(x, which, half, offsets)
-                ref = cell_radii_reference(x, c, offsets, which, half)
-                worst = max(worst, float(np.abs(r - ref).max()))
-        assert worst <= 1e-14, worst
-
-    def test_top_level(self):
-        # The whole face of [-1, 1]^m: chord from the axis to a cube corner.
-        for m in range(2, 8):
-            x, offsets = _cube_faces(m)
-            r = _radii(x, np.arange(2 * m), 1.0, offsets)
-            expect = math.sqrt(2.0 - 2.0 / math.sqrt(m))
-            np.testing.assert_allclose(r, expect, rtol=0, atol=1e-15)
-
-
-class TestFirstOrderBound:
-    @staticmethod
-    def _cells(x, which, half, face, offsets, rng, samples):
-        """First-order and Lipschitz bounds of the cells, f at the centres,
-        and f at `samples` uniform points of each cell, normalized."""
-        c = _normalize_rows(x)
-        r = _radii(x, which, half, offsets)
-        dists, feet = face.distances_and_feet(c)
-        first, gs, slack = _first_order_lower(c, dists, feet, r)
-        free = np.abs(offsets[which, 0])[:, None, :]
-        u = rng.uniform(-1.0, 1.0, (len(x), samples, x.shape[1]))
-        y = _normalize_rows((x[:, None, :] + half * u * free).reshape(-1, x.shape[1]))
-        # every sampled point lies within the cell's radius of its centre
-        chords = np.linalg.norm(y.reshape(len(x), samples, -1) - c[:, None, :], axis=2)
-        assert (chords <= r[:, None] + 1e-15).all()
-        f = face.max_face_distance(y).reshape(len(x), samples)
-        # the minorant itself, pointwise on the sphere
-        linear = (y.reshape(len(x), samples, -1) @ gs[:, :, None])[:, :, 0]
-        assert (linear - slack[:, None] <= f + 1e-12).all()
-        return first, dists.max(axis=1) - r, f
-
-    def test_sound_on_cells(self):
-        # Cells of every size around the minimizer, where the bound is
-        # tight, and at random places, on the criterion-4 cones n = 3..5.
-        rng = np.random.default_rng(12)
-        worst = -np.inf
-        for n in (3, 4, 5):
-            _, offsets = _cube_faces(n)
-            for k in range(25):
-                cone = random_cone(n, n, seed=20241, stream=n * 1000 + k)
-                face = FaceDistance(cone.normals)
-                star = _bnb(cone).best
-                axis = int(np.abs(star).argmax())
-                on_face = star / abs(star[axis])
-                for level in range(1, 13, 2):
-                    half = 2.0 ** -level
-                    faces = np.array([2 * axis + int(star[axis] < 0), rng.integers(2 * n)])
-                    x = rng.uniform(half - 1.0, 1.0 - half, (2, n))
-                    x[0] = np.clip(on_face + rng.uniform(-half, half, n) / 2, half - 1.0, 1.0 - half)
-                    for row, which in enumerate(faces):
-                        x[row, which // 2] = 1.0 if which % 2 == 0 else -1.0
-                    first, lipschitz, f = self._cells(x, faces, half, face, offsets, rng, 300)
-                    worst = max(worst, float((first - f.min(axis=1)).max()))
-                    if level >= 7:
-                        # near the minimum the first-order bound is the
-                        # sharper one
-                        assert first[0] > lipschitz[0]
-        assert worst <= 1e-12, worst
-
-    def test_children_inherit_a_sound_bound(self):
-        # A split cell's minorant holds on the whole sphere, so it bounds
-        # each of its 2^(n-1) children: the bound over each child is at
-        # most the least f of 300 samples in it, around the minimizer and
-        # at random, on the criterion-4 cones n = 3..5.
-        rng = np.random.default_rng(16)
-        worst, children = -np.inf, 0
-        for n in (3, 4, 5):
-            _, offsets = _cube_faces(n)
-            q = offsets.shape[1]
-            for k in range(6):
-                cone = random_cone(n, n, seed=20241, stream=n * 1000 + k)
-                face = FaceDistance(cone.normals)
-                star = _bnb(cone).best
-                for level in range(1, 12, 2):
-                    half = 2.0 ** -level
-                    cells = [_cell_around(p, half, n, rng) for p in (star, rng.standard_normal(n))]
-                    x, which = (np.array(part) for part in zip(*cells))
-                    c = _normalize_rows(x)
-                    dists, feet = face.distances_and_feet(c)
-                    _, gs, slack = _first_order_lower(c, dists, feet, _radii(x, which, half, offsets))
-                    kids = (x[:, None, :] + 0.5 * half * offsets[which]).reshape(-1, n)
-                    kid_which = np.repeat(which, q)
-                    _, _, f = self._cells(kids, kid_which, 0.5 * half, face, offsets, rng, 300)
-                    kid_r = _radii(kids, kid_which, 0.5 * half, offsets)
-                    bound = _minorant_lower(
-                        _normalize_rows(kids), kid_r,
-                        np.repeat(gs, q, axis=0)[:, None, :], np.repeat(slack, q)[:, None],
-                    )
-                    worst = max(worst, float((bound - f.min(axis=1)).max()))
-                    children += len(kids)
-        assert children == 6 * 6 * 2 * (4 + 8 + 16)
-        assert worst <= 1e-12, worst
-
-
-def _cell_around(p, half, n, rng):
-    """A cube-sphere cell of half-width `half` holding the unit point p,
-    with p at a random place in it: (corner-face centre x, face index)."""
-    axis = int(np.abs(p).argmax())
-    on_face = p / abs(p[axis])
-    x = np.clip(on_face + rng.uniform(-half, half, n) / 2, half - 1.0, 1.0 - half)
-    x[axis] = on_face[axis]
-    return x, 2 * axis + int(p[axis] < 0)
-
-
-class TestKKTMinorant:
-    @staticmethod
-    def _check_cells(face, normals, bound, points, rng, levels=range(1, 13, 2)):
-        """The minorant's cell bound against f at 200 samples of cell and
-        cone, for cells of every size around each of `points`; returns the
-        largest excess over the sampled minimum."""
-        gs, slack = bound
-        n = normals.shape[0]
-        _, offsets = _cube_faces(n)
-        worst = -np.inf
-        for p in points:
-            for level in levels:
-                half = 2.0 ** -level
-                x, which = _cell_around(p, half, n, rng)
-                x, which = x[None], np.array([which])
-                c = _normalize_rows(x)
-                r = _radii(x, which, half, offsets)
-                free = np.abs(offsets[which, 0])[:, None, :]
-                u = rng.uniform(-1.0, 1.0, (1, 200, n))
-                y = _normalize_rows((x[:, None, :] + half * u * free).reshape(-1, n))
-                y = y[(y @ normals.T).min(axis=1) >= 0.0]
-                if not len(y):
-                    continue
-                f = face.max_face_distance(y)
-                # the minorant itself, pointwise on the cone
-                assert ((y @ gs) - slack <= f + 1e-12).all()
-                low = _minorant_lower(c, r, gs[None], np.array([slack]))[0]
-                worst = max(worst, low - float(f.min()))
-        return worst
-
-    def test_sound_on_cells(self):
-        # Cells of every size around the minimizer, where the bound is
-        # tight, on walls through it, and far from it; on the criterion-4
-        # cones n = 3..5 and from the KKT points the solve returns.
-        rng = np.random.default_rng(13)
-        worst = -np.inf
-        tight = 0
-        for n in (3, 4, 5):
-            for k in range(8):
-                cone = random_cone(n, n, seed=20241, stream=n * 1000 + k)
-                face = FaceDistance(cone.normals)
-                bracket = _bnb(cone)
-                found = _kkt_point(face, bracket.best, 1e-2)
-                if found is None:
-                    continue
-                bound = _minorant(found, cone.normals)
-                star = found.y
-                # a point on each wall near y*, and two random cone points
-                on_walls = face.project_to_cone(star - 0.05 * cone.normals)
-                far = face.project_to_cone(rng.standard_normal((2, n)))
-                points = _normalize_rows(np.vstack([star, on_walls, far]))
-                worst = max(worst, self._check_cells(face, cone.normals, bound, points, rng))
-                # near y* the minorant closes a cell of radius 1e-3
-                _, offsets = _cube_faces(n)
-                x, which = _cell_around(star, 2.0 ** -11, n, rng)
-                c = _normalize_rows(x[None])
-                r = _radii(x[None], np.array([which]), 2.0 ** -11, offsets)
-                low = _minorant_lower(c, r, bound[0][None], np.array([bound[1]]))[0]
-                tight += bool(low >= bracket.hi - 1e-4)
-        assert worst <= 1e-12, worst
-        assert tight >= 20, tight
-
-    def test_any_multipliers_are_sound(self):
-        # Random points and multipliers of either sign: the clipped
-        # multipliers still give a minorant, however poor.
-        rng = np.random.default_rng(14)
-        for cone in cone_suite((3, 4, 5), 2, seed=53):
-            n = cone.n_walls
-            face = FaceDistance(cone.normals)
-            for _ in range(4):
-                y = _normalize_rows(face.project_to_cone(rng.standard_normal((1, n))))[0]
-                dists, feet = _evaluate(face, y)
-                faces = rng.random(n) < 0.6
-                faces[int(dists.argmax())] = True
-                walls = rng.random(n) < 0.4
-                result = _KKTResult(
-                    y, dists, feet, faces, rng.normal(0.3, 0.5, faces.sum()),
-                    walls, rng.normal(0.0, 0.5, walls.sum()),
-                )
-                bound = _minorant(result, cone.normals)
-                if bound is None:
-                    continue
-                points = _normalize_rows(face.project_to_cone(rng.standard_normal((3, n))))
-                worst = self._check_cells(face, cone.normals, bound, points, rng, levels=(1, 4, 8))
-                assert worst <= 1e-12, worst
-
-
-class TestKKTPoint:
-    def test_stream_5000_minimizer_on_wall(self):
-        cone = random_cone(5, 5, seed=20241, stream=5000)
-        face = FaceDistance(cone.normals)
-        found = _kkt_point(face, _bnb(cone).best, 1e-2)
-        assert (found.y @ cone.matrix).min() >= -1e-12
-        assert abs(np.linalg.norm(found.y) - 1.0) <= 1e-15
-        assert (found.lam >= 0.0).all() and (found.nu >= -1e-9).all()
-        assert found.walls.tolist() == [False, False, False, True, False]
-        assert found.dists.max() <= 0.0595737 + 1e-12
-        assert found.dists.max() == _evaluate(face, found.y)[0].max()
-
-    def test_stream_5001_inscribed_centre(self):
-        # C = d here: the minimizer is the inscribed centre, where every face
-        # is at distance d
-        cone = random_cone(5, 5, seed=20241, stream=5001)
-        face = FaceDistance(cone.normals)
-        ball = inscribed_ball(cone)
-        found = _kkt_point(face, _bnb(cone).best, 1e-2)
-        np.testing.assert_allclose(found.y, ball.e, atol=1e-9)
-        assert found.dists.max() == pytest.approx(ball.d, abs=1e-12)
-        assert found.faces.all() and (found.lam >= 0.0).all()
-
-    def test_wrong_start_keeps_the_bracket(self, monkeypatch):
-        # Newton started from the worst kept centre, reflected into the
-        # cone's far corner: a poor start costs evaluations, never validity.
-        from conebilliards import minimax
-
-        kkt = minimax._kkt_point
-
-        def far_start(face, y, tol):
-            corner = _normalize_rows(np.linalg.inv(face.normals)[:, :1].T)[0]
-            return kkt(face, _normalize_rows((corner + 0.01 * y)[None])[0], tol)
-
-        for stream in (4000, 5000, 5001):
-            cone = random_cone(stream // 1000, stream // 1000, seed=20241, stream=stream)
-            lo, hi, *_ = _bnb(cone)
-            monkeypatch.setattr(minimax, "_kkt_point", far_start)
-            wrong = _bnb(cone)
-            monkeypatch.undo()
-            assert wrong.complete
-            assert wrong.lo <= hi + 1e-12 and lo <= wrong.hi + 1e-12
-            assert wrong.hi - wrong.lo <= 1e-4 + 1e-12
-
-    @pytest.mark.parametrize("stream, limit", [(4000, 176), (4001, 684), (5000, 435)])
-    def test_evaluation_counts(self, stream, limit):
-        # Deterministic counts, pinned as upper limits, with the 0/1 vertex
-        # evaluated beside the seed (175, 685 and 790 without it; 524, 1252
-        # and 2033 when each child was evaluated as well; 1408, 2178 and
-        # 7525 without the solve too).
+    @pytest.mark.parametrize("stream", [5000, 6009, 7000])
+    def test_cap_keeps_a_certified_bracket(self, stream, monkeypatch):
         n = stream // 1000
-        bracket = _bnb(random_cone(n, n, seed=20241, stream=stream))
-        assert bracket.complete and bracket.evaluations <= limit
+        cone = random_cone(n, n, seed=20241, stream=stream)
+        full, whole = _outer(cone)
+        cap = (1 << n) + 4 * n
+        assert len(whole.x) > cap
+        monkeypatch.setattr(minimax, "_VERTEX_CAP", cap)
+        cut, poly = _outer(cone)
+        assert len(poly.x) <= cap
+        assert not cut.complete and cut.hi - cut.lo > 1e-4
+        assert cut.lo <= full.lo and cut.hi >= full.hi
+        assert cut.lo <= full.hi <= cut.hi
+        # A cap below the 2^n vertices of P_0: the seed and y_Q alone.
+        monkeypatch.setattr(minimax, "_VERTEX_CAP", (1 << n) - 1)
+        ends, none = _outer(cone)
+        assert none is None and ends.evaluations == 2
+        assert ends.lo == zero_one_vertex(cone.normals).value - ALLOWANCE
+        assert ends.lo <= cut.lo and ends.hi >= cut.hi
+
+    def test_no_bracket_disjoint_from_the_branch_and_bound(self):
+        moved = 0
+        for stream, (lo, hi) in BRANCH_AND_BOUND.items():
+            n = stream // 1000
+            bracket, _ = _outer(random_cone(n, n, seed=20241, stream=stream))
+            assert bracket.complete and bracket.hi - bracket.lo <= 1e-4
+            assert bracket.lo <= hi and lo <= bracket.hi, stream
+            moved += bracket.lo != lo
+        assert len(BRANCH_AND_BOUND) == 64 and moved == 64

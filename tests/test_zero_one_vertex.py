@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conebilliards import constants
+from conebilliards import minimax
 from conebilliards.constants import EstimateMethod, bfk_constant
 from conebilliards.geometry import make_cone
 from conebilliards.harness import random_cone
@@ -71,7 +71,7 @@ def test_floor_and_closed_form_against_exact_solves():
             assert below_exact(est.value - ALLOWANCE, square)
             assert not below_exact(est.value + ALLOWANCE, square)
         else:
-            assert est.method is EstimateMethod.branch_and_bound
+            assert est.method is EstimateMethod.outer_approximation
             assert est.certified_lower >= vertex.value - ALLOWANCE
             assert est.value - est.certified_lower <= 1e-4 + 1e-12
     assert closed == {3: 7, 4: 0, 5: 4}
@@ -86,23 +86,23 @@ SEARCHED_BRACKETS = {
 
 @pytest.mark.parametrize("stream", sorted(SEARCHED_BRACKETS))
 def test_closed_form_inside_the_searched_bracket(stream, monkeypatch):
-    built = []
+    searched = []
+    search = minimax.outer_approximation_min_max_face_distance
 
-    class Counted(FaceDistance):
-        def __init__(self, normals):
-            built.append(len(normals))
-            super().__init__(normals)
+    def counted(normals, seed, vertex):
+        searched.append(len(normals))
+        return search(normals, seed, vertex)
 
-    monkeypatch.setattr(constants, "FaceDistance", Counted)
+    monkeypatch.setattr(minimax, "outer_approximation_min_max_face_distance", counted)
     n = stream // 1000
     est = bfk_constant(random_cone(n, n, seed=20241, stream=stream))
     lo, hi = SEARCHED_BRACKETS[stream]
     assert est.method is EstimateMethod.closed_form
     assert lo <= est.certified_lower == est.value <= hi
-    assert built == []
+    assert searched == []
     # the counter sees the search where the rule fails
     bfk_constant(random_cone(4, 4, seed=20241, stream=4000))
-    assert built == [4]
+    assert searched == [4]
 
 
 def test_vertex_is_on_the_walls_off_its_support():
