@@ -116,7 +116,6 @@ class TestSampling:
             assert rng_ref.random() == rng_batch.random() == rng_one.random()
         assert retries > 0  # the rejection path was exercised
 
-
     @pytest.mark.parametrize("count", [-1, 2.5, True, "3"])
     def test_rejects_a_bad_count(self, count):
         cone = random_cone(3, 3, seed=8)
