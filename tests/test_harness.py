@@ -53,8 +53,8 @@ class TestRandomCone:
         with pytest.raises(DimensionMismatch):
             random_cone(3, 2, 0)
 
-    @pytest.mark.parametrize("n, dim", [(-1, 3), (0, 3), (2.5, 3), (2, 3.0), (True, 3), ("2", 3)])
-    def test_rejects_non_integer_or_empty_counts(self, n, dim):
+    @pytest.mark.parametrize("n, dim", [(-1, 3), (2.5, 3), (2, 3.0), (True, 3), ("2", 3)])
+    def test_rejects_non_integer_or_negative_counts(self, n, dim):
         with pytest.raises(DimensionMismatch):
             random_cone(n, dim, 1)
 
