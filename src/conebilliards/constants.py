@@ -180,9 +180,9 @@ def _delta(cone: ConeSpec) -> ConstantEstimate:
     n = cone.n_walls
     lower = math.sqrt(max(cone.lambda_min, 0.0) / n)
     if n <= _FORMULA_MAX_N:
-        value = min(max(minimax.min_max_abs_margin(cone.normals)[0], lower - 1e-12), 1.0)
+        value = min(max(minimax.min_max_abs_margin(cone)[0], lower - 1e-12), 1.0)
         return ConstantEstimate(value, value, EstimateMethod.closed_form, 1 << (n - 1))
-    value, _, used = minimax.flip_min_max_abs_margin(cone.normals)
+    value, _, used = minimax.flip_min_max_abs_margin(cone)
     return ConstantEstimate(min(max(value, lower - 1e-12), 1.0), lower, EstimateMethod.multistart, used)
 
 
@@ -214,7 +214,7 @@ def charge_SQ(cone: ConeSpec) -> ConstantEstimate:
     """
     if cone.n_walls < cone.dim:
         cone, _ = reduce_to_span(cone.dim, cone.normals)
-    value = math.asin(min(1.0, minimax.nearest_point_margin(cone.normals).lower))
+    value = math.asin(min(1.0, minimax.nearest_point_margin(cone).lower))
     return ConstantEstimate(value, value, EstimateMethod.nearest_point, 1)
 
 
@@ -294,14 +294,14 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
         return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
     vertex = None
     if n <= _VERTEX_MAX_N:
-        vertex = minimax.zero_one_vertex(cone.normals)
+        vertex = minimax.zero_one_vertex(cone)
         support = vertex.support
         if (cone.gram_matrix.entries[np.ix_(support, ~support)] <= 0.0).all():
             closed = min(vertex.value, 1.0)
             return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
 
     seed = inscribed_ball(cone).e
-    bracket = minimax.outer_approximation_min_max_face_distance(cone.normals, seed, vertex)
+    bracket = minimax.outer_approximation_min_max_face_distance(cone, seed, vertex)
     value = bracket.hi
     lower = max(lower, bracket.lo)
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,11 @@ _JACOBI_OFF_TOL = 1e-13
 _JACOBI_MAX_SWEEPS = 100
 
 
+def is_int(x) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
@@ -42,13 +48,14 @@ class ConeSpec:
     """A polyhedral cone in R^m given by n independent unit inward normals.
 
     `normals` has shape (n, m); row i is the unit normal of wall i.  The
-    instance is immutable; derived quantities are memoized lazily.
+    instance is immutable.  It derives `matrix`, `gram_matrix`, `lambda_min`,
+    `basis` and, for n = m, `rays` once, on first use; a copy made by
+    `dataclasses.replace` derives its own.
     """
 
     dim: int
     normals: np.ndarray
     renormalized: bool = False
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "normals", _freeze(self.normals))
@@ -57,25 +64,30 @@ class ConeSpec:
     def n_walls(self) -> int:
         return self.normals.shape[0]
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
         """The (m, n) matrix A whose columns are the wall normals."""
-        if "matrix" not in self._cache:
-            self._cache["matrix"] = _freeze(self.normals.T)
-        return self._cache["matrix"]
+        return _freeze(self.normals.T)
 
-    @property
+    @cached_property
     def gram_matrix(self) -> "GramMatrix":
-        if "gram" not in self._cache:
-            self._cache["gram"] = gram(self)
-        return self._cache["gram"]
+        return gram(self)
 
-    @property
+    @cached_property
     def lambda_min(self) -> float:
-        """Minimal eigenvalue of the Gram matrix (memoized)."""
-        if "lambda_min" not in self._cache:
-            self._cache["lambda_min"] = min_eigenvalue(self.gram_matrix)
-        return self._cache["lambda_min"]
+        """Minimal eigenvalue of the Gram matrix."""
+        return min_eigenvalue(self.gram_matrix)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """`orthonormal_rows` of the normals: a basis of their span, (n, m)."""
+        return _freeze(orthonormal_rows(self.normals))
+
+    @cached_property
+    def rays(self) -> np.ndarray:
+        """The inverse of `normals` (n = m): column k is the edge ray r_k,
+        with (r_k, a_j) = 1 for j = k and 0 otherwise."""
+        return _freeze(np.linalg.inv(self.normals))
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +174,7 @@ def make_cone(dim: int, normals) -> ConeSpec:
     that is not an integer, normals that are not a rectangular array of
     numbers, a wrong component count or more normals than dimensions.
     """
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+    if not is_int(dim):
         raise DimensionMismatch(f"dim must be an integer, got {dim!r}")
     try:
         raw = np.asarray(normals)
@@ -247,9 +259,8 @@ def reduce_to_span(dim: int, normals):
     point y in R^m projects to coordinates basis @ y in the reduced space.
     """
     cone = make_cone(dim, normals)
-    basis = orthonormal_rows(cone.normals)
-    reduced = cone.normals @ basis.T
-    return make_cone(cone.n_walls, reduced), _freeze(basis)
+    reduced = cone.normals @ cone.basis.T
+    return make_cone(cone.n_walls, reduced), cone.basis
 
 
 def contains(cone: ConeSpec, point, tol: float = 0.0) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import step_cap
 from .errors import InvalidState, NonpositiveMass, TooFewBalls
-from .geometry import ConeSpec, make_cone
+from .geometry import ConeSpec, is_int, make_cone
 from .simulator import BilliardState, Terminal, run
 
 PAIR_TIE_TOL = 1e-12
@@ -134,7 +134,8 @@ def simulate_balls(system: HardBallSystem, max_events: int | None = None) -> Bal
 
     Two leading collision times within relative tolerance form a multiple
     contact, reported as Terminal.CORNER_HIT exactly like the cone simulator.
-    Raises InvalidState for a budget below 1, as `run` does.
+    Raises InvalidState for a budget that is not an integer >= 1, as `run`
+    does.
     """
     x = np.array(system.positions)
     v = np.array(system.velocities)
@@ -143,8 +144,8 @@ def simulate_balls(system: HardBallSystem, max_events: int | None = None) -> Bal
     if max_events is None:
         cone, _ = balls_to_cone(m)
         max_events = step_cap(n - 1, cone.lambda_min)
-    if max_events < 1:
-        raise InvalidState("max_events must be >= 1")
+    if not (is_int(max_events) and max_events >= 1):
+        raise InvalidState(f"max_events must be an integer >= 1, got {max_events!r}")
 
     t = 0.0
     events = []

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import DegenerateArrangement, DegenerateSampling, DimensionMismatch
 # `audit` and `jacobi_eigenvalues` are not called here; they stay importable
 # from this module, where the profiling code in perfbench/ looks them up by
 # name.
-from .geometry import ConeSpec, jacobi_eigenvalues, make_cone, reduce_to_span
+from .geometry import ConeSpec, is_int, jacobi_eigenvalues, make_cone, reduce_to_span
 from .simulator import (
     BilliardState,
     TrajectoryRecord,
@@ -38,8 +37,11 @@ _MAX_BLOCK_UNIFORMS = 4096
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream); counter-based, reproducible."""
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    """Philox generator keyed by (seed, stream); counter-based, reproducible.
+    Raises InvalidParameter unless both are integers."""
+    if not (is_int(seed) and is_int(stream)):
+        raise InvalidParameter(f"seed and stream must be integers, got {seed!r}, {stream!r}")
+    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -72,15 +74,11 @@ def sphere_sample(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return _to_sphere(gaussians(rng, count * dim).reshape(count, dim))
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 def random_cone(n: int, dim: int, seed: int, stream: int = 0) -> ConeSpec:
     """Random cone with normals uniform on the sphere, resampled until the
     smallest singular value of the normal matrix exceeds 1e-3.  Raises
     DimensionMismatch unless n and dim are integers with 1 <= n <= dim."""
-    if not (_is_int(n) and _is_int(dim) and 1 <= n <= dim):
+    if not (is_int(n) and is_int(dim) and 1 <= n <= dim):
         raise DimensionMismatch(f"need integers 1 <= n <= dim, got n={n!r}, dim={dim!r}")
     rng = make_rng(seed, stream)
     for _ in range(1000):
@@ -117,7 +115,7 @@ def interior_starts(
     round at a time.  Raises InvalidParameter unless count is an integer
     >= 0.
     """
-    if not (_is_int(count) and count >= 0):
+    if not (is_int(count) and count >= 0):
         raise InvalidParameter(f"count must be an integer >= 0, got {count!r}")
     a = cone.matrix
     dim = cone.dim
@@ -172,14 +170,18 @@ class ExperimentConfig:
     paths_per_cone: int | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidParameter("trials must be >= 1")
+        if not (is_int(self.trials) and self.trials >= 1):
+            raise InvalidParameter(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not is_int(self.seed):
+            raise InvalidParameter(f"seed must be an integer, got {self.seed!r}")
         if self.n_walls > self.dim:
             raise InvalidParameter("n_walls must not exceed dim")
         if self.format not in ("csv", "structured"):
             raise InvalidParameter(f"unknown format {self.format!r}")
-        if self.paths_per_cone is not None and self.paths_per_cone < 1:
-            raise InvalidParameter("paths_per_cone must be >= 1")
+        for name in ("max_steps_override", "paths_per_cone"):
+            value = getattr(self, name)
+            if not (value is None or (is_int(value) and value >= 1)):
+                raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -332,8 +334,8 @@ def adversarial_search(cone: ConeSpec, budget: int, seed: int) -> SearchResult:
     random interior starts, then simulated annealing around the incumbent,
     all drawn from one Philox stream.  `budget` counts trajectory runs.
     """
-    if budget < 1:
-        raise InvalidParameter("budget must be >= 1")
+    if not (is_int(budget) and budget >= 1):
+        raise InvalidParameter(f"budget must be an integer >= 1, got {budget!r}")
     basis = None
     work = cone
     if cone.n_walls < cone.dim:

@@ -30,7 +30,10 @@ from cone geometry:
   stage, for dimensions 2 and 3, which the test oracles build on.
 
 The exact equal-margin enumeration of max over unit u of min_i (u, a_i)
-(`max_min_margin`, 2^n - 1 subsets) stays as an oracle for the tests.
+(`max_min_margin`, 2^n - 1 subsets) stays as an oracle for the tests.  The
+library routes take the `ConeSpec` and read the frame it derives once:
+`cone.normals`, `cone.basis` and `cone.rays`; the oracles and `nnls` take
+arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateArrangement, InvalidParameter
-from .geometry import gram_schmidt_row, orthonormal_rows
+from .geometry import ConeSpec, gram_schmidt_row
 
 # Eigenvectors of G^-1 whose sign patterns start the flip ascent, beside
 # all ones, and the least relative rise of s^T G^-1 s that counts as a flip.
@@ -130,19 +133,16 @@ def max_min_margin(normals: np.ndarray):
     return best_val, best_u
 
 
-def _largest_vertex(arr: np.ndarray, first: int, stop: int, rhs, basis=None):
+def _largest_vertex(cone: ConeSpec, first: int, stop: int, rhs):
     """The vertex y with (y, a_i) = x_i of largest norm, over the right-hand
     sides x = column k of rhs(codes) for codes first..stop-1.
 
-    The vertices are solved in an orthonormal basis of the span of the
-    normals (`orthonormal_rows(arr)`, unless the caller gives it), from the
-    normals rather than from G, whose condition number is their square, in
-    blocks of bounded size.  Returns (|y|^2, y, code).
+    The vertices are solved in `cone.basis`, from the normals rather than
+    from G, whose condition number is their square, in blocks of bounded
+    size.  Returns (|y|^2, y, code).
     """
-    if basis is None:
-        basis = orthonormal_rows(arr)
-    coords = arr @ basis.T
-    step = max(1, _BLOCK_ENTRIES // arr.shape[0])
+    coords = cone.normals @ cone.basis.T
+    step = max(1, _BLOCK_ENTRIES // cone.n_walls)
     best_q, best_z, best_code = 0.0, None, None
     for s0 in range(first, stop, step):
         codes = np.arange(s0, min(s0 + step, stop))
@@ -151,10 +151,10 @@ def _largest_vertex(arr: np.ndarray, first: int, stop: int, rhs, basis=None):
         k = int(q.argmax())
         if q[k] > best_q:
             best_q, best_z, best_code = float(q[k]), z[:, k], int(codes[k])
-    return best_q, best_z @ basis, best_code
+    return best_q, best_z @ cone.basis, best_code
 
 
-def min_max_abs_margin(normals: np.ndarray):
+def min_max_abs_margin(cone: ConeSpec):
     """Minimize max_i |(y, a_i)| over unit y in the span of the normals, exactly.
 
     P = {y in span : |(y, a_i)| <= 1} is a parallelotope whose vertex y_s
@@ -165,8 +165,7 @@ def min_max_abs_margin(normals: np.ndarray):
 
     Returns (value, argmin unit vector).
     """
-    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    n = arr.shape[0]
+    n = cone.n_walls
     bits = np.arange(n - 1)
 
     def signs(codes):
@@ -174,16 +173,16 @@ def min_max_abs_margin(normals: np.ndarray):
         s[1:] -= 2.0 * ((codes >> bits[:, None]) & 1)
         return s
 
-    q, y, _ = _largest_vertex(arr, 0, 1 << (n - 1), signs)
+    q, y, _ = _largest_vertex(cone, 0, 1 << (n - 1), signs)
     root = math.sqrt(q)
     return 1.0 / root, y / root
 
 
-def flip_min_max_abs_margin(normals: np.ndarray):
+def flip_min_max_abs_margin(cone: ConeSpec):
     """min over unit y of max_i |(y, a_i)| from above, by a one-flip ascent
     over the sign vertices of `min_max_abs_margin`, in polynomial time.
 
-    G^-1 is built from the normals in an orthonormal basis, as in
+    G^-1 is built from the normals in the cone's orthonormal basis, as in
     `_largest_vertex`.  From all ones and from the sign patterns of the
     top _FLIP_STARTS eigenvectors of G^-1, s^T G^-1 s rises by flipping
     the sign whose flip raises it most, while that rise is more than a
@@ -194,9 +193,8 @@ def flip_min_max_abs_margin(normals: np.ndarray):
 
     Returns (value, unit vector, starts).
     """
-    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    n = arr.shape[0]
-    rays = np.linalg.inv(arr @ orthonormal_rows(arr).T)
+    n = cone.n_walls
+    rays = np.linalg.inv(cone.normals @ cone.basis.T)
     inv_gram = rays.T @ rays
     top = np.linalg.eigh(inv_gram)[1][:, -_FLIP_STARTS:]
     s = np.hstack([np.ones((n, 1)), np.where(top >= 0.0, 1.0, -1.0)])
@@ -211,7 +209,7 @@ def flip_min_max_abs_margin(normals: np.ndarray):
         if not flip.any():
             break
         s[i[flip], cols[flip]] *= -1.0
-    q, y, _ = _largest_vertex(arr, 0, s.shape[1], lambda codes: s[:, codes])
+    q, y, _ = _largest_vertex(cone, 0, s.shape[1], lambda codes: s[:, codes])
     root = math.sqrt(q)
     return 1.0 / root, y / root, s.shape[1]
 
@@ -226,7 +224,7 @@ class ZeroOneVertex(NamedTuple):
     support: np.ndarray
 
 
-def zero_one_vertex(normals: np.ndarray) -> ZeroOneVertex:
+def zero_one_vertex(cone: ConeSpec) -> ZeroOneVertex:
     """The floor delta_Q <= C of the largest face distance, and its vertex.
 
     On the cone, dist(y, B_i) >= (y, a_i) because B_i lies in the
@@ -239,11 +237,10 @@ def zero_one_vertex(normals: np.ndarray) -> ZeroOneVertex:
     random_cone(n, n, 20241, n*1000+c), n = 3..6, c < 25.  y_Q lies in the
     cone and on every wall outside S.
     """
-    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    n = arr.shape[0]
+    n = cone.n_walls
     bits = np.arange(n)
     q, y, code = _largest_vertex(
-        arr, 1, 1 << n, lambda codes: ((codes >> bits[:, None]) & 1).astype(np.float64)
+        cone, 1, 1 << n, lambda codes: ((codes >> bits[:, None]) & 1).astype(np.float64)
     )
     root = math.sqrt(q)
     return ZeroOneVertex(1.0 / root, y / root, (code >> bits) & 1 == 1)
@@ -302,11 +299,11 @@ class MarginBracket(NamedTuple):
     upper: float
 
 
-def nearest_point_margin(normals: np.ndarray) -> MarginBracket:
+def nearest_point_margin(cone: ConeSpec) -> MarginBracket:
     """Bracket max over unit u of min_i (u, a_i) for n = m independent
     normals with one NNLS, in polynomial time.
 
-    With A the matrix of rows a_i and R = A^-1, the maximum is
+    With A the matrix of rows a_i and R = A^-1 (`cone.rays`), the maximum is
     1 / min{|u| : A u >= 1}, since a unit u of least margin t > 0 gives
     u / t.  Write u = R (1 + w) with w >= 0: the minimum is |R 1 + R w*|
     for w* = nnls(R, -R 1), the distance from R 1 to the cone spanned by
@@ -323,8 +320,7 @@ def nearest_point_margin(normals: np.ndarray) -> MarginBracket:
     The two ends were within 6.4e-15 of each other on
     random_cone(n, n, 20241, n*1000+c), n = 2..10.
     """
-    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    rays = np.linalg.inv(arr)
+    arr, rays = cone.normals, cone.rays
     centre = rays.sum(axis=1)
     w = nnls(rays, -centre)
     u = centre + rays @ w
@@ -336,22 +332,20 @@ def nearest_point_margin(normals: np.ndarray) -> MarginBracket:
     return MarginBracket(float((arr @ u).min()), min(upper, 1.0))
 
 
-def nearest_point_face_distances(normals: np.ndarray, y: np.ndarray):
+def nearest_point_face_distances(cone: ConeSpec, y: np.ndarray):
     """dist(y, B_i) for every face of a cone with n = m walls, and the
     feet, shapes (n,) and (n, m), from one NNLS per face.
 
-    The rays r_k = A^-1 e_k satisfy (r_k, a_j) = 1 for j = k and 0
+    The cone's rays r_k = A^-1 e_k satisfy (r_k, a_j) = 1 for j = k and 0
     otherwise, so the cone is the set of their non-negative combinations
     and face B_i that of the rays k != i: the foot of y on B_i is the NNLS
     nearest point on those rays.  A foot is such a combination whether or
     not its solve converged, so each distance is an upper end, up to the
     rounding of the rays.  No table of size 2^n is built.
     """
-    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    rays = np.linalg.inv(arr)
-    feet = np.empty_like(arr)
-    for i in range(len(arr)):
-        face = np.delete(rays, i, axis=1)
+    feet = np.empty_like(cone.rays)
+    for i in range(cone.n_walls):
+        face = np.delete(cone.rays, i, axis=1)
         feet[i] = face @ nnls(face, y)
     diff = y - feet
     return np.sqrt((diff * diff).sum(axis=1)), feet
@@ -710,7 +704,7 @@ class _Polytope:
         return int(out.sum())
 
 
-def _cuts(normals, rays, u, dists, feet, level) -> np.ndarray:
+def _cuts(cone: ConeSpec, u, dists, feet, level) -> np.ndarray:
     """Rows h of the cuts (h, x) <= 1, in the coordinates x = A y, from
     the faces with dist(u, B_i) > level at the unit point u.
 
@@ -726,10 +720,10 @@ def _cuts(normals, rays, u, dists, feet, level) -> np.ndarray:
     tight at u where the foot is exact.
     """
     far = np.flatnonzero(dists > level)
-    h = ((u - feet[far]) / dists[far, None]) @ rays
-    other = np.arange(len(normals)) != far[:, None]
+    h = ((u - feet[far]) / dists[far, None]) @ cone.rays
+    other = np.arange(cone.n_walls) != far[:, None]
     h[other] = np.minimum(h[other], 0.0)
-    norm = np.sqrt(((h @ normals) ** 2).sum(axis=1))
+    norm = np.sqrt(((h @ cone.normals) ** 2).sum(axis=1))
     return h / np.maximum(1.0, norm)[:, None]
 
 
@@ -751,7 +745,7 @@ class Bracket(NamedTuple):
 
 
 def outer_approximation_min_max_face_distance(
-    normals: np.ndarray, interior_seed: np.ndarray, vertex: ZeroOneVertex | None
+    cone: ConeSpec, interior_seed: np.ndarray, vertex: ZeroOneVertex | None
 ) -> Bracket:
     """Certified bracket on C = min over unit y in the cone of max_i dist(y, B_i).
 
@@ -777,24 +771,21 @@ def outer_approximation_min_max_face_distance(
     hi is f at the seed and at y_Q, and lo is delta_Q less its allowance
     (0 without a vertex).
     """
-    return _outer_approximation(normals, interior_seed, vertex)[0]
+    return _outer_approximation(cone, interior_seed, vertex)[0]
 
 
-def _outer_approximation(normals, interior_seed, vertex):
+def _outer_approximation(cone: ConeSpec, interior_seed, vertex):
     """`outer_approximation_min_max_face_distance`, and its last P_k (None
     without rounds)."""
-    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    n = len(arr)
-    rays, basis = np.linalg.inv(arr), orthonormal_rows(arr)
     hi, best, evaluations = math.inf, interior_seed, 0
 
     def evaluate(y):
         nonlocal hi, best, evaluations
-        pair = _pushed_inside(arr, y, interior_seed)
+        pair = _pushed_inside(cone.normals, y, interior_seed)
         if pair is None:
             return None
         u = pair[0]
-        dists, feet = nearest_point_face_distances(arr, u)
+        dists, feet = nearest_point_face_distances(cone, u)
         evaluations += 1
         if dists.max() < hi:
             hi, best = float(dists.max()), u
@@ -804,6 +795,7 @@ def _outer_approximation(normals, interior_seed, vertex):
     if vertex is None:
         return Bracket(0.0, hi, best, evaluations, False), None
     lo = vertex.value - _VERTEX_ERROR
+    n = cone.n_walls
     poly = _Polytope(n) if 1 << n <= _VERTEX_CAP else None
     y, level, capped = vertex.y, vertex.value, False
     while True:
@@ -811,7 +803,7 @@ def _outer_approximation(normals, interior_seed, vertex):
         if capped or poly is None or point is None or hi - lo <= _GAP:
             break
         removed = 0
-        for h in _cuts(arr, rays, *point, level):
+        for h in _cuts(cone, *point, level):
             count = poly.cut(h)
             capped = count is None
             if capped:
@@ -819,7 +811,7 @@ def _outer_approximation(normals, interior_seed, vertex):
             removed += count
         if not removed:
             break
-        q, y, _ = _largest_vertex(arr, 0, len(poly.x), lambda codes: poly.x[codes].T, basis)
+        q, y, _ = _largest_vertex(cone, 0, len(poly.x), lambda codes: poly.x[codes].T)
         level = 1.0 / math.sqrt(q)
         lo = max(lo, level - _VERTEX_ERROR)
         y = y * level

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import BoundsReport, step_cap
 from .errors import ConeMismatch, InvalidState
-from .geometry import ConeSpec, reduce_to_span
+from .geometry import ConeSpec, is_int, reduce_to_span
 
 # Walls with velocity margin above -APPROACH_TOL are treated as grazing,
 # i.e. non-approaching; candidate hit times this close (relative) collide.
@@ -134,7 +134,7 @@ def _first_hits(q: np.ndarray, v: np.ndarray, a: np.ndarray):
 def _check_start(q: np.ndarray, v: np.ndarray, cone: ConeSpec, max_steps: int | None):
     """The entry check of `run` and `run_batch` on rows of start states:
     finite components, one per dimension, unit speeds, positions inside the
-    cone, and a budget of at least one step (step_cap's by default).
+    cone, and an integer budget of at least one step (step_cap's by default).
     Returns the velocities scaled to unit speed and the budget."""
     if q.ndim != 2 or len(q) == 0 or q.shape[1] != cone.dim or v.shape != q.shape:
         raise InvalidState(f"need one or more start states of {cone.dim} components")
@@ -147,8 +147,8 @@ def _check_start(q: np.ndarray, v: np.ndarray, cone: ConeSpec, max_steps: int | 
         raise InvalidState("an initial position lies outside the cone")
     if max_steps is None:
         max_steps = step_cap(cone.n_walls, cone.lambda_min)
-    if max_steps < 1:
-        raise InvalidState("max_steps must be >= 1")
+    if not (is_int(max_steps) and max_steps >= 1):
+        raise InvalidState(f"max_steps must be an integer >= 1, got {max_steps!r}")
     return v / speeds[:, None], max_steps
 
 

@@ -2,7 +2,7 @@
 
 The library computes delta by the sign-vertex formula (up to n = 16, and
 by a flip ascent over the same vertices past it) and C by its closed
-forms and the certified branch-and-bound.  These routes check them from
+forms and the certified outer approximation.  These routes check them from
 above: multistart projected subgradient descent from Sobol starts, and,
 in dimension 2 and 3, dense grid minimization on the sphere.  Each
 returns its value clamped as the library clamps its own: at most 1, and

@@ -155,9 +155,10 @@ def test_criterion_5_oracle_agreement(oracle_cones):
 
 
 def test_certified_C_below_both_oracles(oracle_cones):
-    # The certified lower end of C (closed form at m = 2, branch-and-bound
-    # at m = 3) lies below every feasible evaluation of the oracles; 1e-12
-    # covers rounding in those evaluations (up to 6e-16 on the wedges).
+    # The certified lower end of C (closed form at m = 2, closed form or
+    # outer approximation at m = 3) lies below every feasible evaluation of
+    # the oracles; 1e-12 covers rounding in those evaluations (up to 6e-16
+    # on the wedges).
     worst = max(
         r["c_auto"].certified_lower - min(r["c_grid"], r["c_multi"])
         for r in oracle_cones

@@ -311,14 +311,14 @@ def min_max_abs_margin_reference(normals):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
 def test_sign_vertices_match_reference(n):
     # n = 16 solves its 2^15 sign vectors in two blocks
-    for normals in (
-        random_cone(n, n, seed=20241, stream=n * 1000).normals,
-        random_cone(n, n, seed=20241, stream=n * 1000 + 1).normals,
-        random_cone(n, n + 2, seed=5, stream=n).normals,
-        np.eye(n),
+    for cone in (
+        random_cone(n, n, seed=20241, stream=n * 1000),
+        random_cone(n, n, seed=20241, stream=n * 1000 + 1),
+        random_cone(n, n + 2, seed=5, stream=n),
+        make_cone(n, np.eye(n)),
     ):
-        value, y = min_max_abs_margin(normals)
-        ref_value, ref_y = min_max_abs_margin_reference(normals)
+        value, y = min_max_abs_margin(cone)
+        ref_value, ref_y = min_max_abs_margin_reference(cone.normals)
         assert value == ref_value
         assert (y == ref_y).all()
 

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from conebilliards import geometry
 from conebilliards.constants import (
     ConstantEstimate,
     EstimateMethod,
@@ -232,7 +233,7 @@ class TestBfkConstant:
         assert est.method is EstimateMethod.closed_form
         assert est.value == pytest.approx(0.5, abs=1e-15)
 
-    def test_branch_and_bound_certificate(self):
+    def test_outer_approximation_certificate(self):
         # The criterion-4 cones at n = 4, 5 against the multistart oracle.
         # The multistart is an estimate from above that stalls on some of
         # them (by 4.4e-3 on stream 5003), so only one side is held to 1e-4.
@@ -246,7 +247,7 @@ class TestBfkConstant:
                 cone = random_cone(n, n, seed=20241, stream=n * 1000 + c)
                 est = bfk_constant(cone)
                 multi = c_multistart(cone)
-                vertex = zero_one_vertex(cone.normals)
+                vertex = zero_one_vertex(cone)
                 s = vertex.support
                 if (cone.gram_matrix.entries[np.ix_(s, ~s)] <= 0.0).all():
                     closed.append(n * 1000 + c)
@@ -271,7 +272,7 @@ class TestBfkConstant:
         cone = random_cone(4, 4, seed=20241, stream=4000)
         monkeypatch.setattr(minimax, "_VERTEX_CAP", 30)
         bracket = minimax.outer_approximation_min_max_face_distance(
-            cone.normals, inscribed_ball(cone).e, zero_one_vertex(cone.normals)
+            cone, inscribed_ball(cone).e, zero_one_vertex(cone)
         )
         cut = bfk_constant(cone)
         assert not bracket.complete
@@ -379,7 +380,7 @@ class TestBoundsReport:
         rep = bounds_report(cone)
         est = capacity_delta(cone)
         assert est.method is EstimateMethod.multistart
-        assert est.value == flip_min_max_abs_margin(cone.normals)[0]
+        assert est.value == flip_min_max_abs_margin(cone)[0]
         assert est.certified_lower < est.value
         assert rep.delta == est.value
         assert rep.bound_dd == (4.0 / (rep.d * est.certified_lower)) ** 2
@@ -402,6 +403,25 @@ class TestBoundsReport:
             assert abs(delta0.value - delta1.value) < 1e-9
             assert abs(psi0 - psi1) < 1e-9
             assert abs(phi0.value - phi1.value) < 1e-9
+
+    @pytest.mark.parametrize("n, seed, stream", [(3, 20241, 0), (3, 20242, 0), (4, 20241, 4000)])
+    def test_frame_derived_once(self, monkeypatch, n, seed, stream):
+        # The rays A^-1 and the orthonormal basis come from the cone, once,
+        # however many rounds C's outer approximation takes.
+        cone = random_cone(n, n, seed, stream)
+        calls = {"inv": 0, "orthonormal_rows": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        monkeypatch.setattr(geometry, "orthonormal_rows", counted("orthonormal_rows", geometry.orthonormal_rows))
+        bounds_report(cone)
+        assert calls == {"inv": 1, "orthonormal_rows": 1}
 
 
 def test_ceil_snapped():
@@ -459,8 +479,8 @@ def test_bounds_report_imports_no_scipy():
             conebilliards.bounds_report(cone)
             print(any(name.split(".")[0] == "scipy" for name in sys.modules))
             seed = conebilliards.constants.inscribed_ball(cone).e
-            vertex = minimax.zero_one_vertex(cone.normals)
-            print(minimax.outer_approximation_min_max_face_distance(cone.normals, seed, vertex).complete)
+            vertex = minimax.zero_one_vertex(cone)
+            print(minimax.outer_approximation_min_max_face_distance(cone, seed, vertex).complete)
             """
         )
         out = subprocess.run(

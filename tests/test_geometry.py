@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -72,6 +73,20 @@ class TestMakeCone:
     def test_malformed_input(self, dim, normals):
         with pytest.raises(DimensionMismatch):
             make_cone(dim, normals)
+
+    def test_replaced_normals_derive_their_own_frame(self):
+        # A copy with new normals shares nothing derived from the old ones.
+        normals = np.array([[1.0, 0.0], [0.6, 0.8]])
+        old = make_cone(2, np.eye(2))
+        assert (old.basis == np.eye(2)).all() and (old.rays == np.eye(2)).all()
+        copy = dataclasses.replace(old, normals=normals)
+        fresh = make_cone(2, normals)
+        assert copy.lambda_min == fresh.lambda_min == pytest.approx(0.4)
+        np.testing.assert_array_equal(copy.gram_matrix.entries, fresh.gram_matrix.entries)
+        np.testing.assert_array_equal(copy.matrix, fresh.matrix)
+        np.testing.assert_array_equal(copy.basis, fresh.basis)
+        np.testing.assert_array_equal(copy.rays, fresh.rays)
+        assert old.lambda_min == 1.0
 
     def test_unit_norms_within_tolerance(self):
         cone = make_cone(3, [(1, 2, 2), (4, 0, 3), (0, 0, 5)])

@@ -160,7 +160,7 @@ class TestSimulateBalls:
         with pytest.raises(NonpositiveMass, match="finite and positive"):
             balls_to_cone([1.0, mass])
 
-    @pytest.mark.parametrize("max_events", [0, -2])
+    @pytest.mark.parametrize("max_events", [0, -2, 2.5, True])
     def test_rejects_event_budget_below_one(self, max_events):
         # as run and run_batch reject max_steps < 1
         with pytest.raises(InvalidState):

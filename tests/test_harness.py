@@ -58,6 +58,15 @@ class TestRandomCone:
         with pytest.raises(DimensionMismatch):
             random_cone(n, dim, 1)
 
+    @pytest.mark.parametrize("seed, stream", [(1.5, 0), (1, 1.5), (True, 0), (1, "0")])
+    def test_rejects_non_integer_seed_or_stream(self, seed, stream):
+        with pytest.raises(InvalidParameter):
+            make_rng(seed, stream)
+        with pytest.raises(InvalidParameter):
+            random_cone(3, 3, seed, stream)
+        # numpy integers are integers
+        make_rng(np.int64(1), np.uint8(0))
+
     def test_degenerate_sampling_surfaces(self, monkeypatch):
         import conebilliards.harness as harness
         from conebilliards.errors import DegenerateSampling
@@ -193,6 +202,22 @@ class TestEnsembleRun:
         with pytest.raises(ConeBilliardsError):
             ExperimentConfig(seed=0, **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"trials": 2.5},
+            {"trials": True},
+            {"seed": 1.5},
+            {"max_steps_override": 2.5},
+            {"max_steps_override": 0},
+            {"paths_per_cone": 2.5},
+        ],
+    )
+    def test_config_rejects_bad_counts(self, kwargs):
+        config = {"n_walls": 2, "dim": 2, "trials": 1, "seed": 0, **kwargs}
+        with pytest.raises(InvalidParameter):
+            ExperimentConfig(**config)
+
     @staticmethod
     def _scalar_rows(config):
         """Reference: per-path run + audit on the same interior_starts draws."""
@@ -262,7 +287,7 @@ class TestAdversarialSearch:
         np.testing.assert_array_equal(r1.best_state.q, r2.best_state.q)
         np.testing.assert_array_equal(r1.best_state.v, r2.best_state.v)
 
-    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("budget", [0, -1, 2.5, True])
     def test_rejects_empty_budget(self, orthant2, budget):
         with pytest.raises(ConeBilliardsError):
             adversarial_search(orthant2, budget=budget, seed=0)

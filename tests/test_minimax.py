@@ -97,8 +97,8 @@ ALLOWANCE = 1e-12
 
 
 def _outer(cone):
-    seed, vertex = inscribed_ball(cone).e, zero_one_vertex(cone.normals)
-    return _outer_approximation(cone.normals, seed, vertex)
+    seed, vertex = inscribed_ball(cone).e, zero_one_vertex(cone)
+    return _outer_approximation(cone, seed, vertex)
 
 
 def criterion_4_cones(ns=(3, 4, 5)):
@@ -257,7 +257,7 @@ class TestOuterApproximation:
             assert best.shape == (cone.dim,)
             assert (best @ cone.matrix).min() >= 0.0
             assert abs(np.linalg.norm(best) - 1.0) <= 1e-15
-            assert nearest_point_face_distances(cone.normals, best)[0].max() == bracket.hi
+            assert nearest_point_face_distances(cone, best)[0].max() == bracket.hi
 
     @pytest.mark.parametrize(
         "streams",
@@ -324,12 +324,12 @@ class TestOuterApproximation:
             y /= np.linalg.norm(y, axis=1)[:, None]
             exact = face.distances_and_feet(y)[0]
             for u in y[:6]:
-                dists, feet = nearest_point_face_distances(arr, u)
+                dists, feet = nearest_point_face_distances(cone, u)
                 for noise in (0.0, 1e-2):
                     moved = feet + noise * rng.standard_normal(feet.shape)
                     # a cut for every face that u is off
                     far = dists > 0.0
-                    h = _cuts(arr, rays, u, dists, moved, 0.0)
+                    h = _cuts(cone, u, dists, moved, 0.0)
                     assert h.shape == (far.sum(), n)
                     worst = max(worst, float(((y @ arr.T) @ h.T - exact[:, far]).max()))
                     if noise == 0.0:
@@ -348,7 +348,7 @@ class TestOuterApproximation:
             bracket, poly = _outer(cone)
             if poly is None or not len(poly.cuts):
                 continue
-            q, _, k = _largest_vertex(cone.normals, 0, len(poly.x), lambda codes: poly.x[codes].T)
+            q, _, k = _largest_vertex(cone, 0, len(poly.x), lambda codes: poly.x[codes].T)
             level = 1.0 / math.sqrt(q)
             rows, rhs = constraints(poly)
             bits = tight_bits(poly, k)
@@ -396,7 +396,7 @@ class TestOuterApproximation:
         monkeypatch.setattr(minimax, "_VERTEX_CAP", (1 << n) - 1)
         ends, none = _outer(cone)
         assert none is None and ends.evaluations == 2
-        assert ends.lo == zero_one_vertex(cone.normals).value - ALLOWANCE
+        assert ends.lo == zero_one_vertex(cone).value - ALLOWANCE
         assert ends.lo <= cut.lo and ends.hi >= cut.hi
 
     def test_no_bracket_disjoint_from_the_branch_and_bound(self):

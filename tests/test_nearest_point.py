@@ -76,7 +76,7 @@ def test_nnls_edge_cases():
 
 def test_margin_ends_bracket_the_enumeration():
     for cone in margin_cones():
-        ends = nearest_point_margin(cone.normals)
+        ends = nearest_point_margin(cone)
         exact, _ = max_min_margin(cone.normals)
         assert ends.lower - ENUMERATION_ERROR <= exact <= ends.upper + 1e-15
         # The two ends may cross by rounding, by an ulp or two.
@@ -88,7 +88,7 @@ def test_charge_SQ_is_its_certified_lower_end():
         est = charge_SQ(cone)
         assert est.method is EstimateMethod.nearest_point
         assert est.certified_lower == est.value
-        assert est.value == math.asin(nearest_point_margin(cone.normals).lower)
+        assert est.value == math.asin(nearest_point_margin(cone).lower)
 
 
 def test_charge_SQ_reduces_wide_cones():
@@ -111,7 +111,7 @@ def test_face_distances_against_projector_table():
             points = np.vstack([inscribed_ball(cone).e, cone_points(cone, 20, n * 10 + c)])
             table, table_feet = FaceDistance(cone.normals).distances_and_feet(points)
             for y, dists, feet in zip(points, table, table_feet):
-                got, got_feet = nearest_point_face_distances(cone.normals, y)
+                got, got_feet = nearest_point_face_distances(cone, y)
                 np.testing.assert_allclose(got, dists, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(got_feet, feet, rtol=0, atol=1e-12)
 
@@ -146,7 +146,7 @@ def test_bounds_report_past_the_search():
             assert est.certified_lower <= rep.bfk_C <= 1.0
             assert est.certified_lower >= math.sqrt(cone.lambda_min / n)
             if n <= 16:
-                assert est.certified_lower >= zero_one_vertex(cone.normals).value - 1e-12
+                assert est.certified_lower >= zero_one_vertex(cone).value - 1e-12
             assert 0.0 < rep.charge_SQ <= math.pi / 2
             assert not math.isnan(rep.bound_bfk)
 

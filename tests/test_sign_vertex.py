@@ -70,7 +70,7 @@ def test_matches_enumerations_on_criterion_4_cones():
 def test_argmin_attains_the_value():
     for n in range(1, 7):
         cone = random_cone(n, n, seed=20241, stream=n * 1000)
-        value, y = min_max_abs_margin(cone.normals)
+        value, y = min_max_abs_margin(cone)
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
         assert np.abs(cone.normals @ y).max() == pytest.approx(value, rel=1e-12)
 
@@ -79,7 +79,7 @@ def test_span_restricted_when_walls_are_fewer():
     normals = np.array([(1.0, 0.2, 0.0, -0.3), (0.4, -1.0, 0.5, 0.0), (0.1, 0.3, 1.0, 0.2)])
     wide = make_cone(4, normals)
     reduced, _ = reduce_to_span(4, normals)
-    value, y = min_max_abs_margin(wide.normals)
+    value, y = min_max_abs_margin(wide)
     assert value == pytest.approx(min_max_abs_margin_reference(wide.normals), rel=1e-10)
     assert value == pytest.approx(capacity_delta(reduced).value, rel=1e-12)
     assert charge_phi(wide).value == pytest.approx(charge_phi_reference(wide.normals), rel=1e-10)

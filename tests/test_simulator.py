@@ -85,7 +85,7 @@ class TestEntryCheck:
         with pytest.raises(InvalidState, match="finite"):
             run(state, orthant2)
 
-    @pytest.mark.parametrize("max_steps", [0, -3])
+    @pytest.mark.parametrize("max_steps", [0, -3, 2.5, True])
     def test_budget_below_one_rejected(self, orthant2, max_steps):
         q = np.array([1.0, 2.0])
         v = unit([-2.0, -1.0])

@@ -56,7 +56,7 @@ def test_floor_and_closed_form_against_exact_solves():
     for cone in criterion_4_cones():
         n = cone.n_walls
         square = exact_vertex_square(cone.normals)
-        vertex = zero_one_vertex(cone.normals)
+        vertex = zero_one_vertex(cone)
         # The floor the search uses lies below the exact delta_Q.
         assert below_exact(vertex.value - ALLOWANCE, square)
         assert not below_exact(vertex.value + ALLOWANCE, square)
@@ -89,9 +89,9 @@ def test_closed_form_inside_the_searched_bracket(stream, monkeypatch):
     searched = []
     search = minimax.outer_approximation_min_max_face_distance
 
-    def counted(normals, seed, vertex):
-        searched.append(len(normals))
-        return search(normals, seed, vertex)
+    def counted(cone, seed, vertex):
+        searched.append(cone.n_walls)
+        return search(cone, seed, vertex)
 
     monkeypatch.setattr(minimax, "outer_approximation_min_max_face_distance", counted)
     n = stream // 1000
@@ -108,7 +108,7 @@ def test_closed_form_inside_the_searched_bracket(stream, monkeypatch):
 def test_vertex_is_on_the_walls_off_its_support():
     for n in range(1, 7):
         cone = random_cone(n, n, seed=20241, stream=n * 1000 + 3)
-        vertex = zero_one_vertex(cone.normals)
+        vertex = zero_one_vertex(cone)
         assert np.linalg.norm(vertex.y) == pytest.approx(1.0, abs=1e-14)
         margins = cone.normals @ vertex.y
         expected = np.where(vertex.support, vertex.value, 0.0)
@@ -118,7 +118,7 @@ def test_vertex_is_on_the_walls_off_its_support():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_orthant_is_the_all_walls_case(n):
-    vertex = zero_one_vertex(np.eye(n))
+    vertex = zero_one_vertex(make_cone(n, np.eye(n)))
     assert vertex.support.all()
     assert vertex.value == pytest.approx(1.0 / math.sqrt(n), abs=1.1e-16)
 
@@ -131,4 +131,4 @@ def test_wedges_keep_their_own_closed_form():
     est = bfk_constant(cone)
     assert est.method is EstimateMethod.closed_form
     assert est.value == math.sin(theta / 2.0)
-    assert zero_one_vertex(cone.normals).value < est.value - 0.1
+    assert zero_one_vertex(cone).value < est.value - 0.1
