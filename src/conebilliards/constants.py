@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DegenerateArrangement, DimensionMismatch, InvalidParameter
-from .geometry import ConeSpec, GramMatrix, make_cone, reduce_to_span
+from .geometry import ConeSpec, GramMatrix, InscribedBall, make_cone, reduce_to_span
 from . import minimax
 
 
@@ -75,24 +75,6 @@ class ConstantEstimate:
             raise InvalidParameter(
                 f"certified lower bound {self.certified_lower} exceeds value {self.value}"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class InscribedBall:
-    """Unit direction e at margin d from every wall, (e, a_i) = d.
-
-    This is the cone's inscribed ball (the largest ball about a unit
-    vector in Q) only when G^{-1} 1 >= 0; otherwise that ball is larger,
-    with radius sin S(Q) > d.
-    """
-
-    d: float
-    e: np.ndarray
-
-    def __post_init__(self):
-        e = np.ascontiguousarray(self.e, dtype=np.float64)
-        e.flags.writeable = False
-        object.__setattr__(self, "e", e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,27 +125,14 @@ def _require_square(cone: ConeSpec, what: str) -> None:
 
 
 def inscribed_ball(cone: ConeSpec) -> InscribedBall:
-    """Solve (e, a_i) = d for the unit center e and radius d (n = m).
+    """The unit centre e and radius d with (e, a_i) = d (n = m): `cone.ball`,
+    solved once per cone however often it is asked for.
 
     e lies in Q, but it is the centre of the inscribed ball only when
     G^{-1} 1 >= 0; see `InscribedBall`.
-
-    With A the matrix of normal columns, e^T A = d (1, ..., 1) gives
-    d = 1 / ||(1, ..., 1) A^{-1}|| and e^T = d (1, ..., 1) A^{-1}.
     """
     _require_square(cone, "inscribed_ball")
-    a = cone.matrix
-    try:
-        w = np.linalg.solve(a.T, np.ones(cone.n_walls))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateArrangement("normal matrix is singular") from exc
-    nrm = float(np.linalg.norm(w))
-    d = 1.0 / nrm
-    e = w * d
-    resid = np.abs(e @ a - d).max()
-    if resid > 1e-10:
-        raise DegenerateArrangement(f"inscribed-ball residual {resid:.2e} too large")
-    return InscribedBall(d=d, e=e)
+    return cone.ball
 
 
 # delta's sign-vertex formula solves 2^(n-1) vertices; past this n, delta
@@ -260,9 +229,12 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     y_Q - delta_Q a_i, with margins delta_Q (x_j - G_ij).  When G_ij <= 0
     for every i in S and j outside S, every foot lies in its face, so
     f(y_Q) = delta_Q and C = delta_Q, exact up to rounding as for delta:
-    the closed form, with no face distance computed.  An orthant is the
-    case S = every wall, where delta_Q = 1 / sqrt(n); so is the half-line
-    (n = 1), where C = delta_Q = 1 because the only face is the apex.
+    the closed form, with no face distance computed.  It is the shortcut
+    of `minimax.nearest_point_face_distances` taken by every face at y_Q,
+    which needs no NNLS there exactly when this rule holds.  An orthant
+    is the case S = every wall, where delta_Q = 1 / sqrt(n); so is the
+    half-line (n = 1), where C = delta_Q = 1 because the only face is the
+    apex.
 
     Otherwise C is bracketed by outer approximation
     (`minimax.outer_approximation_min_max_face_distance`, method
@@ -271,19 +243,20 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     K = {y in Q : f(y) <= 1}, and K lies in the parallelotope
     {0 <= (y, a_i) <= 1}, whose largest vertex is y_Q / delta_Q.  Each
     round takes the largest vertex v of the current polytope: 1 / |v|
-    less a 1e-12 rounding allowance is a lower end, the largest NNLS face
-    distance at v / |v|, moved inside the cone, is an upper end, and each
-    face with dist(v, B_i) > 1 adds a cut from its foot, clipped to that
-    face's polar so that it holds however inexact the foot.  The rounds
-    stop once the ends are within 1e-4, when a round cuts off no vertex,
-    or before the vertex list passes its cap of 2^14; past n = 14 there
-    are no rounds, and the ends are those of the inscribed centre e and
-    of y_Q.  `value` = hi, the largest face distance at the returned
-    point, and `certified_lower` = max(lo, sqrt(lambda_min / n)), where
-    lo is at least delta_Q less 1e-12 up to n = 16 and 0 past it (no
-    vertex is solved there).  `starts_used` is 0.  Any feasible
-    evaluation is <= 1 because the apex belongs to every face, so
-    0 < C <= 1 always holds for the value.
+    less a 1e-12 rounding allowance is a lower end, the largest face
+    distance at v / |v|, moved inside the cone, is an upper end (from the
+    hyperplane foot where it lies in its face, and otherwise from one NNLS
+    on the face's rays), and each face with dist(v, B_i) > 1 adds a cut
+    from its foot, clipped to that face's polar so that it holds however
+    inexact the foot.  The rounds stop once the ends are within 1e-4,
+    when a round cuts off no vertex, or before the vertex list passes its
+    cap of 2^14; past n = 14 there are no rounds, and the ends are those
+    of the inscribed centre e and of y_Q.  `value` = hi, the largest face
+    distance at the returned point, and `certified_lower` =
+    max(lo, sqrt(lambda_min / n)), where lo is at least delta_Q less 1e-12
+    up to n = 16 and 0 past it (no vertex is solved there).  `starts_used`
+    is 0.  Any feasible evaluation is <= 1 because the apex belongs to
+    every face, so 0 < C <= 1 always holds for the value.
     """
     _require_square(cone, "bfk_constant")
     n = cone.n_walls

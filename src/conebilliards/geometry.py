@@ -1,4 +1,5 @@
-"""Polyhedral cone geometry: validated cones, Gram matrices, eigenvalues.
+"""Polyhedral cone geometry: validated cones, Gram matrices, eigenvalues,
+and the equal-margin ball.
 
 A cone is the intersection of half-spaces {y : (y, a_i) >= 0} through the
 origin, described by the unit inward normals a_1, ..., a_n of its walls.
@@ -49,8 +50,8 @@ class ConeSpec:
 
     `normals` has shape (n, m); row i is the unit normal of wall i.  The
     instance is immutable.  It derives `matrix`, `gram_matrix`, `lambda_min`,
-    `basis` and, for n = m, `rays` once, on first use; a copy made by
-    `dataclasses.replace` derives its own.
+    `basis` and, for n = m, `rays` and `ball` once, on first use; a copy
+    made by `dataclasses.replace` derives its own.
     """
 
     dim: int
@@ -88,6 +89,48 @@ class ConeSpec:
         """The inverse of `normals` (n = m): column k is the edge ray r_k,
         with (r_k, a_j) = 1 for j = k and 0 otherwise."""
         return _freeze(np.linalg.inv(self.normals))
+
+    @cached_property
+    def ball(self) -> "InscribedBall":
+        """The unit direction e at equal margin d from every wall (n = m),
+        from `_solve_ball`."""
+        return _solve_ball(self)
+
+
+@dataclass(frozen=True, eq=False)
+class InscribedBall:
+    """Unit direction e at margin d from every wall, (e, a_i) = d.
+
+    This is the cone's inscribed ball (the largest ball about a unit
+    vector in Q) only when G^{-1} 1 >= 0; otherwise that ball is larger,
+    with radius sin S(Q) > d.
+    """
+
+    d: float
+    e: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "e", _freeze(self.e))
+
+
+def _solve_ball(cone: ConeSpec) -> InscribedBall:
+    """Solve (e, a_i) = d for the unit center e and radius d (n = m).
+
+    With A the matrix of normal columns, e^T A = d (1, ..., 1) gives
+    d = 1 / ||(1, ..., 1) A^{-1}|| and e^T = d (1, ..., 1) A^{-1}.
+    """
+    a = cone.matrix
+    try:
+        w = np.linalg.solve(a.T, np.ones(cone.n_walls))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateArrangement("normal matrix is singular") from exc
+    nrm = float(np.linalg.norm(w))
+    d = 1.0 / nrm
+    e = w * d
+    resid = np.abs(e @ a - d).max()
+    if resid > 1e-10:
+        raise DegenerateArrangement(f"inscribed-ball residual {resid:.2e} too large")
+    return InscribedBall(d=d, e=e)
 
 
 @dataclass(frozen=True, eq=False)

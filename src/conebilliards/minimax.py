@@ -13,15 +13,17 @@ from cone geometry:
 * one non-negative least-squares kernel (`nnls`, Lawson and Hanson 1974)
   for nearest points in a cone: max over unit u of min_i (u, a_i) as
   1 / min{|u| : (u, a_i) >= 1}, with both ends certified, and the
-  distance from a point to each face as the distance to the cone over
-  that face's rays, an upper end whether or not the solve converged;
+  distance from a point to each face: |(y, a_i)| where the foot on the
+  face's hyperplane lies in the face, and otherwise the distance to the
+  cone over that face's rays, an upper end whether or not the solve
+  converged;
 * outer approximation of C = min over sphere-in-cone of the largest face
   distance (`outer_approximation_min_max_face_distance`): C is 1 / the
   largest norm over the convex set where the largest face distance is at
   most 1, which lies in every polytope P_k of a shrinking sequence that
-  starts from the 0/1 parallelotope and takes cuts from the NNLS feet;
-  the largest vertex of P_k gives lo, the NNLS face distances there give
-  hi, and the rounds stop at a gap of 1e-4 or at a vertex cap;
+  starts from the 0/1 parallelotope and takes cuts from the face feet;
+  the largest vertex of P_k gives lo, the face distances there give hi,
+  and the rounds stop at a gap of 1e-4 or at a vertex cap;
 * projected subgradient descent of the largest face distance with step
   halving, vectorized across the starts it is given, on the exact face
   distances of `FaceDistance`: the multistart oracle that the tests check
@@ -334,17 +336,29 @@ def nearest_point_margin(cone: ConeSpec) -> MarginBracket:
 
 def nearest_point_face_distances(cone: ConeSpec, y: np.ndarray):
     """dist(y, B_i) for every face of a cone with n = m walls, and the
-    feet, shapes (n,) and (n, m), from one NNLS per face.
+    feet, shapes (n,) and (n, m), from the hyperplane feet first and one
+    NNLS for each face whose hyperplane foot leaves it.
 
-    The cone's rays r_k = A^-1 e_k satisfy (r_k, a_j) = 1 for j = k and 0
-    otherwise, so the cone is the set of their non-negative combinations
-    and face B_i that of the rays k != i: the foot of y on B_i is the NNLS
-    nearest point on those rays.  A foot is such a combination whether or
-    not its solve converged, so each distance is an upper end, up to the
-    rounding of the rays.  No table of size 2^n is built.
+    B_i lies in the hyperplane (x, a_i) = 0, whose nearest point to y is
+    p_i = y - (y, a_i) a_i, at distance |(y, a_i)|.  One product gives
+    the margins (p_i, a_j) of all n of these feet; where those on the
+    walls j != i are all >= 0, p_i lies in B_i, so it is the foot of y on
+    B_i and the distance is |(y, a_i)|.  `constants.bfk_constant`'s closed
+    form is this shortcut taken by every face at y_Q.  For the other
+    faces: the rays r_k = A^-1 e_k satisfy (r_k, a_j) = 1 for j = k and 0
+    otherwise, so B_i is the set of the non-negative combinations of the
+    rays k != i, and the foot is the NNLS nearest point on them.  A foot
+    is such a combination whether or not its solve converged, so each
+    distance is an upper end, up to rounding.  No table of size 2^n is
+    built.
     """
-    feet = np.empty_like(cone.rays)
-    for i in range(cone.n_walls):
+    arr = cone.normals
+    margins = arr @ y
+    feet = y - margins[:, None] * arr
+    # Foot i lies on wall i up to rounding; that margin does not count.
+    inside = feet @ arr.T >= 0.0
+    np.fill_diagonal(inside, True)
+    for i in np.flatnonzero(~inside.all(axis=1)):
         face = np.delete(cone.rays, i, axis=1)
         feet[i] = face @ nnls(face, y)
     diff = y - feet
@@ -712,7 +726,7 @@ def _cuts(cone: ConeSpec, u, dists, feet, level) -> np.ndarray:
     lies in the polar of B_i exactly when h_k <= 0 for every k != i.  Then
     (h, x) = (g, y) <= dist(y, B_i) for every y whenever |g| <= 1, since
     dist(y, B_i) is the largest (g, y) over unit g in the polar.  h starts
-    from the subgradient g_i = (u - p_i) / |u - p_i| at the NNLS foot p_i,
+    from the subgradient g_i = (u - p_i) / |u - p_i| at the foot p_i,
     as h_k = (g_i, r_k) for the rays r_k = A^-1 e_k.  Its entries k != i
     are clipped at 0, which is g <- g - sum_{k != i} max(0, (g, r_k)) a_k,
     and it is divided by max(1, |A^T h|).  So a cut holds however inexact
@@ -735,7 +749,7 @@ class Bracket(NamedTuple):
 
     lo: float
     hi: float
-    # The feasible unit point whose largest NNLS face distance is hi.
+    # The feasible unit point whose largest face distance is hi.
     best: np.ndarray
     # Points evaluated: the seed, and the largest vertex of each round.
     evaluations: int
@@ -760,9 +774,9 @@ def outer_approximation_min_max_face_distance(
     * lo = max(lo, 1 / |v| - 1e-12), the allowance for the rounding of the
       vertex solves, as for delta_Q;
     * hi = min(hi, f(v / |v|)), with v / |v| moved inside the cone by
-      `_pushed_inside` and f from the NNLS feet of
-      `nearest_point_face_distances`, an upper end whether or not the
-      solves converged; the seed is evaluated first;
+      `_pushed_inside` and f from the feet of
+      `nearest_point_face_distances`, an upper end whether or not its
+      NNLS solves converged; the seed is evaluated first;
     * every face with dist(v, B_i) > 1 adds the cut of `_cuts` to P_k.
 
     The rounds stop when hi - lo <= 1e-4, when a round cuts off no vertex,

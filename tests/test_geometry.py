@@ -79,6 +79,7 @@ class TestMakeCone:
         normals = np.array([[1.0, 0.0], [0.6, 0.8]])
         old = make_cone(2, np.eye(2))
         assert (old.basis == np.eye(2)).all() and (old.rays == np.eye(2)).all()
+        assert old.ball.d == pytest.approx(math.sqrt(0.5))
         copy = dataclasses.replace(old, normals=normals)
         fresh = make_cone(2, normals)
         assert copy.lambda_min == fresh.lambda_min == pytest.approx(0.4)
@@ -86,6 +87,8 @@ class TestMakeCone:
         np.testing.assert_array_equal(copy.matrix, fresh.matrix)
         np.testing.assert_array_equal(copy.basis, fresh.basis)
         np.testing.assert_array_equal(copy.rays, fresh.rays)
+        assert copy.ball.d == fresh.ball.d
+        np.testing.assert_array_equal(copy.ball.e, fresh.ball.e)
         assert old.lambda_min == 1.0
 
     def test_unit_norms_within_tolerance(self):

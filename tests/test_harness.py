@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conebilliards import harness
+from conebilliards import geometry, harness
 from conebilliards.constants import bounds_report, inscribed_ball
 from conebilliards.errors import ConeBilliardsError, DimensionMismatch, InvalidParameter
 from conebilliards.geometry import gram, make_cone, reduce_to_span
@@ -163,6 +163,25 @@ class TestEnsembleRun:
                 )
             )
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("n_walls, dim", [(3, 3), (2, 3)])
+    def test_one_ball_solve_per_cone(self, monkeypatch, n_walls, dim):
+        # bounds_report, C's outer approximation (cone 0 at 3 walls) and the
+        # start sampler all read the cone's equal-margin ball; it is solved
+        # once per cone, the reduced one when n < m.
+        solved = []
+        solve = geometry._solve_ball
+
+        def counted(cone):
+            solved.append(cone)
+            return solve(cone)
+
+        monkeypatch.setattr(geometry, "_solve_ball", counted)
+        config = ExperimentConfig(n_walls=n_walls, dim=dim, trials=3, seed=20241, paths_per_cone=10)
+        ensemble_run(config)
+        assert len(solved) == 3
+        assert len({id(cone) for cone in solved}) == 3
+        assert all(cone.n_walls == cone.dim == n_walls for cone in solved)
 
     def test_trials_used_for_paths_when_unset(self, tmp_path):
         config = ExperimentConfig(n_walls=2, dim=2, trials=3, seed=1)

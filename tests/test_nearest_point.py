@@ -104,16 +104,87 @@ def test_charge_SQ_reduces_wide_cones():
         assert math.sin(est.value) == pytest.approx(exact, abs=ENUMERATION_ERROR)
 
 
-def test_face_distances_against_projector_table():
+def count_nnls(monkeypatch):
+    """Replace `minimax.nnls` with a copy that records each call; returns
+    the list of calls."""
+    calls = []
+    solve = minimax.nnls
+
+    def counted(r, b):
+        calls.append(1)
+        return solve(r, b)
+
+    monkeypatch.setattr(minimax, "nnls", counted)
+    return calls
+
+
+def feet_leaving_their_face(cone, y):
+    """Faces i whose hyperplane foot y - (y, a_i) a_i has a negative margin
+    on some other wall, one face at a time."""
+    leaving = 0
+    for i, a in enumerate(cone.normals):
+        foot = y - (y @ a) * a
+        leaving += any(foot @ b < 0.0 for j, b in enumerate(cone.normals) if j != i)
+    return leaving
+
+
+def test_face_distances_against_projector_table(monkeypatch):
+    calls = count_nnls(monkeypatch)
+    faces = 0
     for n in range(3, 9):
         for c in range(3):
             cone = random_cone(n, n, seed=20241, stream=n * 1000 + c)
             points = np.vstack([inscribed_ball(cone).e, cone_points(cone, 20, n * 10 + c)])
             table, table_feet = FaceDistance(cone.normals).distances_and_feet(points)
+            faces += n * len(points)
             for y, dists, feet in zip(points, table, table_feet):
                 got, got_feet = nearest_point_face_distances(cone, y)
                 np.testing.assert_allclose(got, dists, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(got_feet, feet, rtol=0, atol=1e-12)
+    # Both branches ran: hyperplane feet, and NNLS where they leave the face.
+    assert 0 < len(calls) < faces
+
+
+def test_no_nnls_at_the_equal_margin_centre(monkeypatch):
+    # Every hyperplane foot e - d a_i of the centre has margins
+    # d (1 - G_ij) >= 0, so no face needs its NNLS.
+    cone = random_cone(5, 5, seed=20241, stream=5000)
+    ball = inscribed_ball(cone)
+    calls = count_nnls(monkeypatch)
+    dists, feet = nearest_point_face_distances(cone, ball.e)
+    assert not calls
+    np.testing.assert_allclose(dists, ball.d, rtol=1e-14)
+    np.testing.assert_allclose(feet, ball.e - ball.d * cone.normals, rtol=0, atol=1e-15)
+
+
+def test_nnls_only_where_the_hyperplane_foot_leaves_the_face(monkeypatch):
+    calls = count_nnls(monkeypatch)
+    for n in range(3, 9):
+        cone = random_cone(n, n, seed=20241, stream=n * 1000 + 1)
+        for y in cone_points(cone, 10, n):
+            calls.clear()
+            nearest_point_face_distances(cone, y)
+            assert len(calls) == feet_leaving_their_face(cone, y)
+
+
+def test_closed_form_is_the_shortcut_at_the_vertex(monkeypatch):
+    # bfk_constant's rule G_ij <= 0 across y_Q's support says that every
+    # hyperplane foot of y_Q lies in its face, so it holds exactly where
+    # the face distances at y_Q need no NNLS; there, f(y_Q) = delta_Q.
+    calls = count_nnls(monkeypatch)
+    closed = 0
+    for n in range(3, 7):
+        for c in range(25):
+            cone = random_cone(n, n, seed=20241, stream=n * 1000 + c)
+            vertex = zero_one_vertex(cone)
+            calls.clear()
+            dists, _ = nearest_point_face_distances(cone, vertex.y)
+            shortcut = not calls
+            assert (bfk_constant(cone).method is EstimateMethod.closed_form) == shortcut
+            if shortcut:
+                closed += 1
+                assert dists.max() == pytest.approx(vertex.value, rel=1e-14, abs=0)
+    assert closed == 14
 
 
 # (value, certified_lower) of the cube-sphere branch-and-bound on these two
