@@ -1,7 +1,7 @@
 """Scalar characteristics of a polyhedral cone and its collision bounds.
 
-For a cone with n independent unit normals spanning R^n this module
-computes:
+For a cone with n independent unit normals this module computes, on the
+cone's `span` (the cone itself when the normals span R^n):
 
 * the equal-margin radius d and center direction e, from (e, a_i) = d on
   every wall: the inscribed ball's radius only when G^{-1} 1 >= 0, and
@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import DegenerateArrangement, DimensionMismatch, InvalidParameter
-from .geometry import ConeSpec, GramMatrix, InscribedBall, make_cone, reduce_to_span
+from .geometry import ConeSpec, GramMatrix, InscribedBall, as_gram, is_int, make_cone
 from . import minimax
 
 
@@ -79,7 +80,8 @@ class ConstantEstimate:
 
 @dataclass(frozen=True, eq=False)
 class BoundsReport:
-    """All constants of a cone and every collision bound assembled from them."""
+    """All constants of a cone and every collision bound assembled from
+    them, computed on `cone`: the `span` of the cone given."""
 
     lambda_min: float
     d: float
@@ -101,7 +103,7 @@ class BoundsReport:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
-# The data fields in declaration order; the reduced cone is not data.
+# The data fields in declaration order; the cone is not data.
 BoundsReport.FIELDS = tuple(f.name for f in fields(BoundsReport) if f.name != "cone")
 
 
@@ -116,22 +118,16 @@ def ceil_snapped(x: float) -> int:
     return int(math.ceil(x))
 
 
-def _require_square(cone: ConeSpec, what: str) -> None:
-    if cone.n_walls != cone.dim:
-        raise DimensionMismatch(
-            f"{what} needs as many walls as dimensions "
-            f"(got n={cone.n_walls}, m={cone.dim}); reduce_to_span first"
-        )
-
-
 def inscribed_ball(cone: ConeSpec) -> InscribedBall:
     """The unit centre e and radius d with (e, a_i) = d (n = m): `cone.ball`,
     solved once per cone however often it is asked for.
 
     e lies in Q, but it is the centre of the inscribed ball only when
-    G^{-1} 1 >= 0; see `InscribedBall`.
+    G^{-1} 1 >= 0; see `InscribedBall`.  e is a point of the cone's own
+    R^m, so a cone with n < m walls raises DimensionMismatch.
     """
-    _require_square(cone, "inscribed_ball")
+    if cone.n_walls != cone.dim:
+        raise DimensionMismatch(f"inscribed_ball needs n = m, got n={cone.n_walls}, m={cone.dim}")
     return cone.ball
 
 
@@ -144,8 +140,19 @@ _FORMULA_MAX_N = 16
 _VERTEX_MAX_N = 16
 
 
-def _delta(cone: ConeSpec) -> ConstantEstimate:
-    """delta of the cone's normals, in their span, by the route its n takes."""
+def capacity_delta(cone: ConeSpec) -> ConstantEstimate:
+    """Capacity delta = min over unit y of max_i |(y, a_i)|; psi = arcsin(delta).
+
+    Computed on `cone.span`, since the minimum lies in the span of the
+    normals.  Up to n = 16 the sign-vertex formula of
+    `minimax.min_max_abs_margin` gives delta exactly, and the value is its
+    own certified lower end.  Past it, the one-flip ascent of
+    `minimax.flip_min_max_abs_margin` over the same sign vertices gives an
+    estimate from above (method multistart), with the a-priori
+    sqrt(lambda_min / n) as the lower end; it matched the formula exactly
+    on every cone tested at n = 2..16.
+    """
+    cone = cone.span
     n = cone.n_walls
     lower = math.sqrt(max(cone.lambda_min, 0.0) / n)
     if n <= _FORMULA_MAX_N:
@@ -155,20 +162,6 @@ def _delta(cone: ConeSpec) -> ConstantEstimate:
     return ConstantEstimate(min(max(value, lower - 1e-12), 1.0), lower, EstimateMethod.multistart, used)
 
 
-def capacity_delta(cone: ConeSpec) -> ConstantEstimate:
-    """Capacity delta = min over unit y of max_i |(y, a_i)|; psi = arcsin(delta).
-
-    Up to n = 16 the sign-vertex formula of `minimax.min_max_abs_margin`
-    gives delta exactly, and the value is its own certified lower end.
-    Past it, the one-flip ascent of `minimax.flip_min_max_abs_margin` over
-    the same sign vertices gives an estimate from above (method
-    multistart), with the a-priori sqrt(lambda_min / n) as the lower end;
-    it matched the formula exactly on every cone tested at n = 2..16.
-    """
-    _require_square(cone, "capacity_delta")
-    return _delta(cone)
-
-
 def charge_SQ(cone: ConeSpec) -> ConstantEstimate:
     """Charge S(Q): largest least angle between a ray inside Q and a wall.
 
@@ -176,14 +169,11 @@ def charge_SQ(cone: ConeSpec) -> ConstantEstimate:
     from one NNLS (`minimax.nearest_point_margin`).  The value is the
     arcsine of its lower end, the least margin of a feasible unit vector,
     and is its own certified lower end; its upper end, from the clipped
-    multipliers, was within 6.4e-15 of it on every cone tested.  A cone
-    with fewer walls than dimensions is reduced to the span of its normals
-    first: the maximum is attained there, since a component off the span
-    changes no margin and takes up norm.
+    multipliers, was within 6.4e-15 of it on every cone tested.  It is
+    computed on `cone.span`: the maximum is attained there, since a
+    component off the span changes no margin and takes up norm.
     """
-    if cone.n_walls < cone.dim:
-        cone, _ = reduce_to_span(cone.dim, cone.normals)
-    value = math.asin(min(1.0, minimax.nearest_point_margin(cone).lower))
+    value = math.asin(min(1.0, minimax.nearest_point_margin(cone.span).lower))
     return ConstantEstimate(value, value, EstimateMethod.nearest_point, 1)
 
 
@@ -199,13 +189,12 @@ def charge_phi(normals) -> ConstantEstimate:
     sign cone has sin S = delta exactly.  So phi takes delta's route
     (`capacity_delta`): exact up to n = 16, and past it the flip ascent's
     estimate from above, with arcsin(sqrt(lambda_min / n)) as its certified
-    end.  Cones with fewer walls than dimensions work in the span of their
-    normals; raw arrays go through `make_cone`.
+    end, both on `cone.span`.  Raw arrays go through `make_cone`.
     """
     if not isinstance(normals, ConeSpec):
         arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
         normals = make_cone(arr.shape[1], arr)
-    delta = _delta(normals)
+    delta = capacity_delta(normals)
     return ConstantEstimate(
         math.asin(delta.value), math.asin(delta.certified_lower), delta.method, delta.starts_used
     )
@@ -218,6 +207,8 @@ def _wedge_angle(g: GramMatrix) -> float:
 
 def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     """Nondegeneracy constant C = min over unit y in Q of max_i dist(y, B_i).
+
+    Computed on `cone.span`, as a component off the span moves no distance.
 
     Every two-wall cone in R^2 is a wedge, minimized on its bisector:
     C = sin(theta / 2).  Otherwise, up to n = 16, C starts from the
@@ -258,7 +249,7 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     is 0.  Any feasible evaluation is <= 1 because the apex belongs to
     every face, so 0 < C <= 1 always holds for the value.
     """
-    _require_square(cone, "bfk_constant")
+    cone = cone.span
     n = cone.n_walls
     lower = math.sqrt(max(cone.lambda_min, 0.0) / n)
 
@@ -289,9 +280,10 @@ def tridiagonal_case(g) -> tuple[bool, int | None]:
     """Check the banded special case and return its sharp bound n(n+1)/2.
 
     Applicable when (a_i, a_j) = 0 for |i - j| > 1 and every neighbor
-    product (a_i, a_{i+1}) >= -1/2, both within tolerance.
+    product (a_i, a_{i+1}) >= -1/2, both within tolerance.  An array goes
+    through `GramMatrix` first.
     """
-    entries = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=np.float64)
+    entries = as_gram(g).entries
     n = entries.shape[0]
     for i in range(n):
         for j in range(i + 2, n):
@@ -312,12 +304,21 @@ def _power_bound(factor, base: float, exponent: int) -> float:
 
 
 def main_bound(n: int, lambda_min: float) -> float:
-    """n! (4 / lambda_min)^(n-1), as a float; inf past the float range."""
+    """n! (4 / lambda_min)^(n-1), as a float; inf past the float range.
+
+    Raises InvalidParameter unless n is an integer >= 1 and lambda_min is
+    a finite number > 0.
+    """
+    if not (is_int(n) and n >= 1):
+        raise InvalidParameter(f"n must be an integer >= 1, got {n!r}")
+    if not (isinstance(lambda_min, numbers.Real) and math.isfinite(lambda_min) and lambda_min > 0.0):
+        raise InvalidParameter(f"lambda_min must be finite and > 0, got {lambda_min!r}")
     return _power_bound(math.factorial(n), 4.0 / lambda_min, n - 1)
 
 
 def step_cap(n: int, lambda_min: float) -> int:
-    """Default simulation budget ceil(main_bound) + 1, at most sys.maxsize."""
+    """Default simulation budget ceil(main_bound) + 1, at most sys.maxsize;
+    the inputs are checked as in `main_bound`."""
     bound = main_bound(n, lambda_min)
     return int(math.ceil(bound)) + 1 if bound < sys.maxsize else sys.maxsize
 
@@ -333,11 +334,11 @@ def _sevryuk_bound(n: int, phi: float) -> float:
 def bounds_report(cone: ConeSpec) -> BoundsReport:
     """Assemble every constant and collision bound for a cone.
 
-    A cone with fewer walls than dimensions is first reduced to the span
-    of its normals, which preserves the Gram matrix and all constants.
+    Everything is computed on `cone.span`, which is also the report's
+    `cone`: for fewer walls than dimensions that is the cone in the span of
+    its normals, with the same Gram matrix and constants.
     """
-    if cone.n_walls < cone.dim:
-        cone, _ = reduce_to_span(cone.dim, cone.normals)
+    cone = cone.span
     n = cone.n_walls
     lam = cone.lambda_min
     ball = inscribed_ball(cone)

@@ -50,8 +50,8 @@ class ConeSpec:
 
     `normals` has shape (n, m); row i is the unit normal of wall i.  The
     instance is immutable.  It derives `matrix`, `gram_matrix`, `lambda_min`,
-    `basis` and, for n = m, `rays` and `ball` once, on first use; a copy
-    made by `dataclasses.replace` derives its own.
+    `basis`, `span` and, for n = m, `rays` and `ball` once, on first use; a
+    copy made by `dataclasses.replace` derives its own.
     """
 
     dim: int
@@ -83,6 +83,18 @@ class ConeSpec:
     def basis(self) -> np.ndarray:
         """`orthonormal_rows` of the normals: a basis of their span, (n, m)."""
         return _freeze(orthonormal_rows(self.normals))
+
+    @property
+    def span(self) -> "ConeSpec":
+        """The cone in R^n on which its constants are computed: the cone
+        itself for n = m, and for n < m `make_cone(n, normals @ basis.T)`,
+        built once, where a point y of R^m has coordinates basis @ y."""
+        return self if self.n_walls == self.dim else self._in_basis
+
+    @cached_property
+    def _in_basis(self) -> "ConeSpec":
+        # Apart from `span`, so that a square cone never caches itself.
+        return make_cone(self.n_walls, self.normals @ self.basis.T)
 
     @cached_property
     def rays(self) -> np.ndarray:
@@ -142,10 +154,12 @@ class GramMatrix:
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=np.float64)
-        if e.shape != (self.order, self.order):
+        if self.order < 1 or e.shape != (self.order, self.order):
             raise DimensionMismatch(
                 f"expected a {self.order}x{self.order} matrix, got {e.shape}"
             )
+        if not np.isfinite(e).all():
+            raise DegenerateArrangement("Gram matrix entries must be finite")
         if np.abs(e - e.T).max(initial=0.0) > 1e-14:
             raise DimensionMismatch("Gram matrix must be symmetric within 1e-14")
         object.__setattr__(self, "entries", _freeze(e))
@@ -155,18 +169,32 @@ class GramMatrix:
         return min_eigenvalue(self) > 0.0
 
 
+def as_gram(g) -> GramMatrix:
+    """g itself if it is a GramMatrix, else the square array g validated as
+    one: DimensionMismatch for a wrong shape or an asymmetric array, and
+    DegenerateArrangement for a NaN or infinite entry."""
+    if isinstance(g, GramMatrix):
+        return g
+    e = np.asarray(g, dtype=np.float64)
+    return GramMatrix(order=e.shape[0] if e.ndim else 0, entries=e)
+
+
 def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps the upper triangle in fixed row-major order, annihilating one
     off-diagonal entry per rotation, until the off-diagonal Frobenius norm
     drops below _JACOBI_OFF_TOL (at most _JACOBI_MAX_SWEEPS sweeps).
-    Returns the eigenvalues sorted ascending.
+    Returns the eigenvalues sorted ascending.  Raises DimensionMismatch
+    for a matrix that is not square or is empty and DegenerateArrangement
+    for a NaN or infinite entry.
     """
     a = np.array(matrix, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise DimensionMismatch("eigensolver needs a square matrix")
+    n = len(a) if a.ndim == 2 else 0
+    if n < 1 or a.shape != (n, n):
+        raise DimensionMismatch("eigensolver needs a non-empty square matrix")
+    if not np.isfinite(a).all():
+        raise DegenerateArrangement("eigensolver needs finite entries")
     if n == 1:
         return a.diagonal().copy()
 
@@ -235,11 +263,18 @@ def make_cone(dim: int, normals) -> ConeSpec:
         raise DimensionMismatch(f"need 1 <= n <= dim, got n={n}, dim={dim}")
     if not np.isfinite(arr).all():
         raise DegenerateArrangement("normals must have finite components")
-    norms = np.linalg.norm(arr, axis=1)
+    # Each row is scaled by a power of two near its largest |entry| before
+    # its norm is taken, so the squares neither overflow nor underflow; the
+    # scaling is exact, and so is undoing it for the row's length.
+    _, exponents = np.frexp(np.abs(arr).max(axis=1))
+    scaled = np.ldexp(arr, -exponents[:, None])
+    scaled_norms = np.linalg.norm(scaled, axis=1)
+    with np.errstate(over="ignore"):  # a length past the float range is inf
+        norms = np.ldexp(scaled_norms, exponents)
     if np.any(norms < 1e-12):
         raise ZeroVector("every normal must be a nonzero direction vector")
     flagged = bool(np.any(np.abs(norms - 1.0) > NORM_WARN_TOL))
-    unit = arr / norms[:, None]
+    unit = scaled / scaled_norms[:, None]
 
     cone = ConeSpec(dim=dim, normals=unit, renormalized=flagged)
     # The one eigenvalue solve of the cone: lambda_min stays memoized.
@@ -259,9 +294,9 @@ def gram(cone: ConeSpec) -> GramMatrix:
 
 
 def min_eigenvalue(g) -> float:
-    """Smallest eigenvalue of a symmetric matrix (GramMatrix or array)."""
-    entries = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=np.float64)
-    return float(jacobi_eigenvalues(entries)[0])
+    """Smallest eigenvalue of a symmetric matrix (GramMatrix, or an array
+    validated by `as_gram`)."""
+    return float(jacobi_eigenvalues(as_gram(g).entries)[0])
 
 
 def require_positive_definite(g) -> float:
@@ -297,13 +332,14 @@ def gram_schmidt_row(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def reduce_to_span(dim: int, normals):
     """Express a cone with n <= m walls in an orthonormal basis of the span.
 
-    Returns (reduced cone in R^n, basis) where basis has shape (n, m) and
-    row k is the k-th basis vector.  The Gram matrix is preserved, and a
-    point y in R^m projects to coordinates basis @ y in the reduced space.
+    Returns (reduced cone in R^n, basis) for `cone = make_cone(dim, normals)`:
+    `cone.span` and `cone.basis` when n < m, and for n = m the cone turned
+    into the coordinates of that basis.  basis has shape (n, m) and row k is
+    the k-th basis vector.  The Gram matrix is preserved, and a point y in
+    R^m projects to coordinates basis @ y in the reduced space.
     """
     cone = make_cone(dim, normals)
-    reduced = cone.normals @ cone.basis.T
-    return make_cone(cone.n_walls, reduced), cone.basis
+    return cone._in_basis, cone.basis
 
 
 def contains(cone: ConeSpec, point, tol: float = 0.0) -> bool:

@@ -18,7 +18,7 @@ from .errors import DegenerateArrangement, DegenerateSampling, DimensionMismatch
 # `audit` and `jacobi_eigenvalues` are not called here; they stay importable
 # from this module, where the profiling code in perfbench/ looks them up by
 # name.
-from .geometry import ConeSpec, is_int, jacobi_eigenvalues, make_cone, reduce_to_span
+from .geometry import ConeSpec, is_int, jacobi_eigenvalues, make_cone
 from .simulator import (
     BilliardState,
     TrajectoryRecord,
@@ -174,8 +174,12 @@ class ExperimentConfig:
             raise InvalidParameter(f"trials must be an integer >= 1, got {self.trials!r}")
         if not is_int(self.seed):
             raise InvalidParameter(f"seed must be an integer, got {self.seed!r}")
-        if self.n_walls > self.dim:
-            raise InvalidParameter("n_walls must not exceed dim")
+        if not (is_int(self.dim) and self.dim >= 1):
+            raise InvalidParameter(f"dim must be an integer >= 1, got {self.dim!r}")
+        if not (is_int(self.n_walls) and 1 <= self.n_walls <= self.dim):
+            raise InvalidParameter(
+                f"n_walls must be an integer in 1..dim={self.dim}, got {self.n_walls!r}"
+            )
         if self.format not in ("csv", "structured"):
             raise InvalidParameter(f"unknown format {self.format!r}")
         for name in ("max_steps_override", "paths_per_cone"):
@@ -255,13 +259,12 @@ def ensemble_run(config: ExperimentConfig) -> list[EnsembleRow]:
             handle.write(csv_line(EnsembleRow.FIELDS))
             handle.flush()
         for trial in range(config.trials):
-            cone = random_cone(config.n_walls, config.dim, config.seed, stream=trial)
+            cone = random_cone(config.n_walls, config.dim, config.seed, stream=trial).span
             report = bounds_report(cone)
-            rcone = report.cone  # reduced to n = m when needed
-            center = inscribed_ball(rcone).e
+            center = inscribed_ball(cone).e
             rng = make_rng(config.seed, stream=_IC_STREAM_BASE + trial)
-            q, v = interior_starts(rng, rcone, center, config.paths_per_cone or config.trials)
-            counts, zigzag, _ = run_batch(q, v, rcone, max_steps=config.max_steps_override)
+            q, v = interior_starts(rng, cone, center, config.paths_per_cone or config.trials)
+            counts, zigzag, _ = run_batch(q, v, cone, max_steps=config.max_steps_override)
             verdict = check_bounds(int(counts.max()), float(zigzag.max()), report)
             row = EnsembleRow(
                 cone_id=trial,
@@ -298,6 +301,10 @@ def ensemble_run(config: ExperimentConfig) -> list[EnsembleRow]:
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
+    """`best_state` is the winning start in the cone's own R^m; `best_record`
+    is its trajectory in `cone.span`, where the search runs, so for n < m
+    `best_state` is `best_record.initial` mapped back through `cone.basis`."""
+
     best_n: int
     best_state: BilliardState
     best_record: TrajectoryRecord
@@ -333,13 +340,11 @@ def adversarial_search(cone: ConeSpec, budget: int, seed: int) -> SearchResult:
     Deterministic under the seed: wall-hugging heuristics (two-wall cones),
     random interior starts, then simulated annealing around the incumbent,
     all drawn from one Philox stream.  `budget` counts trajectory runs.
+    The search runs in `cone.span`; see `SearchResult`.
     """
     if not (is_int(budget) and budget >= 1):
         raise InvalidParameter(f"budget must be an integer >= 1, got {budget!r}")
-    basis = None
-    work = cone
-    if cone.n_walls < cone.dim:
-        work, basis = reduce_to_span(cone.dim, cone.normals)
+    work = cone.span
     center = inscribed_ball(work).e
     rng = make_rng(seed, stream=0)
     evaluations = 0
@@ -386,9 +391,7 @@ def adversarial_search(cone: ConeSpec, budget: int, seed: int) -> SearchResult:
             cur_n, q, v = n_new, q_new, v_new
 
     best_n, best_state, best_record = best
-    if basis is not None:
-        # Map the winning state back to the ambient coordinates.
-        q_amb = best_state.q @ basis
-        v_amb = best_state.v @ basis
-        best_state = BilliardState(q=q_amb, v=v_amb, t=best_state.t)
+    if work is not cone:  # the winning start, back in R^m
+        q, v = best_state.q @ cone.basis, best_state.v @ cone.basis
+        best_state = BilliardState(q=q, v=v, t=best_state.t)
     return SearchResult(best_n=best_n, best_state=best_state, best_record=best_record)

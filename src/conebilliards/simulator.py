@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import BoundsReport, step_cap
 from .errors import ConeMismatch, InvalidState
-from .geometry import ConeSpec, is_int, reduce_to_span
+from .geometry import ConeSpec, is_int
 
 # Walls with velocity margin above -APPROACH_TOL are treated as grazing,
 # i.e. non-approaching; candidate hit times this close (relative) collide.
@@ -323,12 +323,10 @@ def check_bounds(n_collisions: int, zigzag: float, report: BoundsReport) -> Audi
 
 def audit(record: TrajectoryRecord, report: BoundsReport) -> AuditVerdict:
     """Check a trajectory against every bound in the report built from its
-    cone.  A cone with fewer walls than dimensions matches through its span
-    reduction, as in bounds_report: motion orthogonal to the span changes
-    neither the count nor the zigzag length."""
-    cone = record.cone
-    if cone.n_walls < cone.dim:
-        cone, _ = reduce_to_span(cone.dim, cone.normals)
+    cone, which holds `record.cone.span`: motion orthogonal to the span
+    changes neither the count nor the zigzag length.  Raises ConeMismatch
+    when the report was built from another cone."""
+    cone = record.cone.span
     if report.cone is not None and not np.array_equal(cone.normals, report.cone.normals):
         raise ConeMismatch("record and report were built from different cones")
     return check_bounds(record.n_collisions, zigzag_length(record), report)

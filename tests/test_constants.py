@@ -25,6 +25,7 @@ from conebilliards.errors import (
     InvalidParameter,
 )
 from conebilliards.geometry import gram, make_cone
+from conebilliards.hardball import balls_to_cone
 from conebilliards.harness import interior_starts, make_rng, random_cone
 from conebilliards.minimax import flip_min_max_abs_margin, zero_one_vertex
 from conebilliards.simulator import run_batch
@@ -293,6 +294,20 @@ class TestBfkConstant:
 
 
 class TestTridiagonal:
+    @pytest.mark.parametrize(
+        "g, error",
+        [
+            (np.ones((2, 3)), DimensionMismatch),
+            (np.zeros((0, 0)), DimensionMismatch),
+            (np.array([[1.0, 0.0], [0.5, 1.0]]), DimensionMismatch),
+            (np.array([[math.nan, 0.0], [0.0, 1.0]]), DegenerateArrangement),
+        ],
+        ids=["non-square", "empty", "asymmetric", "nan"],
+    )
+    def test_rejects_arrays_that_are_no_gram_matrix(self, g, error):
+        with pytest.raises(error):
+            tridiagonal_case(g)
+
     def test_identity(self):
         ok, bound = tridiagonal_case(np.eye(3))
         assert ok and bound == 6
@@ -436,6 +451,41 @@ def test_ceil_snapped():
 def test_ceil_snapped_rejects_non_finite(x):
     with pytest.raises(InvalidParameter):
         ceil_snapped(x)
+
+
+def _wide_cones():
+    """random_cone(n, m, 7, c) cones with fewer walls than dimensions, then
+    40 hard-ball cones (N balls, N - 1 walls in R^N)."""
+    for n, m in ((2, 3), (3, 5), (4, 6), (3, 4), (5, 7)):
+        for c in range(20):
+            yield random_cone(n, m, 7, c)
+    rng = make_rng(25, 0)
+    for k in range(40):
+        yield balls_to_cone(rng.uniform(0.2, 5.0, size=3 + k % 5))[0]
+
+
+def test_constants_of_a_wide_cone_are_its_report_fields():
+    for cone in _wide_cones():
+        assert cone.n_walls < cone.dim
+        rep = bounds_report(cone)
+        assert rep.cone is cone.span
+        assert charge_phi(cone).value == rep.charge_phi
+        assert capacity_delta(cone).value == rep.delta
+        assert charge_SQ(cone).value == rep.charge_SQ
+        assert bfk_constant(cone).value == rep.bfk_C
+        assert inscribed_ball(cone.span).d == rep.d
+
+
+@pytest.mark.parametrize(
+    "n, lambda_min",
+    [(3, 0.0), (2, -1.0), (2, math.nan), (2, math.inf), (2.5, 1.0), (0, 1.0), (True, 1.0), (2, "1")],
+)
+def test_bounds_reject_bad_inputs(n, lambda_min):
+    from conebilliards.constants import step_cap
+
+    for fn in (main_bound, step_cap):
+        with pytest.raises(InvalidParameter):
+            fn(n, lambda_min)
 
 
 def test_main_bound_values():

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,12 +15,14 @@ from conebilliards.errors import (
     ZeroVector,
 )
 from conebilliards.geometry import (
+    GramMatrix,
     contains,
     gram,
     jacobi_eigenvalues,
     make_cone,
     min_eigenvalue,
     reduce_to_span,
+    require_positive_definite,
 )
 from conebilliards.harness import make_rng, random_cone, sphere_sample
 
@@ -95,6 +99,32 @@ class TestMakeCone:
         cone = make_cone(3, [(1, 2, 2), (4, 0, 3), (0, 0, 5)])
         np.testing.assert_allclose(np.linalg.norm(cone.normals, axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1.7e308])
+    def test_large_finite_normals(self, scale):
+        # The squares of these rows overflow; scaled first, they do not.
+        cone = make_cone(2, [(scale, 0.0), (0.0, 1.0)])
+        np.testing.assert_array_equal(cone.normals, np.eye(2))
+        assert cone.renormalized
+        diagonal = make_cone(2, [(scale, scale), (0.0, 1.0)])
+        assert diagonal.normals[0, 0] == diagonal.normals[0, 1] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-200, 5e-324])
+    def test_tiny_normals_stay_zero_vectors(self, scale):
+        with pytest.raises(ZeroVector):
+            make_cone(2, [(scale, 0.0), (0.0, 1.0)])
+
+    def test_scaled_rows_are_bit_for_bit_the_plain_quotient(self):
+        rng = make_rng(17, 0)
+        for k in range(200):
+            scale = 10.0 ** rng.uniform(-5.0, 5.0)
+            rows = rng.standard_normal((3, 4)) * scale
+            plain = rows / np.linalg.norm(rows, axis=1)[:, None]
+            cone = make_cone(4, rows)
+            np.testing.assert_array_equal(cone.normals, plain)
+            assert cone.renormalized == bool(
+                np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > 1e-6)
+            )
+
 
 class TestGram:
     def test_orthant_identity(self, orthant2):
@@ -121,6 +151,26 @@ class TestGram:
 
 
 class TestMinEigenvalue:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries(self, bad):
+        entries = [[bad, 0.0], [0.0, 1.0]]
+        for fn in (min_eigenvalue, require_positive_definite, jacobi_eigenvalues):
+            with pytest.raises(DegenerateArrangement):
+                fn(np.array(entries))
+        with pytest.raises(DegenerateArrangement):
+            GramMatrix(order=2, entries=entries)
+
+    def test_asymmetric_or_non_square_arrays(self):
+        for fn in (min_eigenvalue, require_positive_definite):
+            with pytest.raises(DimensionMismatch):
+                fn(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            with pytest.raises(DimensionMismatch):
+                fn(np.ones((2, 3)))
+        for empty in (np.zeros((0, 0)), np.float64(1.0)):
+            for fn in (min_eigenvalue, jacobi_eigenvalues):
+                with pytest.raises(DimensionMismatch):
+                    fn(empty)
+
     def test_identity(self):
         assert min_eigenvalue(np.eye(2)) == pytest.approx(1.0, abs=1e-14)
 
@@ -173,6 +223,49 @@ class TestReduceToSpan:
             # basis rows are orthonormal and reproduce the normals
             np.testing.assert_allclose(basis @ basis.T, np.eye(2), atol=1e-12)
             np.testing.assert_allclose(reduced.normals @ basis, cone.normals, atol=1e-12)
+
+
+class TestSpan:
+    def test_square_cone_is_its_own_span(self):
+        cone = random_cone(3, 3, 7, 0)
+        assert cone.span is cone
+        # No cached self-reference: the cone is freed without the cyclic
+        # collector.
+        ref = weakref.ref(cone)
+        gc.disable()
+        try:
+            bounds_report(cone)
+            del cone
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (2, 3), (3, 5), (4, 6)])
+    def test_wide_cone_span_is_built_once(self, n, m):
+        cone = random_cone(n, m, 7, 0)
+        span = cone.span
+        assert span is cone.span
+        assert (span.n_walls, span.dim) == (n, n)
+        assert span.span is span
+        fresh = make_cone(n, cone.normals @ cone.basis.T)
+        np.testing.assert_array_equal(span.normals, fresh.normals)
+        assert span.lambda_min == fresh.lambda_min
+        np.testing.assert_allclose(span.normals @ cone.basis, cone.normals, atol=1e-14)
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (2, 3), (3, 5)])
+    def test_reduce_to_span_is_the_frame_of_a_fresh_cone(self, n, m):
+        cone = random_cone(n, m, 7, 1)
+        reduced, basis = reduce_to_span(m, cone.normals)
+        again = make_cone(m, cone.normals)
+        np.testing.assert_array_equal(basis, again.basis)
+        if n < m:
+            np.testing.assert_array_equal(reduced.normals, again.span.normals)
+        # the reduced cone is the cone in the coordinates of the basis, for
+        # n = m too, where `span` is the cone itself
+        np.testing.assert_array_equal(
+            reduced.normals, make_cone(n, again.normals @ again.basis.T).normals
+        )
+        np.testing.assert_allclose(reduced.normals @ basis, cone.normals, atol=1e-14)
 
 
 class TestContains:

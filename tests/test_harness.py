@@ -230,6 +230,12 @@ class TestEnsembleRun:
             {"max_steps_override": 2.5},
             {"max_steps_override": 0},
             {"paths_per_cone": 2.5},
+            {"n_walls": 1.5},
+            {"n_walls": 0},
+            {"n_walls": True},
+            {"dim": "3"},
+            {"dim": 2.0},
+            {"n_walls": 2, "dim": 0},
         ],
     )
     def test_config_rejects_bad_counts(self, kwargs):
@@ -318,3 +324,36 @@ class TestAdversarialSearch:
         result = adversarial_search(cone, budget=300, seed=3)
         assert result.best_state.q.shape == (4,)
         assert result.best_n <= 2
+
+    def test_wide_cone_searches_its_span(self):
+        cone = random_cone(3, 5, 7, 0)
+        result = adversarial_search(cone, budget=40, seed=3)
+        assert result.best_record.cone is cone.span
+        initial = result.best_record.initial
+        np.testing.assert_array_equal(result.best_state.q, initial.q @ cone.basis)
+        np.testing.assert_array_equal(result.best_state.v, initial.v @ cone.basis)
+        assert run(result.best_state, cone).n_collisions == result.best_n
+
+
+def test_span_solves_no_eigenvalues_after_the_report(monkeypatch):
+    # The span of an n < m cone is built, and its lambda_min solved, once:
+    # by the first reader.  Every later reader takes it as it is.
+    cone = random_cone(3, 5, 7, 0)
+    calls = []
+    solve = geometry.jacobi_eigenvalues
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return solve(matrix)
+
+    monkeypatch.setattr(geometry, "jacobi_eigenvalues", counted)
+    report = bounds_report(cone)
+    assert calls == [(3, 3)]
+    rng = make_rng(5, 0)
+    center = inscribed_ball(cone.span).e @ cone.basis
+    for _ in range(10):
+        state = interior_start(rng, cone, center)
+        assert audit(run(state, cone), report).all_passed
+    assert len(calls) == 1
+    adversarial_search(cone, budget=20, seed=1)
+    assert len(calls) == 1

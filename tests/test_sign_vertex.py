@@ -119,7 +119,7 @@ def test_multistart_past_the_formula_range():
         wide = random_cone(n, m, seed=20241, stream=n * 1000)
         phi = charge_phi(wide)
         assert phi.method is EstimateMethod.multistart
-        assert math.asin(math.sqrt(wide.lambda_min / n)) == phi.certified_lower <= phi.value
+        assert math.asin(math.sqrt(wide.span.lambda_min / n)) == phi.certified_lower <= phi.value
 
 
 def test_flip_route_matches_the_formula(monkeypatch):
