@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateArrangement, DimensionMismatch, InvalidParameter
+from .errors import DegenerateArrangement, InvalidParameter
 from .geometry import ConeSpec, GramMatrix, InscribedBall, as_gram, is_int, make_cone
 from . import minimax
 
@@ -109,8 +109,8 @@ BoundsReport.FIELDS = tuple(f.name for f in fields(BoundsReport) if f.name != "c
 
 def ceil_snapped(x: float) -> int:
     """Ceiling that forgives floating noise up to 1e-9 relative around
-    integers.  Raises InvalidParameter for NaN or +-inf."""
-    if not math.isfinite(x):
+    integers.  Raises InvalidParameter for NaN, +-inf or a non-number."""
+    if not isinstance(x, numbers.Real) or not math.isfinite(x):
         raise InvalidParameter(f"ceil_snapped needs a finite number, got {x!r}")
     r = round(x)
     if abs(x - r) <= 1e-9 * max(1.0, abs(x)):
@@ -119,15 +119,10 @@ def ceil_snapped(x: float) -> int:
 
 
 def inscribed_ball(cone: ConeSpec) -> InscribedBall:
-    """The unit centre e and radius d with (e, a_i) = d (n = m): `cone.ball`,
-    solved once per cone however often it is asked for.
-
-    e lies in Q, but it is the centre of the inscribed ball only when
-    G^{-1} 1 >= 0; see `InscribedBall`.  e is a point of the cone's own
-    R^m, so a cone with n < m walls raises DimensionMismatch.
-    """
-    if cone.n_walls != cone.dim:
-        raise DimensionMismatch(f"inscribed_ball needs n = m, got n={cone.n_walls}, m={cone.dim}")
+    """The unit centre e and radius d with (e, a_i) = d: `cone.ball`, solved
+    once per cone, and DimensionMismatch for n < m walls.  e lies in Q, but
+    it is the centre of the inscribed ball only when G^{-1} 1 >= 0; see
+    `InscribedBall`."""
     return cone.ball
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DegenerateArrangement,
     DimensionMismatch,
+    InvalidState,
     NotPositiveDefinite,
     ZeroVector,
 )
@@ -50,8 +51,8 @@ class ConeSpec:
 
     `normals` has shape (n, m); row i is the unit normal of wall i.  The
     instance is immutable.  It derives `matrix`, `gram_matrix`, `lambda_min`,
-    `basis`, `span` and, for n = m, `rays` and `ball` once, on first use; a
-    copy made by `dataclasses.replace` derives its own.
+    `basis`, `span` and, for n = m only, `rays` and `ball` once, on first
+    use; a copy made by `dataclasses.replace` derives its own.
     """
 
     dim: int
@@ -98,9 +99,14 @@ class ConeSpec:
 
     @cached_property
     def rays(self) -> np.ndarray:
-        """The inverse of `normals` (n = m): column k is the edge ray r_k,
-        with (r_k, a_j) = 1 for j = k and 0 otherwise."""
-        return _freeze(np.linalg.inv(self.normals))
+        """The inverse of `normals` (n = m, else DimensionMismatch): column k
+        is the edge ray r_k, with (r_k, a_j) = 1 for j = k and 0 otherwise."""
+        if self.n_walls != self.dim:
+            raise DimensionMismatch(f"rays need n = m, got n={self.n_walls}, m={self.dim}")
+        try:
+            return _freeze(np.linalg.inv(self.normals))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateArrangement("normal matrix is singular") from exc
 
     @cached_property
     def ball(self) -> "InscribedBall":
@@ -126,11 +132,14 @@ class InscribedBall:
 
 
 def _solve_ball(cone: ConeSpec) -> InscribedBall:
-    """Solve (e, a_i) = d for the unit center e and radius d (n = m).
+    """Solve (e, a_i) = d for the unit center e and radius d (n = m, else
+    DimensionMismatch).
 
     With A the matrix of normal columns, e^T A = d (1, ..., 1) gives
     d = 1 / ||(1, ..., 1) A^{-1}|| and e^T = d (1, ..., 1) A^{-1}.
     """
+    if cone.n_walls != cone.dim:
+        raise DimensionMismatch(f"the ball needs n = m, got n={cone.n_walls}, m={cone.dim}")
     a = cone.matrix
     try:
         w = np.linalg.solve(a.T, np.ones(cone.n_walls))
@@ -343,8 +352,12 @@ def reduce_to_span(dim: int, normals):
 
 
 def contains(cone: ConeSpec, point, tol: float = 0.0) -> bool:
-    """True when (point, a_i) >= -tol for every wall normal a_i."""
+    """True when (point, a_i) >= -tol for every wall normal a_i.  Raises
+    DimensionMismatch for a wrong component count and InvalidState for a
+    non-finite component."""
     p = np.asarray(point, dtype=np.float64)
     if p.shape != (cone.dim,):
         raise DimensionMismatch(f"point must have {cone.dim} components")
+    if not np.isfinite(p).all():
+        raise InvalidState("point must have finite components")
     return bool((p @ cone.matrix >= -tol).all())

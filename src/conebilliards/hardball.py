@@ -17,10 +17,9 @@ import numpy as np
 from .constants import step_cap
 from .errors import InvalidState, NonpositiveMass, TooFewBalls
 from .geometry import ConeSpec, is_int, make_cone
-from .simulator import BilliardState, Terminal, run
-
-PAIR_TIE_TOL = 1e-12
-APPROACH_TOL = 1e-12
+# The cone simulator's grazing and tie tolerances, so that the two
+# simulators decide the same events and `conjugacy_check` can match them.
+from .simulator import APPROACH_TOL, CORNER_REL_TOL, BilliardState, Terminal, run
 
 
 def _check_masses(masses: np.ndarray) -> None:
@@ -162,7 +161,7 @@ def simulate_balls(system: HardBallSystem, max_events: int | None = None) -> Bal
         i = int(times.argmin())
         t_hit = float(times[i])
         times[i] = np.inf
-        if float(times.min()) - t_hit < PAIR_TIE_TOL * (1.0 + t_hit):
+        if float(times.min()) - t_hit < CORNER_REL_TOL * (1.0 + t_hit):
             x = x + t_hit * v
             t += t_hit
             terminal = Terminal.CORNER_HIT

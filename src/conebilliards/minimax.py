@@ -4,11 +4,11 @@ Five routes are provided for the nonsmooth sphere problems that arise
 from cone geometry:
 
 * the sign-vertex formula for min over unit y of max_i |(y, a_i)|: the
-  largest vertex of the parallelotope {y : |(y, a_i)| <= 1}, one linear
-  solve for all 2^(n-1) sign vectors, and past the formula's range a
-  one-flip ascent over the same vertices from nine starts, which gives
-  delta from above in polynomial time; the same solve over the 2^n - 1
-  nonzero 0/1 vectors gives the floor delta_Q of the largest face
+  largest vertex of the parallelotope {y : |(y, a_i)| <= 1}, one product
+  with the rays A^-1 for all 2^(n-1) sign vectors, and past the formula's
+  range a one-flip ascent over the same vertices from nine starts, which
+  gives delta from above in polynomial time; the same product over the
+  2^n - 1 nonzero 0/1 vectors gives the floor delta_Q of the largest face
   distance, and its vertex, where that floor is often attained;
 * one non-negative least-squares kernel (`nnls`, Lawson and Hanson 1974)
   for nearest points in a cone: max over unit u of min_i (u, a_i) as
@@ -33,9 +33,9 @@ from cone geometry:
 
 The exact equal-margin enumeration of max over unit u of min_i (u, a_i)
 (`max_min_margin`, 2^n - 1 subsets) stays as an oracle for the tests.  The
-library routes take the `ConeSpec` and read the frame it derives once:
-`cone.normals`, `cone.basis` and `cone.rays`; the oracles and `nnls` take
-arrays.
+library routes take a square `ConeSpec` (n < m: DimensionMismatch; the
+constants pass `cone.span`) and read its `normals` and its one inverse
+`rays`; the oracles and `nnls` take arrays.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ _VERTEX_CAP = 1 << 14
 # Rounding allowance of 1 / |v| for the largest vertex v of the outer
 # approximation when it is used as a lower end of C, round 0's floor
 # delta_Q of `zero_one_vertex` among them: against exact rational solves
-# of v's tight constraints it was off by at most 3.2e-15 relative on the
-# 86 cones with cuts among random_cone(n, n, 20241, n*1000+c), n = 3..6,
-# c < 25.
+# of v's tight constraints, v = `cone.rays` @ x was off by at most 7.3e-15
+# relative on the 86 cones with cuts among random_cone(n, n, 20241,
+# n*1000+c), n = 3..6, c < 25.
 _VERTEX_ERROR = 1e-12
 # Points per distances_and_feet call in max_face_distance, which bounds the
 # feet array (k, n, m).
@@ -139,27 +139,28 @@ def _largest_vertex(cone: ConeSpec, first: int, stop: int, rhs):
     """The vertex y with (y, a_i) = x_i of largest norm, over the right-hand
     sides x = column k of rhs(codes) for codes first..stop-1.
 
-    The vertices are solved in `cone.basis`, from the normals rather than
-    from G, whose condition number is their square, in blocks of bounded
-    size.  Returns (|y|^2, y, code).
+    Each vertex is y = R x with the rays R = A^-1 (`cone.rays`), inverted
+    from the normals rather than from G, whose condition number is their
+    square, in blocks of bounded size.  Returns (1 / |y|, y / |y|, code).
     """
-    coords = cone.normals @ cone.basis.T
+    rays = cone.rays
     step = max(1, _BLOCK_ENTRIES // cone.n_walls)
-    best_q, best_z, best_code = 0.0, None, None
+    best_q, best_y, best_code = 0.0, None, None
     for s0 in range(first, stop, step):
         codes = np.arange(s0, min(s0 + step, stop))
-        z = np.linalg.solve(coords, rhs(codes))
-        q = (z * z).sum(axis=0)
+        y = rays @ rhs(codes)
+        q = (y * y).sum(axis=0)
         k = int(q.argmax())
         if q[k] > best_q:
-            best_q, best_z, best_code = float(q[k]), z[:, k], int(codes[k])
-    return best_q, best_z @ cone.basis, best_code
+            best_q, best_y, best_code = float(q[k]), y[:, k], int(codes[k])
+    root = math.sqrt(best_q)
+    return 1.0 / root, best_y / root, best_code
 
 
 def min_max_abs_margin(cone: ConeSpec):
-    """Minimize max_i |(y, a_i)| over unit y in the span of the normals, exactly.
+    """Minimize max_i |(y, a_i)| over unit y, exactly, for n = m walls.
 
-    P = {y in span : |(y, a_i)| <= 1} is a parallelotope whose vertex y_s
+    P = {y : |(y, a_i)| <= 1} is a parallelotope whose vertex y_s
     with (y_s, a_i) = s_i has |y_s|^2 = s^T G^{-1} s.  The objective is
     1-homogeneous, so its minimum over unit y is 1 / max over P of |y|,
     and the convex |y| is largest at a vertex.  Opposite sign vectors give
@@ -175,29 +176,26 @@ def min_max_abs_margin(cone: ConeSpec):
         s[1:] -= 2.0 * ((codes >> bits[:, None]) & 1)
         return s
 
-    q, y, _ = _largest_vertex(cone, 0, 1 << (n - 1), signs)
-    root = math.sqrt(q)
-    return 1.0 / root, y / root
+    return _largest_vertex(cone, 0, 1 << (n - 1), signs)[:2]
 
 
 def flip_min_max_abs_margin(cone: ConeSpec):
     """min over unit y of max_i |(y, a_i)| from above, by a one-flip ascent
     over the sign vertices of `min_max_abs_margin`, in polynomial time.
 
-    G^-1 is built from the normals in the cone's orthonormal basis, as in
-    `_largest_vertex`.  From all ones and from the sign patterns of the
-    top _FLIP_STARTS eigenvectors of G^-1, s^T G^-1 s rises by flipping
-    the sign whose flip raises it most, while that rise is more than a
-    relative _FLIP_RISE, at most n^2 times.  Every vertex y_s gives the
-    unit vector y_s / |y_s| whose largest |margin| is 1 / |y_s|, so the
-    value, from the largest vertex found, is an estimate from above
-    wherever the ascent stops.
+    G^-1 = R^T R from the rays R = A^-1 that `_largest_vertex` reads, so
+    it is inverted from the normals, never from G.  From all ones and from
+    the sign patterns of the top _FLIP_STARTS eigenvectors of G^-1,
+    s^T G^-1 s rises by flipping the sign whose flip raises it most, while
+    that rise is more than a relative _FLIP_RISE, at most n^2 times.
+    Every vertex y_s gives the unit vector y_s / |y_s| whose largest
+    |margin| is 1 / |y_s|, so the value, from the largest vertex found, is
+    an estimate from above wherever the ascent stops.
 
     Returns (value, unit vector, starts).
     """
     n = cone.n_walls
-    rays = np.linalg.inv(cone.normals @ cone.basis.T)
-    inv_gram = rays.T @ rays
+    inv_gram = cone.rays.T @ cone.rays
     top = np.linalg.eigh(inv_gram)[1][:, -_FLIP_STARTS:]
     s = np.hstack([np.ones((n, 1)), np.where(top >= 0.0, 1.0, -1.0)])
     cols = np.arange(s.shape[1])
@@ -211,9 +209,8 @@ def flip_min_max_abs_margin(cone: ConeSpec):
         if not flip.any():
             break
         s[i[flip], cols[flip]] *= -1.0
-    q, y, _ = _largest_vertex(cone, 0, s.shape[1], lambda codes: s[:, codes])
-    root = math.sqrt(q)
-    return 1.0 / root, y / root, s.shape[1]
+    value, y, _ = _largest_vertex(cone, 0, s.shape[1], lambda codes: s[:, codes])
+    return value, y, s.shape[1]
 
 
 class ZeroOneVertex(NamedTuple):
@@ -234,18 +231,17 @@ def zero_one_vertex(cone: ConeSpec) -> ZeroOneVertex:
     > 0: y / t lies in the parallelotope {0 <= (y, a_i) <= 1}, whose norm is
     largest at a vertex, so t >= delta_Q and C >= delta_Q.  The vertices
     are solved as in `min_max_abs_margin`, from 0/1 right-hand sides, and
-    delta_Q is exact up to rounding: at most 2.9e-15 relative against
+    delta_Q is exact up to rounding: at most 7.4e-15 relative against
     exact rational solves from the same normals on the 100 cones
     random_cone(n, n, 20241, n*1000+c), n = 3..6, c < 25.  y_Q lies in the
     cone and on every wall outside S.
     """
     n = cone.n_walls
     bits = np.arange(n)
-    q, y, code = _largest_vertex(
+    value, y, code = _largest_vertex(
         cone, 1, 1 << n, lambda codes: ((codes >> bits[:, None]) & 1).astype(np.float64)
     )
-    root = math.sqrt(q)
-    return ZeroOneVertex(1.0 / root, y / root, (code >> bits) & 1 == 1)
+    return ZeroOneVertex(value, y, (code >> bits) & 1 == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +348,14 @@ def nearest_point_face_distances(cone: ConeSpec, y: np.ndarray):
     distance is an upper end, up to rounding.  No table of size 2^n is
     built.
     """
-    arr = cone.normals
+    arr, rays = cone.normals, cone.rays
     margins = arr @ y
     feet = y - margins[:, None] * arr
     # Foot i lies on wall i up to rounding; that margin does not count.
     inside = feet @ arr.T >= 0.0
     np.fill_diagonal(inside, True)
     for i in np.flatnonzero(~inside.all(axis=1)):
-        face = np.delete(cone.rays, i, axis=1)
+        face = np.delete(rays, i, axis=1)
         feet[i] = face @ nnls(face, y)
     diff = y - feet
     return np.sqrt((diff * diff).sum(axis=1)), feet
@@ -825,8 +821,6 @@ def _outer_approximation(cone: ConeSpec, interior_seed, vertex):
             removed += count
         if not removed:
             break
-        q, y, _ = _largest_vertex(cone, 0, len(poly.x), lambda codes: poly.x[codes].T)
-        level = 1.0 / math.sqrt(q)
+        level, y, _ = _largest_vertex(cone, 0, len(poly.x), lambda codes: poly.x[codes].T)
         lo = max(lo, level - _VERTEX_ERROR)
-        y = y * level
     return Bracket(lo, hi, best, evaluations, hi - lo <= _GAP), poly

@@ -285,27 +285,19 @@ def test_face_projectors_match_reference(n):
         assert (face._cone == face._stack(cone)).all()
 
 
-def min_max_abs_margin_reference(normals):
-    """The sign-vertex solve as it was written before it shared its blocked
-    solve with the 0/1 vertices."""
-    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    n = arr.shape[0]
-    basis = orthonormal_rows(arr)
-    coords = arr @ basis.T
-    bits = np.arange(n - 1)
-    step = max(1, (1 << 18) // n)
-    best_q, best_z = 0.0, None
-    for s0 in range(0, 1 << (n - 1), step):
-        codes = np.arange(s0, min(s0 + step, 1 << (n - 1)))
-        signs = np.ones((n, len(codes)))
-        signs[1:] -= 2.0 * ((codes >> bits[:, None]) & 1)
-        z = np.linalg.solve(coords, signs)
-        q = (z * z).sum(axis=0)
-        k = int(q.argmax())
-        if q[k] > best_q:
-            best_q, best_z = float(q[k]), z[:, k]
-    root = math.sqrt(best_q)
-    return 1.0 / root, best_z @ basis / root
+def min_max_abs_margin_reference(cone):
+    """The sign-vertex solve as one product of the rays with all 2^(n-1)
+    sign vectors, without the blocks and the right-hand-side callback that
+    it shares with the 0/1 vertices."""
+    n = cone.n_walls
+    codes = np.arange(1 << (n - 1))
+    signs = np.ones((n, len(codes)))
+    signs[1:] -= 2.0 * ((codes >> np.arange(n - 1)[:, None]) & 1)
+    y = cone.rays @ signs
+    q = (y * y).sum(axis=0)
+    k = int(q.argmax())
+    root = math.sqrt(q[k])
+    return 1.0 / root, y[:, k] / root
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
@@ -314,11 +306,11 @@ def test_sign_vertices_match_reference(n):
     for cone in (
         random_cone(n, n, seed=20241, stream=n * 1000),
         random_cone(n, n, seed=20241, stream=n * 1000 + 1),
-        random_cone(n, n + 2, seed=5, stream=n),
+        random_cone(n, n + 2, seed=5, stream=n).span,
         make_cone(n, np.eye(n)),
     ):
         value, y = min_max_abs_margin(cone)
-        ref_value, ref_y = min_max_abs_margin_reference(cone.normals)
+        ref_value, ref_y = min_max_abs_margin_reference(cone)
         assert value == ref_value
         assert (y == ref_y).all()
 

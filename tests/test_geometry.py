@@ -12,9 +12,11 @@ from conebilliards.errors import (
     ConeBilliardsError,
     DegenerateArrangement,
     DimensionMismatch,
+    InvalidState,
     ZeroVector,
 )
 from conebilliards.geometry import (
+    ConeSpec,
     GramMatrix,
     contains,
     gram,
@@ -94,6 +96,22 @@ class TestMakeCone:
         assert copy.ball.d == fresh.ball.d
         np.testing.assert_array_equal(copy.ball.e, fresh.ball.e)
         assert old.lambda_min == 1.0
+
+    def test_wide_cone_has_no_rays_or_ball(self):
+        # The inverse and the equal-margin ball belong to square cones; a
+        # cone with fewer walls than dimensions reads them on its span.
+        wide = random_cone(2, 3, 7, 0)
+        for name in ("rays", "ball"):
+            with pytest.raises(DimensionMismatch):
+                getattr(wide, name)
+        assert wide.span.rays.shape == (2, 2)
+        assert wide.span.ball.d > 0.0
+
+    def test_singular_normals_without_make_cone(self):
+        twice = ConeSpec(dim=2, normals=np.array([[1.0, 0.0], [1.0, 0.0]]))
+        for name in ("rays", "ball"):
+            with pytest.raises(DegenerateArrangement):
+                getattr(twice, name)
 
     def test_unit_norms_within_tolerance(self):
         cone = make_cone(3, [(1, 2, 2), (4, 0, 3), (0, 0, 5)])
@@ -281,6 +299,12 @@ class TestContains:
     def test_dimension_check(self, orthant2):
         with pytest.raises(DimensionMismatch):
             contains(orthant2, (1, 1, 1), 0.0)
+
+    @pytest.mark.parametrize("point", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_point(self, orthant2, point):
+        # as `run` rejects a non-finite position
+        with pytest.raises(InvalidState):
+            contains(orthant2, point, 0.0)
 
 
 class TestSpectralInvariants:

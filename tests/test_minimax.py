@@ -7,6 +7,7 @@ import pytest
 
 from conebilliards import minimax
 from conebilliards.constants import inscribed_ball
+from conebilliards.errors import DimensionMismatch
 from conebilliards.geometry import make_cone
 from conebilliards.harness import random_cone
 from conebilliards.minimax import (
@@ -43,6 +44,26 @@ def face_distances_reference(normals, points):
                     if (normals @ foot).min() >= -1e-9:
                         out[b, i] = min(out[b, i], float(np.linalg.norm(p - foot)))
     return out
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        minimax.nearest_point_margin,
+        lambda cone: nearest_point_face_distances(cone, np.ones(cone.dim)),
+        minimax.min_max_abs_margin,
+        minimax.flip_min_max_abs_margin,
+        zero_one_vertex,
+    ],
+    ids=["margin", "face-distances", "sign-vertices", "flip", "zero-one-vertex"],
+)
+def test_wide_cone_is_rejected(route):
+    # Every route reads the rays A^-1 of a square cone; a cone with fewer
+    # walls than dimensions is reduced by `span` first, by the caller.
+    wide = random_cone(2, 3, 7, 0)
+    with pytest.raises(DimensionMismatch):
+        route(wide)
+    route(wide.span)
 
 
 class TestFaceDistance:
@@ -348,8 +369,7 @@ class TestOuterApproximation:
             bracket, poly = _outer(cone)
             if poly is None or not len(poly.cuts):
                 continue
-            q, _, k = _largest_vertex(cone, 0, len(poly.x), lambda codes: poly.x[codes].T)
-            level = 1.0 / math.sqrt(q)
+            level, _, k = _largest_vertex(cone, 0, len(poly.x), lambda codes: poly.x[codes].T)
             rows, rhs = constraints(poly)
             bits = tight_bits(poly, k)
             square = exact_square_norm(cone.normals, exact_solve(rows[bits].tolist(), rhs[bits].tolist()))

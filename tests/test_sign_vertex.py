@@ -79,7 +79,8 @@ def test_span_restricted_when_walls_are_fewer():
     normals = np.array([(1.0, 0.2, 0.0, -0.3), (0.4, -1.0, 0.5, 0.0), (0.1, 0.3, 1.0, 0.2)])
     wide = make_cone(4, normals)
     reduced, _ = reduce_to_span(4, normals)
-    value, y = min_max_abs_margin(wide)
+    value, y = min_max_abs_margin(wide.span)
+    y = y @ wide.basis
     assert value == pytest.approx(min_max_abs_margin_reference(wide.normals), rel=1e-10)
     assert value == pytest.approx(capacity_delta(reduced).value, rel=1e-12)
     assert charge_phi(wide).value == pytest.approx(charge_phi_reference(wide.normals), rel=1e-10)
