@@ -46,7 +46,6 @@ from .geometry import (
     jacobi_eigenvalues,
     make_cone,
     min_eigenvalue,
-    reduce_to_span,
     require_positive_definite,
 )
 from .hardball import (

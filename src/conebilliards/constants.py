@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DegenerateArrangement, InvalidParameter
-from .geometry import ConeSpec, GramMatrix, InscribedBall, as_gram, is_int, make_cone
+from .geometry import ConeSpec, GramMatrix, InscribedBall, as_gram, is_int
 from . import minimax
 
 
@@ -103,8 +103,10 @@ class BoundsReport:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
-# The data fields in declaration order; the cone is not data.
+# The data fields in declaration order; the cone is not data.  BOUNDS are
+# the collision-count bounds among them, None where a bound does not apply.
 BoundsReport.FIELDS = tuple(f.name for f in fields(BoundsReport) if f.name != "cone")
+BoundsReport.BOUNDS = tuple(name for name in BoundsReport.FIELDS if name.startswith("bound_"))
 
 
 def ceil_snapped(x: float) -> int:
@@ -172,7 +174,7 @@ def charge_SQ(cone: ConeSpec) -> ConstantEstimate:
     return ConstantEstimate(value, value, EstimateMethod.nearest_point, 1)
 
 
-def charge_phi(normals) -> ConstantEstimate:
+def charge_phi(cone: ConeSpec) -> ConstantEstimate:
     """Arrangement charge phi = min over signs s of S(Q_s), where
     Q_s = {y : s_i (y, a_i) >= 0}; it equals psi = arcsin(delta).
 
@@ -184,12 +186,10 @@ def charge_phi(normals) -> ConstantEstimate:
     sign cone has sin S = delta exactly.  So phi takes delta's route
     (`capacity_delta`): exact up to n = 16, and past it the flip ascent's
     estimate from above, with arcsin(sqrt(lambda_min / n)) as its certified
-    end, both on `cone.span`.  Raw arrays go through `make_cone`.
+    end, both on `cone.span`.  Like every constant it takes a `ConeSpec`;
+    raw normals go through `make_cone` first.
     """
-    if not isinstance(normals, ConeSpec):
-        arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-        normals = make_cone(arr.shape[1], arr)
-    delta = capacity_delta(normals)
+    delta = capacity_delta(cone)
     return ConstantEstimate(
         math.asin(delta.value), math.asin(delta.certified_lower), delta.method, delta.starts_used
     )
@@ -272,22 +272,27 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
 
 
 def tridiagonal_case(g) -> tuple[bool, int | None]:
-    """Check the banded special case and return its sharp bound n(n+1)/2.
+    """Check the banded special case and return (applicable, its sharp bound
+    n(n+1)/2), or (False, None).
 
-    Applicable when (a_i, a_j) = 0 for |i - j| > 1 and every neighbor
-    product (a_i, a_{i+1}) >= -1/2, both within tolerance.  An array goes
-    through `GramMatrix` first.
+    Applicable when every neighbor product (a_i, a_{i+1}) >= -1/2 - 1e-12
+    and |(a_i, a_j)| <= 1e-12 for |i - j| > 1.  An array goes through
+    `GramMatrix` first.
     """
     entries = as_gram(g).entries
     n = entries.shape[0]
-    for i in range(n):
-        for j in range(i + 2, n):
-            if abs(entries[i, j]) > 1e-12:
-                return False, None
-    for i in range(n - 1):
-        if entries[i, i + 1] < -0.5 - 1e-12:
-            return False, None
-    return True, n * (n + 1) // 2
+    if (np.diag(entries, 1) >= -0.5 - 1e-12).all() and (np.abs(np.triu(entries, 2)) <= 1e-12).all():
+        return True, n * (n + 1) // 2
+    return False, None
+
+
+def sharp_bound(theta: float) -> int:
+    """ceil(pi / theta), the sharp reflection bound of a wedge of angle theta,
+    with `ceil_snapped`'s forgiveness; `bounds_report`'s bound_wedge.
+    Raises InvalidParameter unless 0 < theta < pi."""
+    if not 0.0 < theta < math.pi:
+        raise InvalidParameter(f"wedge angle must lie in (0, pi), got {theta}")
+    return ceil_snapped(math.pi / theta)
 
 
 def _power_bound(factor, base: float, exponent: int) -> float:
@@ -319,11 +324,10 @@ def step_cap(n: int, lambda_min: float) -> int:
 
 
 def _sevryuk_bound(n: int, phi: float) -> float:
-    s2 = math.sin(phi) ** 2
-    log_val = math.log(s2 / 2.0) + (2.0 ** (n - 1)) * math.log(4.0 / s2)
-    if log_val > 700.0:
-        return math.inf
-    return math.exp(log_val) - 1.0
+    """Sevryuk's (sin^2 phi / 2) (4 / sin^2 phi)^(2^(n-1)) - 1, written as
+    2 (4 / sin^2 phi)^(2^(n-1) - 1) - 1 so that it overflows to inf only past
+    the float range, by `_power_bound`'s rule."""
+    return _power_bound(2.0, 4.0 / math.sin(phi) ** 2, 2 ** (n - 1) - 1) - 1.0
 
 
 def bounds_report(cone: ConeSpec) -> BoundsReport:
@@ -344,9 +348,6 @@ def bounds_report(cone: ConeSpec) -> BoundsReport:
 
     g = cone.gram_matrix
     applicable, tri_bound = tridiagonal_case(g)
-    wedge_bound = None
-    if n == 2:
-        wedge_bound = ceil_snapped(math.pi / _wedge_angle(g))
 
     # Each bound decreases as its constant grows, so it is computed from the
     # certified lower end of the constant's interval, never from an estimate
@@ -366,8 +367,8 @@ def bounds_report(cone: ConeSpec) -> BoundsReport:
         bound_dd=_power_bound(1.0, 4.0 / (d * delta_low), n - 1),
         bound_sevryuk=_sevryuk_bound(n, math.asin(delta_low)),
         bound_bfk=_power_bound(8.0, 1.0 / c_est.certified_lower + 2.0, 2 * (n - 1)),
-        bound_wedge=wedge_bound,
-        bound_tridiagonal=tri_bound if applicable else None,
+        bound_wedge=sharp_bound(_wedge_angle(g)) if n == 2 else None,
+        bound_tridiagonal=tri_bound,
         tridiagonal_applicable=applicable,
         cone=cone,
     )

@@ -338,19 +338,6 @@ def gram_schmidt_row(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return w / nw
 
 
-def reduce_to_span(dim: int, normals):
-    """Express a cone with n <= m walls in an orthonormal basis of the span.
-
-    Returns (reduced cone in R^n, basis) for `cone = make_cone(dim, normals)`:
-    `cone.span` and `cone.basis` when n < m, and for n = m the cone turned
-    into the coordinates of that basis.  basis has shape (n, m) and row k is
-    the k-th basis vector.  The Gram matrix is preserved, and a point y in
-    R^m projects to coordinates basis @ y in the reduced space.
-    """
-    cone = make_cone(dim, normals)
-    return cone._in_basis, cone.basis
-
-
 def contains(cone: ConeSpec, point, tol: float = 0.0) -> bool:
     """True when (point, a_i) >= -tol for every wall normal a_i.  Raises
     DimensionMismatch for a wrong component count and InvalidState for a

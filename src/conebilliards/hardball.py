@@ -213,39 +213,33 @@ def conjugacy_check(system: HardBallSystem) -> ConjugacyReport:
     horizon = step_cap(cone.n_walls, cone.lambda_min)
     balls = simulate_balls(system, max_events=horizon)
     q0, v0, speed = cmap.to_cone(system.positions, system.velocities)
-    if speed == 0.0:
-        return ConjugacyReport(
-            matched=balls.n_collisions == 0,
-            n_ball_events=balls.n_collisions,
-            n_cone_events=0,
-            pair_sequence=balls.pair_sequence(),
-            wall_sequence=[],
-            max_time_error=0.0,
-            terminal_balls=balls.terminal,
-            terminal_cone=Terminal.ESCAPED,
-        )
-    cone_traj = run(BilliardState(q=q0, v=v0), cone, max_steps=horizon)
-    walls = cone_traj.wall_sequence()
+    # At rest the cone state has no direction to run; like the balls, which
+    # have no approaching pair, it escapes with no event.
+    cone_events, cone_terminal = (), Terminal.ESCAPED
+    if speed > 0.0:
+        cone_traj = run(BilliardState(q=q0, v=v0), cone, max_steps=horizon)
+        cone_events, cone_terminal = cone_traj.events, cone_traj.terminal
+    walls = [ev.wall for ev in cone_events]
     pairs = balls.pair_sequence()
     max_err = 0.0
-    sequences_match = walls == pairs and cone_traj.n_collisions == balls.n_collisions
+    sequences_match = walls == pairs and len(cone_events) == balls.n_collisions
     if sequences_match:
-        for ball_ev, cone_ev in zip(balls.events, cone_traj.events):
+        for ball_ev, cone_ev in zip(balls.events, cone_events):
             expected = speed * ball_ev.t
             err = abs(cone_ev.t - expected) / max(1.0, abs(expected))
             max_err = max(max_err, err)
     matched = (
         sequences_match
-        and balls.terminal == cone_traj.terminal
+        and balls.terminal == cone_terminal
         and max_err <= 1e-8
     )
     return ConjugacyReport(
         matched=matched,
         n_ball_events=balls.n_collisions,
-        n_cone_events=cone_traj.n_collisions,
+        n_cone_events=len(cone_events),
         pair_sequence=pairs,
         wall_sequence=walls,
         max_time_error=max_err,
         terminal_balls=balls.terminal,
-        terminal_cone=cone_traj.terminal,
+        terminal_cone=cone_terminal,
     )

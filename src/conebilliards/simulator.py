@@ -297,24 +297,17 @@ class AuditVerdict:
 
 
 def check_bounds(n_collisions: int, zigzag: float, report: BoundsReport) -> AuditVerdict:
-    """Check a collision count and zigzag length against every bound in the
-    report; the zigzag check allows 1e-9 slack on the 2/d ceiling.
+    """Check a collision count against every bound the report sets (each of
+    `BoundsReport.BOUNDS` that is not None, in field order), then a zigzag
+    length against the lemma's 2/d ceiling, with 1e-9 slack.
 
     Every check reads observed <= limit, so a batch of trajectories passes
     exactly when its largest count and largest zigzag length pass.
     """
-    limits = [
-        ("bound_main", report.bound_main),
-        ("bound_dd", report.bound_dd),
-        ("bound_sevryuk", report.bound_sevryuk),
-        ("bound_bfk", report.bound_bfk),
-    ]
-    if report.bound_wedge is not None:
-        limits.append(("bound_wedge", report.bound_wedge))
-    if report.tridiagonal_applicable and report.bound_tridiagonal is not None:
-        limits.append(("bound_tridiagonal", report.bound_tridiagonal))
     checks = [
-        BoundCheck(name, n_collisions, limit, n_collisions <= limit) for name, limit in limits
+        BoundCheck(name, n_collisions, limit, n_collisions <= limit)
+        for name in BoundsReport.BOUNDS
+        if (limit := getattr(report, name)) is not None
     ]
     ceiling = 2.0 / report.d
     checks.append(BoundCheck("lemma_zigzag", zigzag, ceiling, zigzag <= ceiling + 1e-9))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _wedge_angle, ceil_snapped
+from .constants import _wedge_angle, sharp_bound  # sharp_bound is re-exported
 from .errors import AlternationError, ConeMismatch, InvalidParameter, TooFewEvents, WrongWallCount
 from .geometry import ConeSpec, make_cone
 from .simulator import Terminal, TrajectoryRecord
@@ -44,13 +44,6 @@ def wedge_from_angle(theta: float) -> WedgeSpec:
         raise InvalidParameter(f"wedge angle must lie in (0, pi), got {theta}")
     cone = make_cone(2, [[0.0, 1.0], [math.sin(theta), -math.cos(theta)]])
     return WedgeSpec(theta=theta, cone=cone)
-
-
-def sharp_bound(theta: float) -> int:
-    """ceil(pi / theta), the sharp reflection bound for a wedge."""
-    if not 0.0 < theta < math.pi:
-        raise InvalidParameter(f"wedge angle must lie in (0, pi), got {theta}")
-    return ceil_snapped(math.pi / theta)
 
 
 def _check_same_cone(record: TrajectoryRecord, wedge: WedgeSpec) -> None:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from conebilliards.harness import random_cone
+
+# Tier-1 is deterministic: every property test draws the same examples on
+# every run.  `pytest --hypothesis-profile=explore` draws fresh ones.
+settings.register_profile("explore", derandomize=False)
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

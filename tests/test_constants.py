@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,10 +174,13 @@ class TestChargePhi:
             assert charge_phi(cone).value <= charge_SQ(cone).value + 1e-9
 
     def test_raw_arrays_are_validated(self):
+        # charge_phi takes a cone, as every constant does: raw normals are
+        # validated and normalized by make_cone on the way in
         with pytest.raises(DegenerateArrangement):
-            charge_phi([[1.0, 0.0], [2.0, 0.0]])
+            make_cone(2, [[1.0, 0.0], [2.0, 0.0]])
         # rows are normalized first: this is the 2-orthant
-        assert charge_phi([[3.0, 0.0], [0.0, 1.0]]).value == pytest.approx(math.pi / 4, abs=1e-15)
+        cone = make_cone(2, [[3.0, 0.0], [0.0, 1.0]])
+        assert charge_phi(cone).value == pytest.approx(math.pi / 4, abs=1e-15)
 
 
 class TestBfkConstant:
@@ -327,6 +331,20 @@ class TestTridiagonal:
         ok, bound = tridiagonal_case(g)
         assert not ok
 
+    @pytest.mark.parametrize(
+        "i, j, at",
+        [(0, 2, 1e-12), (0, 2, -1e-12), (0, 1, -0.5 - 1e-12), (1, 2, -0.5 - 1e-12)],
+        ids=["band", "band-negative", "neighbor-first", "neighbor-last"],
+    )
+    def test_tolerances_are_inclusive(self, i, j, at):
+        # An entry exactly at its tolerance passes; one ulp past it fails.
+        g = np.eye(3)
+        g[i, j] = g[j, i] = at
+        assert tridiagonal_case(g) == (True, 6)
+        past = g.copy()
+        past[i, j] = past[j, i] = np.nextafter(at, math.copysign(math.inf, at))
+        assert tridiagonal_case(past) == (False, None)
+
 
 class TestBoundsReport:
     def test_orthant2(self, orthant2):
@@ -440,6 +458,36 @@ class TestBoundsReport:
         monkeypatch.setattr(geometry, "orthonormal_rows", counted("orthonormal_rows", geometry.orthonormal_rows))
         bounds_report(cone)
         assert calls == {"inv": 1, "orthonormal_rows": 0}
+
+
+def _sevryuk_exact(n, phi):
+    """(sin^2 phi / 2) (4 / sin^2 phi)^(2^(n-1)) - 1 in exact arithmetic on
+    the double sin(phi), rounded once."""
+    s2 = Fraction(math.sin(phi)) ** 2
+    return float(s2 / 2 * (4 / s2) ** (2 ** (n - 1)) - 1)
+
+
+class TestSevryukBound:
+    def test_within_rounding_of_the_exact_value(self):
+        from conebilliards.constants import _sevryuk_bound
+
+        for cone in cone_suite((2, 3, 4, 5, 6), 5, seed=47):
+            n = cone.n_walls
+            phi = bounds_report(cone).charge_phi
+            exact = _sevryuk_exact(n, phi)
+            assert abs(_sevryuk_bound(n, phi) - exact) <= 1e-14 * exact
+
+    def test_finite_up_to_the_float_range(self):
+        from conebilliards.constants import _sevryuk_bound
+
+        # 2 (4 / sin^2 phi)^3 - 1 is about 1.49e306 here, below the float
+        # maximum, although its logarithm is past 700.
+        phi = math.asin(math.sqrt(math.exp(-233.38)))
+        exact = _sevryuk_exact(3, phi)
+        assert 1e306 < exact < sys.float_info.max
+        assert abs(_sevryuk_bound(3, phi) - exact) <= 1e-14 * exact
+        # and only past it inf
+        assert _sevryuk_bound(3, math.asin(math.sqrt(math.exp(-237.0)))) == math.inf
 
 
 def test_ceil_snapped():

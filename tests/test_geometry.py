@@ -23,7 +23,6 @@ from conebilliards.geometry import (
     jacobi_eigenvalues,
     make_cone,
     min_eigenvalue,
-    reduce_to_span,
     require_positive_definite,
 )
 from conebilliards.harness import make_rng, random_cone, sphere_sample
@@ -216,13 +215,14 @@ class TestMinEigenvalue:
 
 class TestReduceToSpan:
     def test_coordinate_subspace(self):
-        reduced, basis = reduce_to_span(3, [(1, 0, 0), (0, 1, 0)])
+        cone = make_cone(3, [(1, 0, 0), (0, 1, 0)])
+        reduced, basis = cone.span, cone.basis
         assert reduced.dim == 2
         np.testing.assert_allclose(gram(reduced).entries, np.eye(2), atol=1e-12)
         assert basis.shape == (2, 3)
 
     def test_half_line(self):
-        reduced, basis = reduce_to_span(3, [(1, 0, 0)])
+        reduced = make_cone(3, [(1, 0, 0)]).span
         assert reduced.dim == 1 and reduced.n_walls == 1
         np.testing.assert_allclose(np.abs(reduced.normals), [[1.0]])
 
@@ -234,7 +234,7 @@ class TestReduceToSpan:
                 cone = make_cone(4, normals)
             except DegenerateArrangement:
                 continue
-            reduced, basis = reduce_to_span(4, normals)
+            reduced, basis = cone.span, cone.basis
             np.testing.assert_allclose(
                 gram(reduced).entries, gram(cone).entries, atol=1e-12
             )
@@ -269,21 +269,6 @@ class TestSpan:
         np.testing.assert_array_equal(span.normals, fresh.normals)
         assert span.lambda_min == fresh.lambda_min
         np.testing.assert_allclose(span.normals @ cone.basis, cone.normals, atol=1e-14)
-
-    @pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (2, 3), (3, 5)])
-    def test_reduce_to_span_is_the_frame_of_a_fresh_cone(self, n, m):
-        cone = random_cone(n, m, 7, 1)
-        reduced, basis = reduce_to_span(m, cone.normals)
-        again = make_cone(m, cone.normals)
-        np.testing.assert_array_equal(basis, again.basis)
-        if n < m:
-            np.testing.assert_array_equal(reduced.normals, again.span.normals)
-        # the reduced cone is the cone in the coordinates of the basis, for
-        # n = m too, where `span` is the cone itself
-        np.testing.assert_array_equal(
-            reduced.normals, make_cone(n, again.normals @ again.basis.T).normals
-        )
-        np.testing.assert_allclose(reduced.normals @ basis, cone.normals, atol=1e-14)
 
 
 class TestContains:

@@ -194,6 +194,20 @@ class TestConjugacy:
             assert report.matched
             assert report.n_ball_events in (0, 1)
 
+    def test_balls_at_rest(self):
+        # No pair approaches, so both sides escape with no event.
+        report = conjugacy_check(system([1, 2, 3], [0, 1, 3], [0, 0, 0]))
+        assert vars(report) == {
+            "matched": True,
+            "n_ball_events": 0,
+            "n_cone_events": 0,
+            "pair_sequence": [],
+            "wall_sequence": [],
+            "max_time_error": 0.0,
+            "terminal_balls": Terminal.ESCAPED,
+            "terminal_cone": Terminal.ESCAPED,
+        }
+
     def test_speed_is_preserved_in_image(self):
         rng = make_rng(76, 0)
         sys_ = random_system(rng, 4)

@@ -7,7 +7,7 @@ import pytest
 from conebilliards import geometry, harness
 from conebilliards.constants import bounds_report, inscribed_ball
 from conebilliards.errors import ConeBilliardsError, DimensionMismatch, InvalidParameter
-from conebilliards.geometry import gram, make_cone, reduce_to_span
+from conebilliards.geometry import gram, make_cone
 from conebilliards.harness import (
     EnsembleRow,
     ExperimentConfig,
@@ -44,7 +44,7 @@ class TestRandomCone:
 
     def test_wide_cone_reduces_with_same_gram(self):
         cone = random_cone(2, 5, 1)
-        reduced, _ = reduce_to_span(cone.dim, cone.normals)
+        reduced = cone.span
         np.testing.assert_allclose(
             gram(reduced).entries, gram(cone).entries, atol=1e-12
         )

@@ -15,7 +15,7 @@ from conebilliards.constants import (
     charge_SQ,
     inscribed_ball,
 )
-from conebilliards.geometry import make_cone, reduce_to_span
+from conebilliards.geometry import make_cone
 from conebilliards.harness import random_cone
 from conebilliards.minimax import (
     FaceDistance,
@@ -98,7 +98,7 @@ def test_charge_SQ_reduces_wide_cones():
         cone = make_cone(m, normals)
         est = charge_SQ(cone)
         assert est.value == charge_SQ(cone.span).value
-        assert est.value == pytest.approx(charge_SQ(reduce_to_span(m, normals)[0]).value, abs=1e-14)
+        assert est.value == pytest.approx(charge_SQ(make_cone(m, normals).span).value, abs=1e-14)
         exact, _ = max_min_margin(cone.normals)
         assert math.sin(est.value) == pytest.approx(exact, abs=ENUMERATION_ERROR)
 

@@ -137,7 +137,6 @@ def test_direction_scaling_invariance(scale, params):
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 4), extra=st.integers(1, 3), stream=st.integers(0, 5_000))
 def test_reduction_preserves_gram(n, extra, stream):
-    from conebilliards.geometry import reduce_to_span
     from conebilliards.harness import sphere_sample
     from conebilliards.errors import DegenerateArrangement
 
@@ -148,7 +147,7 @@ def test_reduction_preserves_gram(n, extra, stream):
         cone = make_cone(dim, normals)
     except DegenerateArrangement:
         return
-    reduced, basis = reduce_to_span(dim, normals)
+    reduced, basis = cone.span, cone.basis
     np.testing.assert_allclose(gram(reduced).entries, gram(cone).entries, atol=1e-12)
     np.testing.assert_allclose(basis @ basis.T, np.eye(n), atol=1e-12)
 

@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conebilliards.constants import bounds_report, inscribed_ball
+from conebilliards.constants import BoundsReport, bounds_report, inscribed_ball
 from conebilliards.errors import ConeMismatch, InvalidState
 from conebilliards.geometry import make_cone
+from conebilliards.hardball import balls_to_cone
 from conebilliards.harness import interior_starts, make_rng, random_cone
 from conebilliards.simulator import (
     BilliardState,
@@ -227,6 +228,22 @@ class TestAudit:
         names = {c.name for c in audit(rec, rep).checks}
         assert {"bound_main", "bound_dd", "bound_sevryuk", "bound_bfk",
                 "bound_wedge", "bound_tridiagonal", "lemma_zigzag"} == names
+
+    @pytest.mark.parametrize(
+        "build, special",
+        [
+            (lambda: make_cone(2, [[0.0, 1.0], [math.sin(0.3), -math.cos(0.3)]]), ["bound_wedge"]),
+            (lambda: balls_to_cone([1.0, 1.0, 1.0, 1.0])[0], ["bound_tridiagonal"]),
+            (lambda: random_cone(3, 3, 20241, 3000), []),
+        ],
+        ids=["wedge", "banded", "neither"],
+    )
+    def test_checks_are_the_bounds_the_report_sets(self, build, special):
+        rep = bounds_report(build())
+        names = [c.name for c in check_bounds(0, 0.0, rep).checks]
+        set_bounds = [name for name in BoundsReport.BOUNDS if getattr(rep, name) is not None]
+        assert names == set_bounds + ["lemma_zigzag"]
+        assert names == ["bound_main", "bound_dd", "bound_sevryuk", "bound_bfk", *special, "lemma_zigzag"]
 
 
 class TestSerialization:
