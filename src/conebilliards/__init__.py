@@ -32,6 +32,7 @@ from .errors import (
     InvalidParameter,
     InvalidState,
     NonpositiveMass,
+    NotACone,
     NotPositiveDefinite,
     TooFewBalls,
     TooFewEvents,

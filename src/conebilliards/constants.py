@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateArrangement, InvalidParameter
+from .errors import DegenerateArrangement, InvalidParameter, NotACone
 from .geometry import ConeSpec, GramMatrix, InscribedBall, as_gram, is_int
 from . import minimax
 
@@ -120,12 +120,20 @@ def ceil_snapped(x: float) -> int:
     return int(math.ceil(x))
 
 
+def _cone(cone) -> ConeSpec:
+    """cone itself; NotACone for anything that is not a ConeSpec (raw
+    normals go through `make_cone` first)."""
+    if not isinstance(cone, ConeSpec):
+        raise NotACone(f"expected a ConeSpec from make_cone, got {type(cone).__name__}")
+    return cone
+
+
 def inscribed_ball(cone: ConeSpec) -> InscribedBall:
     """The unit centre e and radius d with (e, a_i) = d: `cone.ball`, solved
     once per cone, and DimensionMismatch for n < m walls.  e lies in Q, but
     it is the centre of the inscribed ball only when G^{-1} 1 >= 0; see
     `InscribedBall`."""
-    return cone.ball
+    return _cone(cone).ball
 
 
 # delta's sign-vertex formula solves 2^(n-1) vertices; past this n, delta
@@ -149,7 +157,7 @@ def capacity_delta(cone: ConeSpec) -> ConstantEstimate:
     sqrt(lambda_min / n) as the lower end; it matched the formula exactly
     on every cone tested at n = 2..16.
     """
-    cone = cone.span
+    cone = _cone(cone).span
     n = cone.n_walls
     lower = math.sqrt(max(cone.lambda_min, 0.0) / n)
     if n <= _FORMULA_MAX_N:
@@ -170,7 +178,7 @@ def charge_SQ(cone: ConeSpec) -> ConstantEstimate:
     computed on `cone.span`: the maximum is attained there, since a
     component off the span changes no margin and takes up norm.
     """
-    value = math.asin(min(1.0, minimax.nearest_point_margin(cone.span).lower))
+    value = math.asin(min(1.0, minimax.nearest_point_margin(_cone(cone).span).lower))
     return ConstantEstimate(value, value, EstimateMethod.nearest_point, 1)
 
 
@@ -244,7 +252,7 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
     is 0.  Any feasible evaluation is <= 1 because the apex belongs to
     every face, so 0 < C <= 1 always holds for the value.
     """
-    cone = cone.span
+    cone = _cone(cone).span
     n = cone.n_walls
     lower = math.sqrt(max(cone.lambda_min, 0.0) / n)
 
@@ -337,7 +345,7 @@ def bounds_report(cone: ConeSpec) -> BoundsReport:
     `cone`: for fewer walls than dimensions that is the cone in the span of
     its normals, with the same Gram matrix and constants.
     """
-    cone = cone.span
+    cone = _cone(cone).span
     n = cone.n_walls
     lam = cone.lambda_min
     ball = inscribed_ball(cone)

@@ -24,6 +24,12 @@ class DegenerateArrangement(ConeBilliardsError):
     """The wall normals are linearly dependent (or numerically so)."""
 
 
+class NotACone(ConeBilliardsError, TypeError):
+    """A cone's constants were asked of something that is not a ConeSpec.
+
+    Also a TypeError, as a wrong argument type is."""
+
+
 class NotPositiveDefinite(ConeBilliardsError):
     """A matrix expected to be positive definite has lambda_min <= 0."""
 

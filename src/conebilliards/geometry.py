@@ -28,6 +28,11 @@ from .errors import (
 NORM_WARN_TOL = 1e-6
 # Smallest singular value of the normal matrix below this is degenerate.
 INDEPENDENCE_TOL = 1e-9
+# Rows whose plain Euclidean norm is below this (or past the float range)
+# are rescaled by a power of two before their norm is taken.
+_PLAIN_NORM_MIN = 1e-150
+# Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0 ** -53
 # Cyclic Jacobi stops once the off-diagonal Frobenius norm is below
 # _JACOBI_OFF_TOL, or after _JACOBI_MAX_SWEEPS sweeps.
 _JACOBI_OFF_TOL = 1e-13
@@ -39,8 +44,10 @@ def is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _freeze(a) -> np.ndarray:
+    """A read-only float64 copy of a, so that the caller's own array stays
+    writable."""
+    a = np.array(a, dtype=np.float64, order="C")
     a.flags.writeable = False
     return a
 
@@ -77,7 +84,8 @@ class ConeSpec:
 
     @cached_property
     def lambda_min(self) -> float:
-        """Minimal eigenvalue of the Gram matrix."""
+        """A certified lower end of the Gram matrix's smallest eigenvalue,
+        from `min_eigenvalue`."""
         return min_eigenvalue(self.gram_matrix)
 
     @cached_property
@@ -175,6 +183,7 @@ class GramMatrix:
 
     @property
     def is_positive_definite(self) -> bool:
+        """True when `min_eigenvalue` certifies lambda_min > 0."""
         return min_eigenvalue(self) > 0.0
 
 
@@ -196,7 +205,8 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     drops below _JACOBI_OFF_TOL (at most _JACOBI_MAX_SWEEPS sweeps).
     Returns the eigenvalues sorted ascending.  Raises DimensionMismatch
     for a matrix that is not square or is empty and DegenerateArrangement
-    for a NaN or infinite entry.
+    for a NaN or infinite entry.  No library route calls it (see
+    `min_eigenvalue`); the tests use it as a reference.
     """
     a = np.array(matrix, dtype=np.float64, copy=True)
     n = len(a) if a.ndim == 2 else 0
@@ -248,8 +258,8 @@ def make_cone(dim: int, normals) -> ConeSpec:
 
     Input vectors are renormalized to unit length; a deviation larger than
     1e-6 only sets the `renormalized` flag.  Raises DegenerateArrangement
-    for a NaN or infinite component and when the smallest singular value
-    of the normal matrix is below 1e-9,
+    for a NaN or infinite component and unless the smallest singular value
+    of the normal matrix is certified above 1e-9 (lambda_min above 1e-18),
     ZeroVector for a (near-)zero input, and DimensionMismatch for a `dim`
     that is not an integer, normals that are not a rectangular array of
     numbers, a wrong component count or more normals than dimensions.
@@ -272,18 +282,25 @@ def make_cone(dim: int, normals) -> ConeSpec:
         raise DimensionMismatch(f"need 1 <= n <= dim, got n={n}, dim={dim}")
     if not np.isfinite(arr).all():
         raise DegenerateArrangement("normals must have finite components")
-    # Each row is scaled by a power of two near its largest |entry| before
-    # its norm is taken, so the squares neither overflow nor underflow; the
-    # scaling is exact, and so is undoing it for the row's length.
-    _, exponents = np.frexp(np.abs(arr).max(axis=1))
-    scaled = np.ldexp(arr, -exponents[:, None])
-    scaled_norms = np.linalg.norm(scaled, axis=1)
     with np.errstate(over="ignore"):  # a length past the float range is inf
-        norms = np.ldexp(scaled_norms, exponents)
+        norms = np.linalg.norm(arr, axis=1)
+    rows, lengths = arr, norms
+    odd = (norms < _PLAIN_NORM_MIN) | (norms == math.inf)
+    if odd.any():
+        # These rows are scaled by a power of two near their largest |entry|
+        # before their norm is taken, so the squares neither overflow nor
+        # underflow; the scaling is exact, and so is undoing it for the
+        # row's length.  On the other rows it would change no bit.
+        _, exponents = np.frexp(np.abs(arr[odd]).max(axis=1))
+        rows, lengths = arr.copy(), norms.copy()
+        rows[odd] = np.ldexp(arr[odd], -exponents[:, None])
+        lengths[odd] = np.linalg.norm(rows[odd], axis=1)
+        with np.errstate(over="ignore"):
+            norms[odd] = np.ldexp(lengths[odd], exponents)
     if np.any(norms < 1e-12):
         raise ZeroVector("every normal must be a nonzero direction vector")
     flagged = bool(np.any(np.abs(norms - 1.0) > NORM_WARN_TOL))
-    unit = scaled / scaled_norms[:, None]
+    unit = rows / lengths[:, None]
 
     cone = ConeSpec(dim=dim, normals=unit, renormalized=flagged)
     # The one eigenvalue solve of the cone: lambda_min stays memoized.
@@ -303,13 +320,93 @@ def gram(cone: ConeSpec) -> GramMatrix:
 
 
 def min_eigenvalue(g) -> float:
-    """Smallest eigenvalue of a symmetric matrix (GramMatrix, or an array
-    validated by `as_gram`)."""
-    return float(jacobi_eigenvalues(as_gram(g).entries)[0])
+    """A certified lower end of the smallest eigenvalue of a symmetric matrix
+    (GramMatrix, or an array validated by `as_gram`): the larger of
+    `_cholesky_end` and `_gershgorin_end`, each rounded toward -inf.
+
+    For a diagonal matrix, such as an orthant's Gram matrix, it is the
+    smallest diagonal entry exactly.
+    """
+    a = as_gram(g).entries
+    return max(_cholesky_end(a), _gershgorin_end(a))
+
+
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _gamma(k: int) -> float:
+    """An upper bound on gamma_k = k u / (1 - k u), u the unit roundoff."""
+    ku = k * _UNIT_ROUNDOFF
+    return _up(ku / (1.0 - ku))
+
+
+def _cholesky_end(a: np.ndarray) -> float:
+    """A lower end of lambda_min(a) from one LAPACK eigenvalue solve and,
+    as a rule, one Cholesky factorization, or -inf.
+
+    With lam the computed smallest eigenvalue and s = 4 gamma_{n+1} tr|a|
+    (tr|a| is the sum of the computed |eigenvalues|, tr a for a Gram
+    matrix), factor A = fl(a - sigma I) at sigma = lam - s.  If the
+    factorization runs to completion with factor L, then A + dA = L L^T
+    with |dA| <= gamma_{n+1} |L| |L^T| for any order of its sums, barring
+    underflow (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Thm 10.3; Rump, BIT 46, 2006), so L L^T >= 0 gives
+    lambda_min(A) >= -gamma_{n+1} ||L||_F^2.  Forming A moves each diagonal
+    entry by at most u |A_ii|, so
+
+        lambda_min(a) >= sigma - u max|A_ii| - gamma_{n+1} ||L||_F^2,
+
+    evaluated with every step rounded toward -inf.  Underflow adds at most
+    about n^3 2^-1074 to dA, less than the last rounding step takes off any
+    end above 1e-280.  When the factorization fails, s doubles, until s
+    exceeds tr|a|, and the end is -inf, as it is when tr|a| is past the
+    float range.  The computed lam itself is never returned.
+    """
+    n = len(a)
+    lams = np.linalg.eigvalsh(a)
+    scale = sum(abs(x) for x in lams.tolist())  # inf past the float range
+    gamma = _gamma(n + 1)
+    slack = 4.0 * gamma * scale
+    while 0.0 < slack <= scale < math.inf:
+        sigma = float(lams[0]) - slack
+        shifted = a.copy()
+        shifted.flat[:: n + 1] -= sigma
+        try:
+            factor = np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            slack *= 2.0
+            continue
+        # ||L||_F^2 of n^2 squares, summed in any order, is at most the
+        # computed sum over 1 - gamma_{n^2}.
+        frobenius = _up(float(np.vdot(factor, factor)) / _down(1.0 - _gamma(n * n)))
+        diagonal = _up(_UNIT_ROUNDOFF * float(np.abs(shifted.diagonal()).max()))
+        return _down(_down(sigma - diagonal) - _up(gamma * frobenius))
+    return -math.inf
+
+
+def _gershgorin_end(a: np.ndarray) -> float:
+    """min_i (a_ii - sum_{j != i} |a_ij|), a lower end of lambda_min(a) by
+    Gershgorin's theorem, with each step rounded toward -inf.  A row with no
+    nonzero off-diagonal entry gives its a_ii exactly."""
+    n = len(a)
+    off = np.abs(a)
+    off.flat[:: n + 1] = 0.0
+    radii = off.sum(axis=1)
+    if n > 2:
+        # A sum of n - 1 terms >= 0 (exact for one term) is at most the
+        # computed one times 1 + gamma_{n-1}.
+        radii = np.where(radii > 0.0, np.nextafter(radii + radii * _gamma(n - 1), math.inf), 0.0)
+    ends = a.diagonal() - radii
+    return float(np.where(radii > 0.0, np.nextafter(ends, -math.inf), ends).min())
 
 
 def require_positive_definite(g) -> float:
-    """min_eigenvalue that raises NotPositiveDefinite when lambda_min <= 0."""
+    """min_eigenvalue that raises NotPositiveDefinite unless it is > 0."""
     lam = min_eigenvalue(g)
     if lam <= 0.0:
         raise NotPositiveDefinite(f"lambda_min={lam:.3e} <= 0")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import step_cap
 from .errors import InvalidState, NonpositiveMass, TooFewBalls
-from .geometry import ConeSpec, is_int, make_cone
+from .geometry import ConeSpec, _freeze, is_int, make_cone
 # The cone simulator's grazing and tie tolerances, so that the two
 # simulators decide the same events and `conjugacy_check` can match them.
 from .simulator import APPROACH_TOL, CORNER_REL_TOL, BilliardState, Terminal, run
@@ -38,9 +38,7 @@ class HardBallSystem:
 
     def __post_init__(self):
         for name in ("masses", "positions", "velocities"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         n = len(self.masses)
         if n < 2:
             raise TooFewBalls("need at least two balls")
@@ -136,54 +134,56 @@ def simulate_balls(system: HardBallSystem, max_events: int | None = None) -> Bal
     Raises InvalidState for a budget that is not an integer >= 1, as `run`
     does.
     """
-    x = np.array(system.positions)
-    v = np.array(system.velocities)
-    m = system.masses
     n = system.n_balls
     if max_events is None:
-        cone, _ = balls_to_cone(m)
+        cone, _ = balls_to_cone(system.masses)
         max_events = step_cap(n - 1, cone.lambda_min)
     if not (is_int(max_events) and max_events >= 1):
         raise InvalidState(f"max_events must be an integer >= 1, got {max_events!r}")
 
+    # The event loop runs on Python floats: the same IEEE operations, in the
+    # same order, as on numpy arrays, without numpy's per-call overhead on
+    # arrays of a few entries.
+    x = system.positions.tolist()
+    v = system.velocities.tolist()
+    m = system.masses.tolist()
+    pairs = range(n - 1)
     t = 0.0
     events = []
     terminal = None
     while len(events) < max_events:
-        gaps = np.diff(x)
-        closing = v[:-1] - v[1:]
-        approaching = closing > APPROACH_TOL
-        if not approaching.any():
+        times = [math.inf] * (n - 1)
+        approaching = False
+        for k in pairs:
+            closing = v[k] - v[k + 1]
+            if closing > APPROACH_TOL:
+                times[k] = max(0.0, (x[k + 1] - x[k]) / closing)
+                approaching = True
+        if not approaching:
             terminal = Terminal.ESCAPED
             break
-        times = np.full(n - 1, np.inf)
-        times[approaching] = np.maximum(0.0, gaps[approaching] / closing[approaching])
-        i = int(times.argmin())
-        t_hit = float(times[i])
-        times[i] = np.inf
-        if float(times.min()) - t_hit < CORNER_REL_TOL * (1.0 + t_hit):
-            x = x + t_hit * v
-            t += t_hit
+        t_hit = min(times)
+        i = times.index(t_hit)
+        times[i] = math.inf
+        x = [xk + t_hit * vk for xk, vk in zip(x, v)]
+        t += t_hit
+        if min(times) - t_hit < CORNER_REL_TOL * (1.0 + t_hit):
             terminal = Terminal.CORNER_HIT
             break
-        x = x + t_hit * v
         x[i + 1] = x[i]  # balls touch exactly at the collision
-        t += t_hit
         mi, mj = m[i], m[i + 1]
         vi, vj = v[i], v[i + 1]
         v[i] = ((mi - mj) * vi + 2.0 * mj * vj) / (mi + mj)
         v[i + 1] = ((mj - mi) * vj + 2.0 * mi * vi) / (mi + mj)
-        events.append(
-            BallEvent(t=t, pair=(i, i + 1), velocities_after=(float(v[i]), float(v[i + 1])))
-        )
+        events.append(BallEvent(t=t, pair=(i, i + 1), velocities_after=(v[i], v[i + 1])))
     if terminal is None:
         terminal = Terminal.STEP_LIMIT
     return BallTrajectory(
         system=system,
         events=tuple(events),
         terminal=terminal,
-        final_positions=x,
-        final_velocities=v,
+        final_positions=np.array(x),
+        final_velocities=np.array(v),
         final_time=t,
     )
 

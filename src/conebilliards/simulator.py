@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import BoundsReport, step_cap
 from .errors import ConeMismatch, InvalidState
-from .geometry import ConeSpec, is_int
+from .geometry import ConeSpec, _freeze, is_int
 
 # Walls with velocity margin above -APPROACH_TOL are treated as grazing,
 # i.e. non-approaching; candidate hit times this close (relative) collide.
@@ -48,9 +48,7 @@ class BilliardState:
 
     def __post_init__(self):
         for name in ("q", "v"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)

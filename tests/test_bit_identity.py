@@ -1,8 +1,9 @@
 """The fast paths of the eigenvalue solve, the cone sampler, the start
-sampler, the face-distance projector table and the stepping kernel against
-the code they replaced (kept here as reference oracles) or against the
-scalar `run`: every output must agree bit for bit, and the random generator
-must end in the same state."""
+sampler, the row normalization, the face-distance projector table, the
+stepping kernel and the hard-ball event loop against the code they replaced
+(kept here as reference oracles) or against the scalar `run`: every output
+must agree bit for bit, and the random generator must end in the same
+state."""
 
 import itertools
 import math
@@ -11,8 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conebilliards.constants import inscribed_ball, step_cap
-from conebilliards.errors import InvalidState
+from conebilliards import geometry
+from conebilliards.constants import bounds_report, inscribed_ball, step_cap
+from conebilliards.errors import InvalidState, ZeroVector
 from conebilliards.geometry import (
     gram,
     jacobi_eigenvalues,
@@ -20,7 +22,13 @@ from conebilliards.geometry import (
     min_eigenvalue,
     orthonormal_rows,
 )
-from conebilliards.hardball import balls_to_cone
+from conebilliards.hardball import (
+    BallEvent,
+    HardBallSystem,
+    balls_to_cone,
+    conjugacy_check,
+    simulate_balls,
+)
 from conebilliards.harness import interior_starts, make_rng, random_cone
 from conebilliards.minimax import FaceDistance, min_max_abs_margin
 from conebilliards.simulator import (
@@ -188,16 +196,14 @@ class TestOneEigenvaluePerCone:
                 assert cone.lambda_min == min_eigenvalue(gram(cone))
 
     def test_make_cone_solves_once(self, monkeypatch):
-        import conebilliards.geometry as geometry
-
         calls = []
-        original = geometry.jacobi_eigenvalues
+        original = geometry.min_eigenvalue
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(geometry, "jacobi_eigenvalues", counting)
+        monkeypatch.setattr(geometry, "min_eigenvalue", counting)
         cone = make_cone(3, [(1, 0, 0), (0.6, 0.8, 0), (0, 0.3, 1)])
         cone.lambda_min
         gram(cone)
@@ -212,6 +218,154 @@ class TestOneEigenvaluePerCone:
                     assert np.array_equal(new.normals, ref.normals)
         wide = random_cone(3, 5, 7, 11)
         assert np.array_equal(wide.normals, random_cone_reference(3, 5, 7, 11).normals)
+
+
+    def test_library_routes_call_no_jacobi(self, monkeypatch):
+        # The cyclic Jacobi stays only as a reference for the tests.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            raise AssertionError("jacobi_eigenvalues called")
+
+        monkeypatch.setattr(geometry, "jacobi_eigenvalues", counting)
+        for n in (2, 3, 5):
+            bounds_report(random_cone(n, n, 20241, n * 1000))
+        bounds_report(random_cone(3, 5, 7, 0))
+        rng = make_rng(904, 0)
+        for balls in (3, 6):
+            masses = 10.0 ** rng.uniform(-1.0, 1.0, balls)
+            system = HardBallSystem(masses, np.cumsum(rng.random(balls) + 0.1), rng.standard_normal(balls))
+            conjugacy_check(system)
+            simulate_balls(system)
+        assert calls == []
+
+
+def unit_rows_reference(rows):
+    """make_cone's row normalization before plain norms came first: every
+    row scaled by a power of two near its largest |entry|, then divided by
+    its norm.  Returns (lengths, unit rows); a zero row's unit row is NaN."""
+    _, exponents = np.frexp(np.abs(rows).max(axis=1))
+    scaled = np.ldexp(rows, -exponents[:, None])
+    scaled_norms = np.linalg.norm(scaled, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.ldexp(scaled_norms, exponents), scaled / scaled_norms[:, None]
+
+
+def test_plain_norms_match_scaled_rows():
+    # Plain norms first, and the power-of-two scaling only for rows below
+    # 1e-150 or past the float range: every unit row and every renormalized
+    # flag stays as it was, at every scale the cone accepts.
+    rng = make_rng(905, 0)
+    for k in range(400):
+        m = 2 + k % 5
+        rows = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-11.0, 11.0, (m, 1))
+        if k % 4 == 0:  # entries whose squares underflow beside the others
+            rows[0, 1:] *= 10.0 ** rng.uniform(-300.0, -140.0, m - 1)
+        if k % 4 == 1:  # and rows whose squares overflow
+            rows[-1] *= 10.0 ** rng.uniform(150.0, 296.0)
+        norms, unit = unit_rows_reference(rows)
+        if norms.min() < 1e-12:
+            with pytest.raises(ZeroVector):
+                make_cone(m, rows)
+            continue
+        cone = make_cone(m, rows)
+        assert np.array_equal(cone.normals, unit)
+        assert cone.renormalized == bool(np.any(np.abs(norms - 1.0) > 1e-6))
+    # Below 1e-12 a row is a zero vector on either side of 1e-150.
+    for scale in (1e-13, 1e-149, 1e-151, 1e-300, 5e-324):
+        rows = np.eye(3)
+        rows[1] = rng.standard_normal(3) * scale
+        assert unit_rows_reference(rows)[0][1] < 1e-12
+        with pytest.raises(ZeroVector):
+            make_cone(3, rows)
+
+
+def simulate_balls_reference(system, max_events):
+    """The event loop on numpy arrays of the ball coordinates."""
+    x = np.array(system.positions)
+    v = np.array(system.velocities)
+    m = system.masses
+    n = system.n_balls
+    t = 0.0
+    events = []
+    terminal = None
+    while len(events) < max_events:
+        gaps = np.diff(x)
+        closing = v[:-1] - v[1:]
+        approaching = closing > APPROACH_TOL
+        if not approaching.any():
+            terminal = Terminal.ESCAPED
+            break
+        times = np.full(n - 1, np.inf)
+        times[approaching] = np.maximum(0.0, gaps[approaching] / closing[approaching])
+        i = int(times.argmin())
+        t_hit = float(times[i])
+        times[i] = np.inf
+        if float(times.min()) - t_hit < CORNER_REL_TOL * (1.0 + t_hit):
+            x = x + t_hit * v
+            t += t_hit
+            terminal = Terminal.CORNER_HIT
+            break
+        x = x + t_hit * v
+        x[i + 1] = x[i]
+        t += t_hit
+        mi, mj = m[i], m[i + 1]
+        vi, vj = v[i], v[i + 1]
+        v[i] = ((mi - mj) * vi + 2.0 * mj * vj) / (mi + mj)
+        v[i + 1] = ((mj - mi) * vj + 2.0 * mi * vi) / (mi + mj)
+        events.append(
+            BallEvent(t=t, pair=(i, i + 1), velocities_after=(float(v[i]), float(v[i + 1])))
+        )
+    return events, terminal or Terminal.STEP_LIMIT, x, v, t
+
+
+def _assert_same_balls(system, max_events):
+    traj = simulate_balls(system, max_events=max_events)
+    events, terminal, x, v, t = simulate_balls_reference(system, max_events)
+    assert traj.terminal is terminal
+    assert [(e.t, e.pair, e.velocities_after) for e in traj.events] == [
+        (e.t, e.pair, e.velocities_after) for e in events
+    ]
+    for ours, ref in zip(traj.events, events):
+        assert type(ours.t) is type(ref.t) is float
+        assert all(type(u) is float for u in ours.velocities_after)
+    assert traj.final_positions.dtype == traj.final_velocities.dtype == np.float64
+    assert np.array_equal(traj.final_positions, x) and np.array_equal(traj.final_velocities, v)
+    assert traj.final_time == t and type(traj.final_time) is type(t)
+    return traj
+
+
+class TestSimulateBallsAgainstReference:
+    def test_random_systems(self):
+        rng = make_rng(906, 0)
+        terminals = set()
+        for k in range(600):
+            balls = 2 + k % 8
+            masses = 10.0 ** rng.uniform(-2.0, 2.0, balls)
+            positions = np.cumsum(rng.random(balls) + 1e-3)
+            velocities = rng.standard_normal(balls)
+            if k % 7 == 0:
+                velocities[rng.integers(balls)] = 0.0
+            system = HardBallSystem(masses, positions, velocities)
+            cone, _ = balls_to_cone(masses)
+            cap = step_cap(balls - 1, cone.lambda_min)
+            terminals.add(_assert_same_balls(system, cap).terminal)
+            _assert_same_balls(system, 1 + k % 3)
+        assert terminals == {Terminal.ESCAPED}
+
+    def test_tie_rest_and_budget(self):
+        # Two pairs closing at once, every ball at rest, and a budget that
+        # stops a trajectory early.
+        tie = HardBallSystem(np.ones(3), np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, -1.0]))
+        assert _assert_same_balls(tie, 10).terminal is Terminal.CORNER_HIT
+        rest = HardBallSystem(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.0]), np.zeros(3))
+        assert _assert_same_balls(rest, 10).terminal is Terminal.ESCAPED
+        chase = HardBallSystem(
+            np.array([100.0, 0.01, 100.0]), np.array([0.0, 1.0, 2.5]), np.array([1.0, 0.0, -1.0])
+        )
+        assert _assert_same_balls(chase, 2).terminal is Terminal.STEP_LIMIT
+        assert _assert_same_balls(chase, 10_000).n_collisions > 2
 
 
 def _assert_same_starts(cone, center, count, seed, stream):

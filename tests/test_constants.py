@@ -596,3 +596,18 @@ def test_constant_estimate_validates_certificate():
             ConstantEstimate(
                 value=0.1, certified_lower=0.5, method=EstimateMethod.multistart, starts_used=1
             )
+
+
+@pytest.mark.parametrize(
+    "fn", [capacity_delta, charge_SQ, charge_phi, bfk_constant, inscribed_ball, bounds_report]
+)
+@pytest.mark.parametrize(
+    "bad",
+    [[(1.0, 0.0), (0.0, 1.0)], np.eye(2), None, "cone", gram(make_cone(2, np.eye(2)))],
+    ids=["list", "array", "none", "text", "gram"],
+)
+def test_constants_take_only_a_cone(fn, bad):
+    # Raw normals used to reach `cone.span` and end in a bare AttributeError.
+    with pytest.raises(ConeBilliardsError) as info:
+        fn(bad)
+    assert isinstance(info.value, TypeError)

@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conebilliards.errors import (
     DegenerateArrangement,
     DimensionMismatch,
     InvalidState,
+    NotPositiveDefinite,
     ZeroVector,
 )
 from conebilliards.geometry import (
@@ -25,7 +27,9 @@ from conebilliards.geometry import (
     min_eigenvalue,
     require_positive_definite,
 )
+from conebilliards.hardball import balls_to_cone
 from conebilliards.harness import make_rng, random_cone, sphere_sample
+from conebilliards.wedge import wedge_from_angle
 
 from conftest import cone_suite
 
@@ -349,3 +353,131 @@ def test_random_cone_determinism():
 def test_random_cone_conditioning():
     cone = random_cone(3, 3, 7)
     assert cone.lambda_min > 0.0
+
+
+def test_caller_arrays_stay_writable():
+    # Each frozen field is a read-only copy: the caller's array stays
+    # writable and shares no memory with it.
+    from conebilliards.constants import tridiagonal_case
+    from conebilliards.geometry import InscribedBall
+    from conebilliards.hardball import HardBallSystem
+    from conebilliards.simulator import BilliardState
+
+    def check(given, stored):
+        assert given.flags.writeable and not stored.flags.writeable
+        assert not np.shares_memory(given, stored)
+
+    g = np.eye(3)
+    tridiagonal_case(g)
+    min_eigenvalue(g)
+    require_positive_definite(g)
+    check(g, GramMatrix(order=3, entries=g).entries)
+    normals = np.eye(2)
+    check(normals, ConeSpec(dim=2, normals=normals).normals)
+    check(normals, make_cone(2, normals).normals)
+    e = np.array([0.6, 0.8])
+    check(e, InscribedBall(d=0.6, e=e).e)
+    masses, positions, velocities = np.ones(3), np.arange(3.0), np.zeros(3)
+    balls = HardBallSystem(masses=masses, positions=positions, velocities=velocities)
+    check(masses, balls.masses)
+    check(positions, balls.positions)
+    check(velocities, balls.velocities)
+    q, v = np.array([1.0, 2.0]), np.array([0.6, -0.8])
+    state = BilliardState(q=q, v=v)
+    check(q, state.q)
+    check(v, state.v)
+
+
+def _ldl_pivots(entries, shift):
+    """The pivots of an LDL^T factorization of entries - shift * I in exact
+    rationals, up to the first that is not positive."""
+    n = len(entries)
+    a = [[Fraction(x) for x in row] for row in entries.tolist()]
+    for i in range(n):
+        a[i][i] -= Fraction(shift)
+    pivots = []
+    for k in range(n):
+        pivots.append(a[k][k])
+        if a[k][k] <= 0:
+            break
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return pivots
+
+
+class TestCertifiedLambdaMin:
+    def test_exact_rational_certificate(self):
+        # G - lambda_min I of the stored Gram matrix is positive definite in
+        # exact arithmetic, so lambda_min is below every eigenvalue of G.
+        cones = [random_cone(n, n, 20241, n * 1000 + c) for n in range(2, 9) for c in range(5)]
+        rng = make_rng(907, 0)
+        for balls in range(3, 12):
+            cones.append(balls_to_cone(np.ones(balls))[0])
+            cones.append(balls_to_cone(10.0 ** rng.uniform(-1.0, 1.0, balls))[0])
+        assert len(cones) >= 44
+        for cone in cones:
+            pivots = _ldl_pivots(cone.gram_matrix.entries, cone.lambda_min)
+            assert len(pivots) == cone.n_walls and min(pivots) > 0
+
+    def test_orthants_are_exact(self):
+        for n in range(1, 9):
+            for normals in (np.eye(n), -np.eye(n)[::-1]):
+                cone = make_cone(n, normals)
+                assert cone.lambda_min == 1.0
+                assert bounds_report(cone).bound_main == math.factorial(n) * 4.0 ** (n - 1)
+
+    def test_tight_on_random_cones(self):
+        for n in range(2, 17):
+            for c in range(3):
+                cone = random_cone(n, n, 20241, n * 1000 + c)
+                lam = float(np.linalg.eigvalsh(cone.gram_matrix.entries)[0])
+                assert 0.0 < cone.lambda_min <= lam
+                assert cone.lambda_min >= lam * (1.0 - 1e-7)
+
+    def test_thin_wedges(self):
+        # A 2x2 Gram matrix with unit diagonal has lambda_min = 1 - |g_12|,
+        # and its Gershgorin end is that difference, rounded down.
+        for theta in (3e-8, 1e-7):
+            cone = wedge_from_angle(theta).cone
+            g = cone.gram_matrix.entries
+            assert g[0, 0] == g[1, 1] == 1.0
+            exact = 1.0 - abs(g[0, 1])  # exact by Sterbenz's lemma
+            assert cone.lambda_min == math.nextafter(exact, 0.0)
+        # Below about 1.05e-8, cos(theta) rounds to 1: the stored Gram
+        # matrix is singular.
+        with pytest.raises(DegenerateArrangement):
+            wedge_from_angle(1e-8)
+
+    @staticmethod
+    def _thin_cone(eps):
+        # Two walls and a third at angle eps from their span: lambda_min is
+        # about eps^2 / 2, and no Gershgorin row certifies it.
+        c = math.cos(eps) / math.sqrt(2.0)
+        return make_cone(3, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (c, c, math.sin(eps))])
+
+    def test_thin_cone_boundary(self):
+        # At eps = 1e-7 the Jacobi value 5.0e-15 was taken as lambda_min;
+        # the certified end is not above 1e-18 there, so the cone raises.
+        with pytest.raises(DegenerateArrangement):
+            self._thin_cone(1e-7)
+        cone = self._thin_cone(2e-7)
+        pivots = _ldl_pivots(cone.gram_matrix.entries, cone.lambda_min)
+        assert 1e-18 < cone.lambda_min and min(pivots) > 0
+
+    def test_larger_end_of_two(self):
+        # Diagonal rows are exact, a dense block takes the Cholesky end, and
+        # an indefinite or zero matrix still gets a lower end.
+        g = np.eye(4)
+        g[2, 3] = g[3, 2] = 0.5
+        assert min_eigenvalue(g) <= 0.5
+        assert min_eigenvalue(g) >= 0.5 - 1e-14
+        assert min_eigenvalue(np.diag([3.0, 2.0, 5.0])) == 2.0
+        assert min_eigenvalue(np.diag([1e308, 1e308])) == 1e308  # tr|G| is inf
+        assert min_eigenvalue(-np.eye(3)) == -1.0
+        assert min_eigenvalue(np.zeros((2, 2))) == 0.0
+        assert -1.0 - 1e-14 <= min_eigenvalue(np.array([[0.0, 1.0], [1.0, 0.0]])) <= -1.0
+        with pytest.raises(NotPositiveDefinite):
+            require_positive_definite(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert not GramMatrix(order=2, entries=np.ones((2, 2))).is_positive_definite

@@ -340,13 +340,13 @@ def test_span_solves_no_eigenvalues_after_the_report(monkeypatch):
     # by the first reader.  Every later reader takes it as it is.
     cone = random_cone(3, 5, 7, 0)
     calls = []
-    solve = geometry.jacobi_eigenvalues
+    solve = geometry.min_eigenvalue
 
-    def counted(matrix):
-        calls.append(matrix.shape)
-        return solve(matrix)
+    def counted(g):
+        calls.append(g.entries.shape)
+        return solve(g)
 
-    monkeypatch.setattr(geometry, "jacobi_eigenvalues", counted)
+    monkeypatch.setattr(geometry, "min_eigenvalue", counted)
     report = bounds_report(cone)
     assert calls == [(3, 3)]
     rng = make_rng(5, 0)
