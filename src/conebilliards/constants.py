@@ -267,8 +267,7 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
             closed = min(vertex.value, 1.0)
             return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
 
-    seed = inscribed_ball(cone).e
-    bracket = minimax.outer_approximation_min_max_face_distance(cone, seed, vertex)
+    bracket = minimax.outer_approximation_min_max_face_distance(cone, vertex)
     value = bracket.hi
     lower = max(lower, bracket.lo)
 

@@ -28,9 +28,6 @@ from .errors import (
 NORM_WARN_TOL = 1e-6
 # Smallest singular value of the normal matrix below this is degenerate.
 INDEPENDENCE_TOL = 1e-9
-# Rows whose plain Euclidean norm is below this (or past the float range)
-# are rescaled by a power of two before their norm is taken.
-_PLAIN_NORM_MIN = 1e-150
 # Unit roundoff of IEEE double precision.
 _UNIT_ROUNDOFF = 2.0 ** -53
 # Cyclic Jacobi stops once the off-diagonal Frobenius norm is below
@@ -214,43 +211,25 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("eigensolver needs a non-empty square matrix")
     if not np.isfinite(a).all():
         raise DegenerateArrangement("eigensolver needs finite entries")
-    if n == 1:
-        return a.diagonal().copy()
-
-    # Rotations run on Python float rows: the same IEEE operations as
-    # numpy slices, in the same order, without per-slice call overhead.
-    rows = a.tolist()
     for _ in range(_JACOBI_MAX_SWEEPS):
-        a = np.array(rows)
         off = math.sqrt(max(0.0, (a * a).sum() - (a.diagonal() ** 2).sum()))
         if off < _JACOBI_OFF_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = rows[p][q]
+                apq = a[p, q]
                 if abs(apq) < 1e-300:  # denormal pivots would overflow tau
-                    rows[p][q] = 0.0
-                    rows[q][p] = 0.0
+                    a[p, q] = a[q, p] = 0.0
                     continue
                 # Rotation angle that zeroes a[p, q].
-                tau = (rows[q][q] - rows[p][p]) / (2.0 * apq)
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
-                row_p = rows[p]
-                row_q = rows[q]
-                rows[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
-                rows[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
-                for r in rows:
-                    x = r[p]
-                    y = r[q]
-                    r[p] = c * x - s * y
-                    r[q] = s * x + c * y
-                rows[p][q] = 0.0
-                rows[q][p] = 0.0
-
-    diagonal = np.array([rows[i][i] for i in range(n)])
-    return diagonal[np.argsort(diagonal, kind="stable")]
+                a[p], a[q] = c * a[p] - s * a[q], s * a[p] + c * a[q]
+                a[:, p], a[:, q] = c * a[:, p] - s * a[:, q], s * a[:, p] + c * a[:, q]
+                a[p, q] = a[q, p] = 0.0
+    return np.sort(a.diagonal(), kind="stable")
 
 
 def make_cone(dim: int, normals) -> ConeSpec:
@@ -285,12 +264,14 @@ def make_cone(dim: int, normals) -> ConeSpec:
     with np.errstate(over="ignore"):  # a length past the float range is inf
         norms = np.linalg.norm(arr, axis=1)
     rows, lengths = arr, norms
-    odd = (norms < _PLAIN_NORM_MIN) | (norms == math.inf)
+    odd = norms == math.inf
     if odd.any():
-        # These rows are scaled by a power of two near their largest |entry|
-        # before their norm is taken, so the squares neither overflow nor
-        # underflow; the scaling is exact, and so is undoing it for the
-        # row's length.  On the other rows it would change no bit.
+        # A row whose norm is past the float range is scaled by a power of
+        # two near its largest |entry| before its norm is taken, so the
+        # squares do not overflow; the scaling is exact, and so is undoing it
+        # for the row's length.  No row needs it against underflow: a row of
+        # norm 1e-12 or more has an entry whose square does not underflow,
+        # and a smaller one is a zero vector.
         _, exponents = np.frexp(np.abs(arr[odd]).max(axis=1))
         rows, lengths = arr.copy(), norms.copy()
         rows[odd] = np.ldexp(arr[odd], -exponents[:, None])
@@ -329,6 +310,14 @@ def min_eigenvalue(g) -> float:
     """
     a = as_gram(g).entries
     return max(_cholesky_end(a), _gershgorin_end(a))
+
+
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    """The rows of z scaled to unit length; a row whose norm is below 1e-12
+    is left as it is."""
+    norms = np.linalg.norm(z, axis=-1)
+    norms[norms < 1e-12] = 1.0
+    return z / norms[..., None]
 
 
 def _down(x: float) -> float:
@@ -419,20 +408,14 @@ def orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
     of the rows before it."""
     basis = np.zeros(vectors.shape)
     for i, v in enumerate(vectors):
-        basis[i] = gram_schmidt_row(v, basis[:i])
+        w = v.copy()
+        for b in basis[:i]:
+            w -= (w @ b) * b
+        nw = np.linalg.norm(w)
+        if nw <= INDEPENDENCE_TOL:
+            raise DegenerateArrangement("normals are dependent under orthogonalization")
+        basis[i] = w / nw
     return basis
-
-
-def gram_schmidt_row(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The next row of `orthonormal_rows` after the orthonormal rows of
-    `basis`: v less its parts along them in order, normalized."""
-    w = v.copy()
-    for b in basis:
-        w -= (w @ b) * b
-    nw = np.linalg.norm(w)
-    if nw <= INDEPENDENCE_TOL:
-        raise DegenerateArrangement("normals are dependent under orthogonalization")
-    return w / nw
 
 
 def contains(cone: ConeSpec, point, tol: float = 0.0) -> bool:

@@ -130,9 +130,10 @@ def simulate_balls(system: HardBallSystem, max_events: int | None = None) -> Bal
     """Event-driven elastic simulation until separation or the event budget.
 
     Two leading collision times within relative tolerance form a multiple
-    contact, reported as Terminal.CORNER_HIT exactly like the cone simulator.
-    Raises InvalidState for a budget that is not an integer >= 1, as `run`
-    does.
+    contact, reported as Terminal.CORNER_HIT exactly like the cone simulator,
+    and, as there, a first collision time past the float range is an
+    escape.  Raises InvalidState for a budget that is not an integer >= 1,
+    as `run` does.
     """
     n = system.n_balls
     if max_events is None:
@@ -153,16 +154,16 @@ def simulate_balls(system: HardBallSystem, max_events: int | None = None) -> Bal
     terminal = None
     while len(events) < max_events:
         times = [math.inf] * (n - 1)
-        approaching = False
         for k in pairs:
             closing = v[k] - v[k + 1]
             if closing > APPROACH_TOL:
                 times[k] = max(0.0, (x[k + 1] - x[k]) / closing)
-                approaching = True
-        if not approaching:
+        t_hit = min(times)
+        if t_hit == math.inf:
+            # No pair approaches, or the first hit time is past the float
+            # range: an escape, as in the cone kernel's `_first_hits`.
             terminal = Terminal.ESCAPED
             break
-        t_hit = min(times)
         i = times.index(t_hit)
         times[i] = math.inf
         x = [xk + t_hit * vk for xk, vk in zip(x, v)]
@@ -207,7 +208,8 @@ def conjugacy_check(system: HardBallSystem) -> ConjugacyReport:
 
     Event counts and wall/pair index sequences must agree exactly; event
     times agree within 1e-8 relative after rescaling cone time by the
-    mass-weighted speed.
+    mass-weighted speed.  A NaN time error (inf / inf, where the rescaled
+    ball time is past the float range) is reported and fails the match.
     """
     cone, cmap = balls_to_cone(system.masses)
     horizon = step_cap(cone.n_walls, cone.lambda_min)
@@ -227,7 +229,10 @@ def conjugacy_check(system: HardBallSystem) -> ConjugacyReport:
         for ball_ev, cone_ev in zip(balls.events, cone_events):
             expected = speed * ball_ev.t
             err = abs(cone_ev.t - expected) / max(1.0, abs(expected))
-            max_err = max(max_err, err)
+            # max() would drop a NaN error (inf / inf); it is kept, and
+            # fails the match below.
+            if not err <= max_err and not math.isnan(max_err):
+                max_err = err
     matched = (
         sequences_match
         and balls.terminal == cone_terminal

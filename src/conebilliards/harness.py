@@ -18,7 +18,7 @@ from .errors import DegenerateArrangement, DegenerateSampling, DimensionMismatch
 # `audit` and `jacobi_eigenvalues` are not called here; they stay importable
 # from this module, where the profiling code in perfbench/ looks them up by
 # name.
-from .geometry import ConeSpec, is_int, jacobi_eigenvalues, make_cone
+from .geometry import ConeSpec, _unit_rows, is_int, jacobi_eigenvalues, make_cone
 from .simulator import (
     BilliardState,
     TrajectoryRecord,
@@ -62,16 +62,9 @@ def gaussians(rng: np.random.Generator, count: int) -> np.ndarray:
     return _box_muller(u[:pairs], u[pairs:])[:count]
 
 
-def _to_sphere(z: np.ndarray) -> np.ndarray:
-    """Rows of z (along the last axis) scaled to unit length."""
-    norms = np.linalg.norm(z, axis=-1)
-    norms[norms < 1e-12] = 1.0
-    return z / norms[..., None]
-
-
 def sphere_sample(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """`count` points uniform on the unit sphere in R^dim."""
-    return _to_sphere(gaussians(rng, count * dim).reshape(count, dim))
+    return _unit_rows(gaussians(rng, count * dim).reshape(count, dim))
 
 
 def random_cone(n: int, dim: int, seed: int, stream: int = 0) -> ConeSpec:
@@ -132,7 +125,7 @@ def interior_starts(
         u = rng.random((block, per_round))
         z = _box_muller(u[:, :pairs], u[:, pairs : 2 * pairs])[:, : p * dim]
         radii = u[:, 2 * pairs :].reshape(-1) ** (1.0 / dim)
-        cand = center + 0.1 * radii[:, None] * _to_sphere(z.reshape(-1, dim))
+        cand = center + 0.1 * radii[:, None] * _unit_rows(z.reshape(-1, dim))
         inside = _row_min(cand @ a) >= 0.0  # round r holds rows r*p .. r*p + p - 1
         first = int(inside.argmax())
         if not inside[first]:
@@ -366,10 +359,8 @@ def adversarial_search(cone: ConeSpec, budget: int, seed: int) -> SearchResult:
                 break
             evaluate(q, v)
 
-    n_random = max(1, (budget - evaluations) // 2)
-    for _ in range(n_random):
-        if evaluations >= budget:
-            break
+    # The hugging starts stop at budget // 2, so these fit in the budget.
+    for _ in range(max(1, (budget - evaluations) // 2)):
         state = interior_start(rng, work, center)
         evaluate(np.array(state.q), np.array(state.v))
 

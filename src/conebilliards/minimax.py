@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateArrangement, InvalidParameter
-from .geometry import ConeSpec, gram_schmidt_row
+from .geometry import ConeSpec, _unit_rows, orthonormal_rows
 
 # Eigenvectors of G^-1 whose sign patterns start the flip ascent, beside
 # all ones, and the least relative rise of s^T G^-1 s that counts as a flip.
@@ -87,12 +87,6 @@ _VERTEX_ERROR = 1e-12
 # Points per distances_and_feet call in max_face_distance, which bounds the
 # feet array (k, n, m).
 _MAX_DISTANCE_ROWS = 1 << 12
-
-
-def _normalize_rows(y: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(y, axis=1)
-    n[n < 1e-300] = 1.0
-    return y / n[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +390,7 @@ def _tangent_zoom(f_batch, center: np.ndarray, radius: float):
             + uu.reshape(-1, 1) * t1[None, :]
             + vv.reshape(-1, 1) * t2[None, :]
         )
-    pts = _normalize_rows(pts)
+    pts = _unit_rows(pts)
     vals = f_batch(pts)
     j = int(np.argmin(vals))
     return float(vals[j]), pts[j].copy()
@@ -457,24 +451,21 @@ class FaceDistance:
         arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
         self.normals = arr
         self.n, self.m = arr.shape
-        # One projector per row tuple (i, j < k < ...), from its prefix's
-        # basis: the rows `orthonormal_rows` gives, bit for bit.
-        projectors = {}
-        stack = [((i,), gram_schmidt_row(arr[i], arr[:0])[None]) for i in range(self.n)]
-        while stack:
-            rows, basis = stack.pop()
-            projectors[rows] = np.eye(self.m) - basis.T @ basis
-            for j in range(rows[-1] + 1 if len(rows) > 1 else 0, self.n):
-                if j != rows[0]:
-                    stack.append(((*rows, j), np.vstack([basis, gram_schmidt_row(arr[j], basis)])))
+
+        # I - U^T U for the orthonormal basis U of the rows in the tuple:
+        # the projector onto the subspace where those walls' margins are 0.
+        def projector(rows):
+            basis = orthonormal_rows(arr[list(rows)])
+            return np.eye(self.m) - basis.T @ basis
+
         faces = [
-            projectors[(i, *extra)]
+            projector((i, *extra))
             for i in range(self.n)
             for k in range(self.n)
             for extra in itertools.combinations([j for j in range(self.n) if j != i], k)
         ]
         cone = [np.eye(self.m)] + [
-            projectors[subset]
+            projector(subset)
             for k in range(1, self.n + 1)
             for subset in itertools.combinations(range(self.n), k)
         ]
@@ -562,7 +553,7 @@ def multistart_min_max_face_distance(face: FaceDistance, interior_seed: np.ndarr
     norms = np.linalg.norm(y, axis=1)
     y[norms < 1e-9] = interior_seed
     y = np.vstack([y, interior_seed[None, :]])
-    y = _normalize_rows(y)
+    y = _unit_rows(y)
     total = y.shape[0]
 
     dists, feet = face.distances_and_feet(y)
@@ -584,7 +575,7 @@ def multistart_min_max_face_distance(face: FaceDistance, interior_seed: np.ndarr
         cn = np.linalg.norm(cand, axis=1)
         dead = cn < 1e-9
         cand[dead] = y[dead]
-        cand = _normalize_rows(cand)
+        cand = _unit_rows(cand)
         cand_d, cand_feet = face.distances_and_feet(cand)
         cand_f = cand_d.max(axis=1)
         better = cand_f < f
@@ -611,17 +602,18 @@ def multistart_min_max_face_distance(face: FaceDistance, interior_seed: np.ndarr
 # C by outer approximation
 # ---------------------------------------------------------------------------
 
-def _pushed_inside(normals: np.ndarray, y, inward):
+def _pushed_inside(cone: ConeSpec, y):
     """Two rows of y as a feasible unit point, or None.
 
-    y moves toward the interior point `inward` until every margin is at
-    least _PUSH (by about _PUSH / the least margin of `inward`, which
-    bounds the change in f) and is normalized.  Two rows keep the
-    products on BLAS's matrix-matrix path: a one-row product can round the
-    last bit otherwise, which would move the ends that C reports without
-    rounds (past n = 14) by an ulp.
+    y moves toward the ball's centre e (`cone.ball`) until every margin is
+    at least _PUSH (by about _PUSH / the least margin of e, which bounds the
+    change in f) and is normalized.  Two rows keep the products on BLAS's
+    matrix-matrix path: a one-row product can round the last bit otherwise,
+    which would move the ends that C reports without rounds (past n = 14)
+    by an ulp.
     """
-    at = normals.T
+    at = cone.normals.T
+    inward = cone.ball.e
     pair = np.vstack([y, y])
     margin = (pair @ at)[0].min()
     if margin < _PUSH:
@@ -629,7 +621,7 @@ def _pushed_inside(normals: np.ndarray, y, inward):
         if not depth > 0.0:
             return None
         pair = pair + (2.0 * _PUSH - margin) / depth * inward
-    pair = _normalize_rows(pair)
+    pair = _unit_rows(pair)
     if (pair @ at).min() < 0.0:
         return None
     return pair
@@ -747,7 +739,8 @@ class Bracket(NamedTuple):
     hi: float
     # The feasible unit point whose largest face distance is hi.
     best: np.ndarray
-    # Points evaluated: the seed, and the largest vertex of each round.
+    # Points evaluated: the ball's centre, and the largest vertex of each
+    # round.
     evaluations: int
     # False when the rounds stopped before the gap closed: at the vertex
     # cap, on a round that cut off no vertex, or with no rounds at all.
@@ -755,7 +748,7 @@ class Bracket(NamedTuple):
 
 
 def outer_approximation_min_max_face_distance(
-    cone: ConeSpec, interior_seed: np.ndarray, vertex: ZeroOneVertex | None
+    cone: ConeSpec, vertex: ZeroOneVertex | None
 ) -> Bracket:
     """Certified bracket on C = min over unit y in the cone of max_i dist(y, B_i).
 
@@ -772,26 +765,27 @@ def outer_approximation_min_max_face_distance(
     * hi = min(hi, f(v / |v|)), with v / |v| moved inside the cone by
       `_pushed_inside` and f from the feet of
       `nearest_point_face_distances`, an upper end whether or not its
-      NNLS solves converged; the seed is evaluated first;
+      NNLS solves converged; the ball's centre e (`cone.ball`) is
+      evaluated first;
     * every face with dist(v, B_i) > 1 adds the cut of `_cuts` to P_k.
 
     The rounds stop when hi - lo <= 1e-4, when a round cuts off no vertex,
     or before an update would take the vertex list past _VERTEX_CAP.  When
     2^n already passes the cap, or without a vertex, there are no rounds:
-    hi is f at the seed and at y_Q, and lo is delta_Q less its allowance
+    hi is f at e and at y_Q, and lo is delta_Q less its allowance
     (0 without a vertex).
     """
-    return _outer_approximation(cone, interior_seed, vertex)[0]
+    return _outer_approximation(cone, vertex)[0]
 
 
-def _outer_approximation(cone: ConeSpec, interior_seed, vertex):
+def _outer_approximation(cone: ConeSpec, vertex):
     """`outer_approximation_min_max_face_distance`, and its last P_k (None
     without rounds)."""
-    hi, best, evaluations = math.inf, interior_seed, 0
+    hi, best, evaluations = math.inf, cone.ball.e, 0
 
     def evaluate(y):
         nonlocal hi, best, evaluations
-        pair = _pushed_inside(cone.normals, y, interior_seed)
+        pair = _pushed_inside(cone, y)
         if pair is None:
             return None
         u = pair[0]
@@ -801,7 +795,7 @@ def _outer_approximation(cone: ConeSpec, interior_seed, vertex):
             hi, best = float(dists.max()), u
         return u, dists, feet
 
-    evaluate(interior_seed)
+    evaluate(cone.ball.e)
     if vertex is None:
         return Bracket(0.0, hi, best, evaluations, False), None
     lo = vertex.value - _VERTEX_ERROR

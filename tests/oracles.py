@@ -18,7 +18,8 @@ import numpy as np
 from conebilliards import minimax
 from conebilliards.constants import inscribed_ball
 from conebilliards.errors import DegenerateArrangement
-from conebilliards.minimax import _ITERS, FaceDistance, _normalize_rows
+from conebilliards.geometry import _unit_rows
+from conebilliards.minimax import _ITERS, FaceDistance
 
 # Fixed scramble seed: starts are low-discrepancy yet reproducible.
 _SOBOL_SEED = 20090
@@ -69,7 +70,7 @@ def multistart_min_max_abs(normals: np.ndarray):
         s = np.sign(margins[rows, idx])
         s[s == 0.0] = 1.0
         grad = s[:, None] * arr[idx]
-        cand = _normalize_rows(y - eta[:, None] * grad)
+        cand = _unit_rows(y - eta[:, None] * grad)
         cand_margins = cand @ arr.T
         cand_f = np.abs(cand_margins).max(axis=1)
         better = cand_f < f

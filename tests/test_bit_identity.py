@@ -1,9 +1,10 @@
-"""The fast paths of the eigenvalue solve, the cone sampler, the start
-sampler, the row normalization, the face-distance projector table, the
-stepping kernel and the hard-ball event loop against the code they replaced
-(kept here as reference oracles) or against the scalar `run`: every output
-must agree bit for bit, and the random generator must end in the same
-state."""
+"""The fast paths of the cone sampler, the start sampler, the row
+normalization, the stepping kernel and the hard-ball event loop against the
+code they replaced (kept here as reference oracles) or against the scalar
+`run`: every output must agree bit for bit, and the random generator must
+end in the same state.  The tests' own reference solvers, the cyclic Jacobi
+and the face-distance projector table, are checked against numpy's
+`eigvalsh` and `pinv`."""
 
 import itertools
 import math
@@ -20,7 +21,6 @@ from conebilliards.geometry import (
     jacobi_eigenvalues,
     make_cone,
     min_eigenvalue,
-    orthonormal_rows,
 )
 from conebilliards.hardball import (
     BallEvent,
@@ -46,51 +46,6 @@ from conebilliards.simulator import (
 from conebilliards.wedge import wedge_from_angle
 
 
-def jacobi_eigenvalues_reference(matrix, off_tol=1e-13, max_sweeps=100, with_vectors=False):
-    """Cyclic Jacobi with every rotation applied to numpy row and column slices."""
-    a = np.array(matrix, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    v = np.eye(n) if with_vectors else None
-    if n == 1:
-        vals = a.diagonal().copy()
-        return (vals, v) if with_vectors else vals
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, (a * a).sum() - (a.diagonal() ** 2).sum()))
-        if off < off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-    order = np.argsort(a.diagonal(), kind="stable")
-    vals = a.diagonal()[order].copy()
-    if with_vectors:
-        return vals, v[:, order]
-    return vals
-
-
 def _gaussians_reference(rng, count):
     pairs = (count + 1) // 2
     u1 = 1.0 - rng.random(pairs)
@@ -114,7 +69,7 @@ def random_cone_reference(n, dim, seed, stream=0):
     rng = make_rng(seed, stream)
     for _ in range(1000):
         normals = _sphere_sample_reference(rng, n, dim)
-        lam = float(jacobi_eigenvalues_reference(normals @ normals.T)[0])
+        lam = float(jacobi_eigenvalues(normals @ normals.T)[0])
         if math.sqrt(max(lam, 0.0)) > 1e-3:
             return make_cone(dim, normals)
     raise AssertionError("no well-conditioned cone")
@@ -141,20 +96,25 @@ def interior_starts_reference(rng, cone, center, count):
     return q, v
 
 
-def _assert_same_eigenvalues(m):
-    assert np.array_equal(jacobi_eigenvalues(m), jacobi_eigenvalues_reference(m))
+def _assert_eigenvalues_match_numpy(m):
+    vals = jacobi_eigenvalues(m)
+    assert np.isfinite(vals).all()
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-12)
 
 
 class TestJacobi:
+    """The cyclic Jacobi, the tests' reference eigenvalue solver, against
+    LAPACK's symmetric solver."""
+
     def test_unit_row_grams_and_symmetric_matrices(self):
         rng = make_rng(901, 0)
         for n in range(1, 11):
             for _ in range(12):
                 rows = rng.standard_normal((n, n))
                 rows /= np.linalg.norm(rows, axis=1)[:, None]
-                _assert_same_eigenvalues(rows @ rows.T)
+                _assert_eigenvalues_match_numpy(rows @ rows.T)
                 s = rng.standard_normal((n, n))
-                _assert_same_eigenvalues(0.5 * (s + s.T))
+                _assert_eigenvalues_match_numpy(0.5 * (s + s.T))
 
     def test_zero_and_denormal_pivots(self):
         # Exact zeros, and a denormal between equal diagonal entries, take the
@@ -162,10 +122,8 @@ class TestJacobi:
         m = np.diag([3.0, 1.0, 2.0, 1.0])
         m[0, 2] = m[2, 0] = 0.25
         m[1, 3] = m[3, 1] = 5e-310
-        _assert_same_eigenvalues(m)
-        _assert_same_eigenvalues(np.eye(6))
-        vals = jacobi_eigenvalues(m)
-        assert np.isfinite(vals).all()
+        _assert_eigenvalues_match_numpy(m)
+        _assert_eigenvalues_match_numpy(np.eye(6))
 
     def test_sweep_cap(self, monkeypatch):
         import conebilliards.geometry as geometry
@@ -173,12 +131,12 @@ class TestJacobi:
         rng = make_rng(902, 0)
         s = rng.standard_normal((7, 7))
         m = 0.5 * (s + s.T)
+        full = jacobi_eigenvalues(m)
+        _assert_eigenvalues_match_numpy(m)
         for sweeps in (1, 2):
             monkeypatch.setattr(geometry, "_JACOBI_MAX_SWEEPS", sweeps)
-            ref = jacobi_eigenvalues_reference(m, max_sweeps=sweeps)
-            assert np.array_equal(jacobi_eigenvalues(m), ref)
-            # the cap binds: the reference's full run differs
-            assert not np.array_equal(ref, jacobi_eigenvalues_reference(m))
+            # the cap binds: the full run differs
+            assert not np.array_equal(jacobi_eigenvalues(m), full)
 
 
 class TestOneEigenvaluePerCone:
@@ -253,9 +211,9 @@ def unit_rows_reference(rows):
 
 
 def test_plain_norms_match_scaled_rows():
-    # Plain norms first, and the power-of-two scaling only for rows below
-    # 1e-150 or past the float range: every unit row and every renormalized
-    # flag stays as it was, at every scale the cone accepts.
+    # Plain norms first, and the power-of-two scaling only for rows past
+    # the float range: every unit row and every renormalized flag stays as
+    # it was, at every scale the cone accepts.
     rng = make_rng(905, 0)
     for k in range(400):
         m = 2 + k % 5
@@ -403,14 +361,15 @@ class TestInteriorStarts:
 
 
 def face_projectors_reference(normals):
-    """The projector tables of `FaceDistance`, one `orthonormal_rows` call
-    per row tuple: the faces' tuples (i, *extra), then the identity and the
-    cone's subsets in increasing order."""
+    """The projector tables of `FaceDistance` from the pseudoinverse: I -
+    pinv(A_T) A_T for the matrix A_T of each row tuple's rows, the faces'
+    tuples (i, *extra), then the identity and the cone's subsets in
+    increasing order."""
     n, m = normals.shape
 
     def projector(rows):
-        u = orthonormal_rows(normals[list(rows)])
-        return np.eye(m) - u.T @ u
+        a = normals[list(rows)]
+        return np.eye(m) - np.linalg.pinv(a) @ a
 
     faces = [
         projector((i, *extra))
@@ -435,8 +394,8 @@ def test_face_projectors_match_reference(n):
     ):
         face = FaceDistance(normals)
         faces, cone = face_projectors_reference(normals)
-        assert (face._faces == face._stack(faces)).all()
-        assert (face._cone == face._stack(cone)).all()
+        np.testing.assert_allclose(face._faces, face._stack(faces), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(face._cone, face._stack(cone), rtol=0.0, atol=1e-12)
 
 
 def min_max_abs_margin_reference(cone):

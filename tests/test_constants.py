@@ -276,9 +276,7 @@ class TestBfkConstant:
 
         cone = random_cone(4, 4, seed=20241, stream=4000)
         monkeypatch.setattr(minimax, "_VERTEX_CAP", 30)
-        bracket = minimax.outer_approximation_min_max_face_distance(
-            cone, inscribed_ball(cone).e, zero_one_vertex(cone)
-        )
+        bracket = minimax.outer_approximation_min_max_face_distance(cone, zero_one_vertex(cone))
         cut = bfk_constant(cone)
         assert not bracket.complete
         assert cut.method is EstimateMethod.outer_approximation
@@ -579,9 +577,8 @@ def test_bounds_report_imports_no_scipy():
             cone = conebilliards.random_cone(5, 5, seed=20241, stream=5000)
             conebilliards.bounds_report(cone)
             print(any(name.split(".")[0] == "scipy" for name in sys.modules))
-            seed = conebilliards.constants.inscribed_ball(cone).e
             vertex = minimax.zero_one_vertex(cone)
-            print(minimax.outer_approximation_min_max_face_distance(cone, seed, vertex).complete)
+            print(minimax.outer_approximation_min_max_face_distance(cone, vertex).complete)
             """
         )
         out = subprocess.run(

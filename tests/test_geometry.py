@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conebilliards import geometry
 from conebilliards.constants import bounds_report
 from conebilliards.errors import (
     ConeBilliardsError,
@@ -25,6 +26,7 @@ from conebilliards.geometry import (
     jacobi_eigenvalues,
     make_cone,
     min_eigenvalue,
+    orthonormal_rows,
     require_positive_definite,
 )
 from conebilliards.hardball import balls_to_cone
@@ -247,6 +249,17 @@ class TestReduceToSpan:
             np.testing.assert_allclose(reduced.normals @ basis, cone.normals, atol=1e-12)
 
 
+def test_orthonormal_rows_rejects_a_dependent_row():
+    rows = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [1.6, 0.8, 0.0]])
+    basis = orthonormal_rows(rows[:2])
+    np.testing.assert_allclose(basis @ basis.T, np.eye(2), atol=1e-15)
+    with pytest.raises(DegenerateArrangement):
+        orthonormal_rows(rows)  # row 2 is row 0 + row 1
+    rows[2, 2] = 1e-10  # within 1e-9 of the span of the rows before it
+    with pytest.raises(DegenerateArrangement):
+        orthonormal_rows(rows)
+
+
 class TestSpan:
     def test_square_cone_is_its_own_span(self):
         cone = random_cone(3, 3, 7, 0)
@@ -465,6 +478,48 @@ class TestCertifiedLambdaMin:
         cone = self._thin_cone(2e-7)
         pivots = _ldl_pivots(cone.gram_matrix.entries, cone.lambda_min)
         assert 1e-18 < cone.lambda_min and min(pivots) > 0
+
+    def test_failed_factorization_doubles_the_slack(self, monkeypatch):
+        # A failed Cholesky doubles the slack s of sigma = lam - s: the end
+        # is then about lam - 2.25 s instead of lam - 1.25 s.
+        g = random_cone(5, 5, 20241, 5000).gram_matrix.entries
+        lam = float(np.linalg.eigvalsh(g)[0])
+        slack = 4.0 * geometry._gamma(6) * float(np.abs(np.linalg.eigvalsh(g)).sum())
+        first = geometry._cholesky_end(g)
+        cholesky = np.linalg.cholesky
+        calls = []
+
+        def failing_once(a):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_once)
+        end = geometry._cholesky_end(g)
+        assert len(calls) == 2
+        assert lam - 1.5 * slack < first < lam - slack
+        assert lam - 3.0 * slack < end < lam - 1.5 * slack
+        assert 0.0 < end < first
+
+    def test_every_factorization_failing_leaves_gershgorin(self, monkeypatch):
+        # The slack doubles until it passes tr|a|; the end is then -inf, and
+        # min_eigenvalue is the Gershgorin end.
+        g = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 2.0]])
+        calls = []
+
+        def failing(a):
+            calls.append(1)
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        assert geometry._cholesky_end(g) == -math.inf
+        slack, attempts = 4.0 * geometry._gamma(4) * 6.0, 0
+        while slack <= 6.0:
+            slack, attempts = 2.0 * slack, attempts + 1
+        assert len(calls) == attempts > 40
+        assert min_eigenvalue(g) == geometry._gershgorin_end(g)
+        assert 1.0 - 1e-15 < min_eigenvalue(g) < 1.0
 
     def test_larger_end_of_two(self):
         # Diagonal rows are exact, a dense block takes the Cholesky end, and

@@ -160,6 +160,15 @@ class TestSimulateBalls:
         with pytest.raises(NonpositiveMass, match="finite and positive"):
             balls_to_cone([1.0, mass])
 
+    def test_hit_time_past_the_float_range_escapes(self):
+        # gap / closing = 1e300 / 2e-12 overflows: as in the cone kernel, an
+        # infinite first hit time is an escape, before any move.
+        traj = simulate_balls(system([1, 1], [0.0, 1e300], [2e-12, 0.0]))
+        assert traj.terminal is Terminal.ESCAPED
+        assert traj.n_collisions == 0
+        assert traj.final_time == 0.0
+        assert np.array_equal(traj.final_positions, [0.0, 1e300])
+
     @pytest.mark.parametrize("max_events", [0, -2, 2.5, True])
     def test_rejects_event_budget_below_one(self, max_events):
         # as run and run_batch reject max_steps < 1
@@ -207,6 +216,27 @@ class TestConjugacy:
             "terminal_balls": Terminal.ESCAPED,
             "terminal_cone": Terminal.ESCAPED,
         }
+
+    def test_ball_escape_past_the_float_range_is_a_mismatch(self):
+        # The balls' hit time overflows, so they escape with no event; the
+        # cone image's speed is about 1.4e-12, and it records one event at
+        # t ~ 1.4e300.
+        report = conjugacy_check(system([1, 1], [0.0, 1e300], [2e-12, 0.0]))
+        assert (report.n_ball_events, report.n_cone_events) == (0, 1)
+        assert report.terminal_balls is Terminal.ESCAPED
+        assert not report.matched
+
+    def test_time_error_past_the_float_range_fails_the_match(self):
+        # The ball time 2.5e305 is finite, but the cone time it predicts,
+        # speed * t, is past the float range while the cone's own time
+        # rounds to just below it: the error is inf / inf, a NaN, which must
+        # fail the match instead of vanishing in a max().
+        x = float.fromhex("0x1.70267e4dd24dcp+1014")
+        report = conjugacy_check(system([1, 1], [0.0, x], [504.0, 503.0]))
+        assert (report.n_ball_events, report.n_cone_events) == (1, 1)
+        assert report.pair_sequence == report.wall_sequence == [0]
+        assert math.isnan(report.max_time_error)
+        assert not report.matched
 
     def test_speed_is_preserved_in_image(self):
         rng = make_rng(76, 0)

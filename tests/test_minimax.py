@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conebilliards import minimax
-from conebilliards.constants import inscribed_ball
 from conebilliards.errors import DimensionMismatch
 from conebilliards.geometry import make_cone
 from conebilliards.harness import random_cone
@@ -118,8 +117,7 @@ ALLOWANCE = 1e-12
 
 
 def _outer(cone):
-    seed, vertex = inscribed_ball(cone).e, zero_one_vertex(cone)
-    return _outer_approximation(cone, seed, vertex)
+    return _outer_approximation(cone, zero_one_vertex(cone))
 
 
 def criterion_4_cones(ns=(3, 4, 5)):

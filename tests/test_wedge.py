@@ -41,6 +41,15 @@ class TestWedgeAngle:
         w = wedge_from_angle(1.234)
         assert abs(w.theta - wedge_angle(w.cone)) < 1e-12
 
+    def test_wedge_from_cone(self):
+        cone = make_cone(2, [[0.0, 1.0], [math.sin(1.234), -math.cos(1.234)]])
+        w = wedge_from_cone(cone)
+        assert w.cone is cone
+        assert w.theta == wedge_angle(cone)
+        assert abs(w.theta - 1.234) < 1e-12
+        with pytest.raises(WrongWallCount):
+            wedge_from_cone(make_cone(3, np.eye(3)))
+
 
 class TestSharpBound:
     @pytest.mark.parametrize(
@@ -91,6 +100,31 @@ class TestUnfold:
         pts = unfold(rec, w)
         assert pts.shape == (5, 2)
         assert collinearity_residual(pts) < 1e-8
+
+    def test_corner_record(self):
+        # Aimed at the apex: no reflection, and the record ends at the corner.
+        w = wedge_from_angle(math.pi / 2)
+        v = -np.ones(2) / math.sqrt(2.0)
+        rec = run(BilliardState(q=np.ones(2), v=v), w.cone)
+        assert rec.terminal is Terminal.CORNER_HIT and rec.n_collisions == 0
+        pts = unfold(rec, w)
+        assert pts.shape == (2, 2)
+        np.testing.assert_allclose(pts[1], rec.final_state.q + v, atol=1e-15)
+        assert collinearity_residual(pts) < 1e-12
+
+    def test_step_limit_record(self):
+        # Stopped after two of its three reflections: the last point is one
+        # time unit along the last segment.
+        w = wedge_from_angle(math.pi / 3)
+        start = adversarial_search(w.cone, budget=500, seed=5).best_state
+        with pytest.warns(RuntimeWarning, match="exceeded 2 steps"):
+            rec = run(start, w.cone, max_steps=2)
+        assert rec.terminal is Terminal.STEP_LIMIT and rec.n_collisions == 2
+        pts = unfold(rec, w)
+        assert pts.shape == (4, 2)
+        assert collinearity_residual(pts) < 1e-8
+        full = unfold(run(start, w.cone), w)
+        np.testing.assert_allclose(pts[:3], full[:3], atol=1e-12)
 
     def test_cone_mismatch(self):
         w1 = wedge_from_angle(math.pi / 2)

@@ -89,9 +89,9 @@ def test_closed_form_inside_the_searched_bracket(stream, monkeypatch):
     searched = []
     search = minimax.outer_approximation_min_max_face_distance
 
-    def counted(cone, seed, vertex):
+    def counted(cone, vertex):
         searched.append(cone.n_walls)
-        return search(cone, seed, vertex)
+        return search(cone, vertex)
 
     monkeypatch.setattr(minimax, "outer_approximation_min_max_face_distance", counted)
     n = stream // 1000
