@@ -136,13 +136,12 @@ def inscribed_ball(cone: ConeSpec) -> InscribedBall:
     return _cone(cone).ball
 
 
-# delta's sign-vertex formula solves 2^(n-1) vertices; past this n, delta
-# and phi come from the flip ascent over the same vertices, an estimate
-# from above in polynomial time.
-_FORMULA_MAX_N = 16
-# C's floor delta_Q solves 2^n - 1 vertices; past this n C has no floor
-# but the a-priori one, and no closed form.
-_VERTEX_MAX_N = 16
+# Largest n at which the 2^n vertex enumerations run: delta's sign-vertex
+# formula (2^(n-1) vertices) and C's floor delta_Q (2^n - 1).  Past it,
+# delta and phi come from the flip ascent over the same sign vertices, an
+# estimate from above in polynomial time, and C has no floor but the
+# a-priori one, and no closed form.
+_ENUMERATION_MAX_N = 16
 
 
 def capacity_delta(cone: ConeSpec) -> ConstantEstimate:
@@ -160,7 +159,7 @@ def capacity_delta(cone: ConeSpec) -> ConstantEstimate:
     cone = _cone(cone).span
     n = cone.n_walls
     lower = math.sqrt(max(cone.lambda_min, 0.0) / n)
-    if n <= _FORMULA_MAX_N:
+    if n <= _ENUMERATION_MAX_N:
         value = min(max(minimax.min_max_abs_margin(cone)[0], lower - 1e-12), 1.0)
         return ConstantEstimate(value, value, EstimateMethod.closed_form, 1 << (n - 1))
     value, _, used = minimax.flip_min_max_abs_margin(cone)
@@ -260,7 +259,7 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
         closed = math.sin(_wedge_angle(cone.gram_matrix) / 2.0)
         return ConstantEstimate(closed, closed, EstimateMethod.closed_form, 0)
     vertex = None
-    if n <= _VERTEX_MAX_N:
+    if n <= _ENUMERATION_MAX_N:
         vertex = minimax.zero_one_vertex(cone)
         support = vertex.support
         if (cone.gram_matrix.entries[np.ix_(support, ~support)] <= 0.0).all():
@@ -273,8 +272,7 @@ def bfk_constant(cone: ConeSpec) -> ConstantEstimate:
 
     if not 0.0 < value <= 1.0 + 1e-9:
         raise DegenerateArrangement(f"nondegeneracy constant {value} outside (0, 1]")
-    value = min(value, 1.0)
-    value = max(value, lower - 1e-12)
+    value = max(min(value, 1.0), lower - 1e-12)
     return ConstantEstimate(value, min(lower, value), EstimateMethod.outer_approximation, 0)
 
 
@@ -293,12 +291,16 @@ def tridiagonal_case(g) -> tuple[bool, int | None]:
     return False, None
 
 
+def _check_wedge_angle(theta) -> None:
+    if not (isinstance(theta, numbers.Real) and 0.0 < theta < math.pi):
+        raise InvalidParameter(f"wedge angle must lie in (0, pi), got {theta}")
+
+
 def sharp_bound(theta: float) -> int:
     """ceil(pi / theta), the sharp reflection bound of a wedge of angle theta,
     with `ceil_snapped`'s forgiveness; `bounds_report`'s bound_wedge.
     Raises InvalidParameter unless 0 < theta < pi."""
-    if not 0.0 < theta < math.pi:
-        raise InvalidParameter(f"wedge angle must lie in (0, pi), got {theta}")
+    _check_wedge_angle(theta)
     return ceil_snapped(math.pi / theta)
 
 

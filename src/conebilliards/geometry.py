@@ -41,10 +41,13 @@ def is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _freeze(a) -> np.ndarray:
+def _freeze(a, error: type[Exception] = InvalidState) -> np.ndarray:
     """A read-only float64 copy of a, so that the caller's own array stays
-    writable."""
-    a = np.array(a, dtype=np.float64, order="C")
+    writable; `error` for a ragged or non-numeric a."""
+    try:
+        a = np.array(a, dtype=np.float64, order="C")
+    except (TypeError, ValueError) as exc:
+        raise error(f"expected a rectangular array of numbers: {exc}") from None
     a.flags.writeable = False
     return a
 
@@ -64,7 +67,7 @@ class ConeSpec:
     renormalized: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "normals", _freeze(self.normals))
+        object.__setattr__(self, "normals", _freeze(self.normals, DimensionMismatch))
 
     @property
     def n_walls(self) -> int:
@@ -167,7 +170,7 @@ class GramMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.float64)
+        e = _freeze(self.entries, DimensionMismatch)
         if self.order < 1 or e.shape != (self.order, self.order):
             raise DimensionMismatch(
                 f"expected a {self.order}x{self.order} matrix, got {e.shape}"
@@ -176,7 +179,7 @@ class GramMatrix:
             raise DegenerateArrangement("Gram matrix entries must be finite")
         if np.abs(e - e.T).max(initial=0.0) > 1e-14:
             raise DimensionMismatch("Gram matrix must be symmetric within 1e-14")
-        object.__setattr__(self, "entries", _freeze(e))
+        object.__setattr__(self, "entries", e)
 
     @property
     def is_positive_definite(self) -> bool:
@@ -186,11 +189,11 @@ class GramMatrix:
 
 def as_gram(g) -> GramMatrix:
     """g itself if it is a GramMatrix, else the square array g validated as
-    one: DimensionMismatch for a wrong shape or an asymmetric array, and
-    DegenerateArrangement for a NaN or infinite entry."""
+    one: DimensionMismatch for a wrong shape, a ragged, non-numeric or
+    asymmetric array, and DegenerateArrangement for a NaN or infinite entry."""
     if isinstance(g, GramMatrix):
         return g
-    e = np.asarray(g, dtype=np.float64)
+    e = _freeze(g, DimensionMismatch)
     return GramMatrix(order=e.shape[0] if e.ndim else 0, entries=e)
 
 
@@ -420,9 +423,9 @@ def orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
 
 def contains(cone: ConeSpec, point, tol: float = 0.0) -> bool:
     """True when (point, a_i) >= -tol for every wall normal a_i.  Raises
-    DimensionMismatch for a wrong component count and InvalidState for a
-    non-finite component."""
-    p = np.asarray(point, dtype=np.float64)
+    DimensionMismatch for a wrong or non-numeric component and InvalidState
+    for a non-finite one."""
+    p = _freeze(point, DimensionMismatch)
     if p.shape != (cone.dim,):
         raise DimensionMismatch(f"point must have {cone.dim} components")
     if not np.isfinite(p).all():

@@ -64,10 +64,15 @@ _CIRCLE_POINTS = 200_000
 _FIBONACCI_POINTS = 1 << 20
 _ZOOM_STEPS = 201
 _FEAS_TOL = 1e-9
-# Multiply-adds per matrix product in the blocked loops below.  OpenBLAS
-# keeps a product of up to 2^18 on one thread (its default multithreading
-# threshold); larger ones start its threads, which doubled the CPU time per
-# face-distance point at n = 5 and 6 and made wall time erratic.
+# Entries per block in the blocked loops below, which bound each product's
+# memory.  In `FaceDistance` a block's product is at most 2^18 multiply-adds,
+# which OpenBLAS keeps on one thread (its default multithreading threshold);
+# larger ones start its threads, which doubled the CPU time per
+# face-distance point at n = 5 and 6 and made wall time erratic.  In
+# `_largest_vertex` a block holds 2^18 right-hand-side entries, so its
+# product is n * 2^18 multiply-adds, which OpenBLAS spreads over its
+# threads; one product over the whole vertex table instead took
+# `bounds_report` 1.6-1.8 times as long at n = 15, 16.
 _BLOCK_ENTRIES = 1 << 18
 # Stopping gap of C's bracket (absolute).
 _GAP = 1e-4

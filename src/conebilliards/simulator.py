@@ -13,7 +13,7 @@ import enum
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -168,24 +168,25 @@ def run(initial: BilliardState, cone: ConeSpec, max_steps: int | None = None) ->
     events = []
     velocities = [v[0]]
     terminal = Terminal.STEP_LIMIT
-    for _ in range(max_steps):
-        wall, t1, escaped, corner = _first_hits(q, v, cone.matrix)
-        if escaped[0]:
-            terminal = Terminal.ESCAPED
-            break
-        t += float(t1[0])
-        if corner[0]:
-            terminal = Terminal.CORNER_HIT
-            q = q + t1[0] * v
-            break
-        q_at, v_after = _reflect(q, v, t1, cone.normals[wall])
-        events.append(
-            CollisionEvent(t=t, wall=int(wall[0]), q_at=q_at[0], v_before=v[0], v_after=v_after[0])
-        )
-        velocities.append(v_after[0])
-        q, v = q_at, v_after
-    else:
-        _warn_step_limit("trajectory", max_steps)
+    with np.errstate(over="ignore"):  # a hit time past the float range escapes
+        for _ in range(max_steps):
+            wall, t1, escaped, corner = _first_hits(q, v, cone.matrix)
+            if escaped[0]:
+                terminal = Terminal.ESCAPED
+                break
+            t += float(t1[0])
+            if corner[0]:
+                terminal = Terminal.CORNER_HIT
+                q = q + t1[0] * v
+                break
+            q_at, v_after = _reflect(q, v, t1, cone.normals[wall])
+            events.append(
+                CollisionEvent(t=t, wall=int(wall[0]), q_at=q_at[0], v_before=v[0], v_after=v_after[0])
+            )
+            velocities.append(v_after[0])
+            q, v = q_at, v_after
+        else:
+            _warn_step_limit("trajectory", max_steps)
     return TrajectoryRecord(
         initial=start,
         events=tuple(events),
@@ -225,21 +226,22 @@ def run_batch(q0: np.ndarray, v0: np.ndarray, cone: ConeSpec, max_steps: int | N
 
     live = np.arange(k)  # input row of each row of q and v
     zz = np.zeros(k)  # zigzag lengths of the live rows
-    for step in range(max_steps):
-        wall, t1, escaped, corner = _first_hits(q, v, cone.matrix)
-        stop = escaped | corner
-        if stop.any():
-            done = live[stop]
-            terminal[done] = corner[stop]  # 0 escaped, 1 corner
-            counts[done] = step
-            zigzag[done] = zz[stop]
-            keep = ~stop
-            live, q, v, wall, t1, zz = live[keep], q[keep], v[keep], wall[keep], t1[keep], zz[keep]
-            if len(live) == 0:
-                break
-        q_new, v_new = _reflect(q, v, t1, cone.normals[wall])
-        zz += np.linalg.norm(v_new - v, axis=1)
-        q, v = q_new, v_new
+    with np.errstate(over="ignore"):  # a hit time past the float range escapes
+        for step in range(max_steps):
+            wall, t1, escaped, corner = _first_hits(q, v, cone.matrix)
+            stop = escaped | corner
+            if stop.any():
+                done = live[stop]
+                terminal[done] = corner[stop]  # 0 escaped, 1 corner
+                counts[done] = step
+                zigzag[done] = zz[stop]
+                keep = ~stop
+                live, q, v, wall, t1, zz = live[keep], q[keep], v[keep], wall[keep], t1[keep], zz[keep]
+                if len(live) == 0:
+                    break
+            q_new, v_new = _reflect(q, v, t1, cone.normals[wall])
+            zz += np.linalg.norm(v_new - v, axis=1)
+            q, v = q_new, v_new
 
     if len(live):
         counts[live] = max_steps
@@ -282,15 +284,7 @@ class AuditVerdict:
             "n_collisions": self.n_collisions,
             "zigzag": self.zigzag,
             "all_passed": self.all_passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "observed": c.observed,
-                    "limit": c.limit,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -328,29 +322,24 @@ def audit(record: TrajectoryRecord, report: BoundsReport) -> AuditVerdict:
 # shortest decimal representation that reproduces each double)
 # ---------------------------------------------------------------------------
 
+def _to_dict(obj) -> dict:
+    """A state's or an event's fields in declaration order, arrays as lists."""
+    return {
+        f.name: x.tolist() if isinstance(x := getattr(obj, f.name), np.ndarray) else x
+        for f in fields(obj)
+    }
+
+
+def _state_from_dict(doc: dict) -> BilliardState:
+    return BilliardState(q=doc["q"], v=doc["v"], t=doc["t"])
+
+
 def record_to_dict(record: TrajectoryRecord, verdict: AuditVerdict | None = None) -> dict:
     doc = {
-        "initial": {
-            "q": record.initial.q.tolist(),
-            "v": record.initial.v.tolist(),
-            "t": record.initial.t,
-        },
-        "events": [
-            {
-                "t": ev.t,
-                "wall": ev.wall,
-                "q_at": ev.q_at.tolist(),
-                "v_before": ev.v_before.tolist(),
-                "v_after": ev.v_after.tolist(),
-            }
-            for ev in record.events
-        ],
+        "initial": _to_dict(record.initial),
+        "events": [_to_dict(ev) for ev in record.events],
         "terminal": record.terminal.value,
-        "final": {
-            "q": record.final_state.q.tolist(),
-            "v": record.final_state.v.tolist(),
-            "t": record.final_state.t,
-        },
+        "final": _to_dict(record.final_state),
     }
     if verdict is not None:
         doc["audit"] = verdict.to_dict()
@@ -362,33 +351,29 @@ def record_to_json(record: TrajectoryRecord, verdict: AuditVerdict | None = None
 
 
 def record_from_dict(doc: dict, cone: ConeSpec) -> TrajectoryRecord:
-    initial = BilliardState(
-        q=np.array(doc["initial"]["q"]),
-        v=np.array(doc["initial"]["v"]),
-        t=doc["initial"]["t"],
-    )
-    events = tuple(
-        CollisionEvent(
-            t=ev["t"],
-            wall=ev["wall"],
-            q_at=np.array(ev["q_at"]),
-            v_before=np.array(ev["v_before"]),
-            v_after=np.array(ev["v_after"]),
+    """The record `record_to_dict` wrote; InvalidState for a malformed document."""
+    try:
+        initial = _state_from_dict(doc["initial"])
+        events = tuple(
+            CollisionEvent(
+                t=ev["t"],
+                wall=ev["wall"],
+                q_at=np.array(ev["q_at"]),
+                v_before=np.array(ev["v_before"]),
+                v_after=np.array(ev["v_after"]),
+            )
+            for ev in doc["events"]
         )
-        for ev in doc["events"]
-    )
-    velocities = [initial.v] + [ev.v_after for ev in events]
-    final = BilliardState(
-        q=np.array(doc["final"]["q"]), v=np.array(doc["final"]["v"]), t=doc["final"]["t"]
-    )
-    return TrajectoryRecord(
-        initial=initial,
-        events=events,
-        terminal=Terminal(doc["terminal"]),
-        velocities=np.array(velocities),
-        final_state=final,
-        cone=cone,
-    )
+        return TrajectoryRecord(
+            initial=initial,
+            events=events,
+            terminal=Terminal(doc["terminal"]),
+            velocities=np.array([initial.v] + [ev.v_after for ev in events]),
+            final_state=_state_from_dict(doc["final"]),
+            cone=cone,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidState(f"malformed trajectory document: {exc!r}") from None
 
 
 def record_from_json(text: str, cone: ConeSpec) -> TrajectoryRecord:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _wedge_angle, sharp_bound  # sharp_bound is re-exported
-from .errors import AlternationError, ConeMismatch, InvalidParameter, TooFewEvents, WrongWallCount
-from .geometry import ConeSpec, make_cone
+from .constants import _check_wedge_angle, _wedge_angle, sharp_bound  # sharp_bound is re-exported
+from .errors import AlternationError, ConeMismatch, TooFewEvents, WrongWallCount
+from .geometry import ConeSpec, make_cone, orthonormal_rows
 from .simulator import Terminal, TrajectoryRecord
 
 
@@ -40,8 +40,7 @@ def wedge_from_cone(cone: ConeSpec) -> WedgeSpec:
 
 def wedge_from_angle(theta: float) -> WedgeSpec:
     """Planar wedge between the positive x-axis and the ray at angle theta."""
-    if not 0.0 < theta < math.pi:
-        raise InvalidParameter(f"wedge angle must lie in (0, pi), got {theta}")
+    _check_wedge_angle(theta)
     cone = make_cone(2, [[0.0, 1.0], [math.sin(theta), -math.cos(theta)]])
     return WedgeSpec(theta=theta, cone=cone)
 
@@ -49,13 +48,6 @@ def wedge_from_angle(theta: float) -> WedgeSpec:
 def _check_same_cone(record: TrajectoryRecord, wedge: WedgeSpec) -> None:
     if not np.array_equal(record.cone.normals, wedge.cone.normals):
         raise ConeMismatch("record was not produced in this wedge")
-
-
-def _reorthonormalize(mat: np.ndarray) -> np.ndarray:
-    c0 = mat[:, 0] / np.linalg.norm(mat[:, 0])
-    c1 = mat[:, 1] - (mat[:, 1] @ c0) * c0
-    c1 /= np.linalg.norm(c1)
-    return np.column_stack([c0, c1])
 
 
 def unfold(record: TrajectoryRecord, wedge: WedgeSpec) -> np.ndarray:
@@ -74,7 +66,8 @@ def unfold(record: TrajectoryRecord, wedge: WedgeSpec) -> np.ndarray:
         points.append(transform @ ev.q_at)
         normal = wedge.cone.normals[ev.wall]
         transform = transform @ (eye - 2.0 * np.outer(normal, normal))
-        transform = _reorthonormalize(transform)
+        # C order: the products after it round differently on a transposed view.
+        transform = np.ascontiguousarray(orthonormal_rows(transform.T).T)
     final = record.final_state
     if record.terminal is Terminal.ESCAPED or record.n_collisions == 0:
         tail = final.q + final.v

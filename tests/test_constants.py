@@ -95,6 +95,25 @@ class TestInscribedBall:
             assert np.abs(cone.normals @ ball.e - ball.d).max() < 1e-10
             assert abs(np.linalg.norm(ball.e) - 1.0) < 1e-12
             assert ball.d > 0.0
+        # Thin cones: the last normal within 10^u of the first.  The ball's
+        # solve keeps the residual at rounding level on them; the form
+        # e = d R 1 from the cone's rays does not.
+        rng = np.random.default_rng(11)
+        thin = 0
+        for n in range(3, 11):
+            for _ in range(30):
+                a = rng.standard_normal((n, n))
+                a[-1] = a[0] + 10.0 ** rng.uniform(-8.5, -3.0) * rng.standard_normal(n)
+                try:
+                    cone = make_cone(n, a)
+                except DegenerateArrangement:
+                    continue
+                thin += 1
+                ball = inscribed_ball(cone)
+                assert np.abs(cone.normals @ ball.e - ball.d).max() <= 1e-14
+                assert abs(np.linalg.norm(ball.e) - 1.0) < 1e-12
+                assert ball.d > 0.0
+        assert thin >= 100
 
     def test_requires_square(self):
         with pytest.raises(DimensionMismatch):
@@ -407,7 +426,7 @@ class TestBoundsReport:
         cone = next(cone_suite((3,), 1, seed=53))
         exact = bounds_report(cone)
         # n = 3 takes the flip route that delta takes past n = 16
-        monkeypatch.setattr(constants, "_FORMULA_MAX_N", 2)
+        monkeypatch.setattr(constants, "_ENUMERATION_MAX_N", 2)
         rep = bounds_report(cone)
         est = capacity_delta(cone)
         assert est.method is EstimateMethod.multistart

@@ -14,6 +14,7 @@ from conebilliards.errors import (
     ConeBilliardsError,
     DegenerateArrangement,
     DimensionMismatch,
+    InvalidParameter,
     InvalidState,
     NotPositiveDefinite,
     ZeroVector,
@@ -29,9 +30,10 @@ from conebilliards.geometry import (
     orthonormal_rows,
     require_positive_definite,
 )
-from conebilliards.hardball import balls_to_cone
+from conebilliards.hardball import HardBallSystem, balls_to_cone
 from conebilliards.harness import make_rng, random_cone, sphere_sample
-from conebilliards.wedge import wedge_from_angle
+from conebilliards.simulator import BilliardState, record_from_json
+from conebilliards.wedge import sharp_bound, wedge_from_angle
 
 from conftest import cone_suite
 
@@ -536,3 +538,35 @@ class TestCertifiedLambdaMin:
         with pytest.raises(NotPositiveDefinite):
             require_positive_definite(np.array([[1.0, 1.0], [1.0, 1.0]]))
         assert not GramMatrix(order=2, entries=np.ones((2, 2))).is_positive_definite
+
+
+_MALFORMED = {
+    "state-ragged-q": (InvalidState, lambda: BilliardState(q=[[1.0], [1.0, 2.0]], v=[0.0, 1.0])),
+    "state-non-numeric-q": (InvalidState, lambda: BilliardState(q=["a", 1.0], v=[0.0, 1.0])),
+    "balls-non-numeric-mass": (
+        InvalidState,
+        lambda: HardBallSystem(masses=[1, "a"], positions=[0.0, 1.0], velocities=[0.0, 0.0]),
+    ),
+    "balls-ragged": (
+        InvalidState,
+        lambda: HardBallSystem(masses=[[1.0], [1.0, 2.0]], positions=[0.0, 1.0], velocities=[0.0, 0.0]),
+    ),
+    "record-empty-document": (InvalidState, lambda: record_from_json("{}", make_cone(2, np.eye(2)))),
+    "cone-spec-ragged": (DimensionMismatch, lambda: ConeSpec(dim=2, normals=[[1.0, 0.0], [0.0]])),
+    "gram-ragged": (DimensionMismatch, lambda: GramMatrix(order=2, entries=[[1.0, 0.0], [0.0]])),
+    "as-gram-ragged": (DimensionMismatch, lambda: min_eigenvalue([[1.0, 0.0], [0.0]])),
+    "min-eigenvalue-non-numeric": (DimensionMismatch, lambda: min_eigenvalue([["a"]])),
+    "contains-non-numeric": (DimensionMismatch, lambda: contains(make_cone(2, np.eye(2)), ["a", "b"])),
+    "wedge-angle-non-numeric": (InvalidParameter, lambda: wedge_from_angle("a")),
+    "sharp-bound-non-numeric": (InvalidParameter, lambda: sharp_bound("a")),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_input_raises_the_package_error(case):
+    # A ragged or non-numeric array, a document without its fields, or an
+    # angle that is not a number is refused with the error of the rule it
+    # breaks, never with numpy's or Python's own ValueError or KeyError.
+    error, build = _MALFORMED[case]
+    with pytest.raises(error):
+        build()

@@ -130,7 +130,7 @@ def test_flip_route_matches_the_formula(monkeypatch):
         for c in range(25 if n <= 6 else 3)
     ]
     exact = [capacity_delta(cone).value for cone in cones]
-    monkeypatch.setattr(constants, "_FORMULA_MAX_N", 1)
+    monkeypatch.setattr(constants, "_ENUMERATION_MAX_N", 1)
     for cone, value in zip(cones, exact):
         est = capacity_delta(cone)
         assert est.method is EstimateMethod.multistart

@@ -292,6 +292,18 @@ class TestRunBatch:
             warnings.simplefilter("error", RuntimeWarning)
             run_batch(q, v, orthant2)
 
+    def test_overflowing_hit_time_escapes_without_warning(self, orthant2):
+        # -margin / (v, a) = 1e300 / 1e-11 passes the float range: the hit
+        # time is inf, an escape, and numpy's overflow warning is not raised.
+        q = np.array([1e300, 1.0])
+        v = unit([-1e-11, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec = run(BilliardState(q=q, v=v), orthant2)
+            counts, _, terms = run_batch(q[None], v[None], orthant2)
+        assert rec.n_collisions == counts[0] == 0
+        assert rec.terminal == terms[0] == Terminal.ESCAPED
+
     def test_default_cap_with_infinite_bound(self):
         # 171! (4 / 1)^170 is past the float range, so main_bound is inf.
         cone = make_cone(171, np.eye(171))
