@@ -8,12 +8,13 @@ audit or conjugacy check fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from .constants import BoundsReport, bounds_report
+from .constants import bounds_report
 from .errors import DimensionMismatch, InvalidState, ZeroVector
 from .geometry import ConeSpec, make_cone
 from .harness import ExperimentConfig, adversarial_search, csv_line, ensemble_run, format_value
@@ -37,20 +38,12 @@ def _parse_floats(text: str) -> np.ndarray:
     return np.array([float(x) for x in text.split(",") if x.strip() != ""])
 
 
-def report_to_csv(report: BoundsReport) -> str:
-    return csv_line(BoundsReport.FIELDS) + csv_line(report.to_dict().values())
-
-
-def report_to_structured(report: BoundsReport) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
-
-
 def _cmd_bounds(args) -> int:
-    report = bounds_report(load_cone(args.cone))
+    doc = bounds_report(load_cone(args.cone)).to_dict()
     if args.format == "csv":
-        sys.stdout.write(report_to_csv(report))
+        sys.stdout.write(csv_line(doc) + csv_line(doc.values()))
     else:
-        sys.stdout.write(report_to_structured(report))
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -126,10 +119,7 @@ def _cmd_hardball(args) -> int:
     )
     traj = simulate_balls(system, max_events=args.max_events)
     doc = {
-        "events": [
-            {"t": ev.t, "pair": list(ev.pair), "velocities_after": list(ev.velocities_after)}
-            for ev in traj.events
-        ],
+        "events": [dataclasses.asdict(ev) for ev in traj.events],
         "terminal": traj.terminal.value,
         "final_positions": traj.final_positions.tolist(),
         "final_velocities": traj.final_velocities.tolist(),

@@ -42,12 +42,16 @@ def is_int(x) -> bool:
 
 
 def _freeze(a, error: type[Exception] = InvalidState) -> np.ndarray:
-    """A read-only float64 copy of a, so that the caller's own array stays
-    writable; `error` for a ragged or non-numeric a."""
+    """The one intake of a caller's array: a read-only float64 C-order copy,
+    so that the caller's own stays writable.  `error` for a ragged a, or one
+    of strings, bools or Python ints past int64 (a dtype kind not in "iuf")."""
     try:
-        a = np.array(a, dtype=np.float64, order="C")
+        raw = np.asarray(a)
     except (TypeError, ValueError) as exc:
         raise error(f"expected a rectangular array of numbers: {exc}") from None
+    if raw.dtype.kind not in "iuf":
+        raise error(f"expected an array of numbers, got {raw.dtype} entries")
+    a = np.array(raw, dtype=np.float64, order="C")
     a.flags.writeable = False
     return a
 
@@ -248,13 +252,7 @@ def make_cone(dim: int, normals) -> ConeSpec:
     """
     if not is_int(dim):
         raise DimensionMismatch(f"dim must be an integer, got {dim!r}")
-    try:
-        raw = np.asarray(normals)
-    except ValueError as exc:
-        raise DimensionMismatch(f"normals must be a rectangular array: {exc}") from None
-    if raw.dtype.kind not in "iuf":
-        raise DimensionMismatch(f"normals must be numbers, got {raw.dtype} entries")
-    arr = np.atleast_2d(raw.astype(np.float64, copy=False))
+    arr = np.atleast_2d(_freeze(normals, DimensionMismatch))
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DimensionMismatch(
             f"normals must each have {dim} components, got shape {arr.shape}"
@@ -421,13 +419,17 @@ def orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
     return basis
 
 
-def contains(cone: ConeSpec, point, tol: float = 0.0) -> bool:
-    """True when (point, a_i) >= -tol for every wall normal a_i.  Raises
-    DimensionMismatch for a wrong or non-numeric component and InvalidState
-    for a non-finite one."""
+def _as_point(cone: ConeSpec, point) -> np.ndarray:
+    """point as `_freeze` gives it; DimensionMismatch for a wrong or
+    non-numeric component and InvalidState for a non-finite one."""
     p = _freeze(point, DimensionMismatch)
     if p.shape != (cone.dim,):
         raise DimensionMismatch(f"point must have {cone.dim} components")
     if not np.isfinite(p).all():
         raise InvalidState("point must have finite components")
-    return bool((p @ cone.matrix >= -tol).all())
+    return p
+
+
+def contains(cone: ConeSpec, point, tol: float = 0.0) -> bool:
+    """True when (point, a_i) >= -tol for every wall; raises as `_as_point`."""
+    return bool((_as_point(cone, point) @ cone.matrix >= -tol).all())

@@ -22,9 +22,17 @@ from .geometry import ConeSpec, _freeze, is_int, make_cone
 from .simulator import APPROACH_TOL, CORNER_REL_TOL, BilliardState, Terminal, run
 
 
-def _check_masses(masses: np.ndarray) -> None:
-    if not (np.isfinite(masses) & (masses > 0.0)).all():
+def _masses(masses) -> np.ndarray:
+    """masses through `_freeze`: InvalidState unless 1-D, TooFewBalls for
+    fewer than two, and NonpositiveMass unless each is finite and positive."""
+    m = _freeze(masses)
+    if m.ndim != 1:
+        raise InvalidState(f"masses must be a 1-D array, got shape {m.shape}")
+    if len(m) < 2:
+        raise TooFewBalls("need at least two balls")
+    if not (np.isfinite(m) & (m > 0.0)).all():
         raise NonpositiveMass("all masses must be finite and positive")
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,14 +45,12 @@ class HardBallSystem:
     velocities: np.ndarray
 
     def __post_init__(self):
-        for name in ("masses", "positions", "velocities"):
+        object.__setattr__(self, "masses", _masses(self.masses))
+        for name in ("positions", "velocities"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         n = len(self.masses)
-        if n < 2:
-            raise TooFewBalls("need at least two balls")
-        if len(self.positions) != n or len(self.velocities) != n:
-            raise InvalidState("masses, positions, velocities must have equal length")
-        _check_masses(self.masses)
+        if self.positions.shape != (n,) or self.velocities.shape != (n,):
+            raise InvalidState("masses, positions, velocities must be 1-D of equal length")
         if not (np.isfinite(self.positions).all() and np.isfinite(self.velocities).all()):
             raise InvalidState("positions and velocities must be finite")
         if np.any(np.diff(self.positions) <= 0.0):
@@ -94,15 +100,15 @@ class CoordinateMap:
     def to_cone(self, positions, velocities):
         """Return (q, unit velocity, speed); cone time = speed * ball time."""
         w = self.weights
-        q = w * np.asarray(positions, dtype=np.float64)
-        u = w * np.asarray(velocities, dtype=np.float64)
+        q = w * _freeze(positions)
+        u = w * _freeze(velocities)
         speed = float(np.linalg.norm(u))
         v = u / speed if speed > 0.0 else u
         return q, v, speed
 
     def from_cone(self, q, v, speed: float = 1.0):
         w = self.weights
-        return np.asarray(q) / w, speed * np.asarray(v) / w
+        return _freeze(q) / w, speed * _freeze(v) / w
 
 
 def balls_to_cone(masses) -> tuple[ConeSpec, CoordinateMap]:
@@ -113,10 +119,7 @@ def balls_to_cone(masses) -> tuple[ConeSpec, CoordinateMap]:
     makes the Gram matrix tridiagonal with neighbor products
     -1 / sqrt((1 + m_{i+1}/m_i)(1 + m_{i+1}/m_{i+2})).
     """
-    m = np.asarray(masses, dtype=np.float64)
-    if len(m) < 2:
-        raise TooFewBalls("need at least two balls")
-    _check_masses(m)
+    m = _masses(masses)
     n = len(m)
     normals = np.zeros((n - 1, n))
     for i in range(n - 1):

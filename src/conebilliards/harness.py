@@ -18,7 +18,7 @@ from .errors import DegenerateArrangement, DegenerateSampling, DimensionMismatch
 # `audit` and `jacobi_eigenvalues` are not called here; they stay importable
 # from this module, where the profiling code in perfbench/ looks them up by
 # name.
-from .geometry import ConeSpec, _unit_rows, is_int, jacobi_eigenvalues, make_cone
+from .geometry import ConeSpec, _as_point, _unit_rows, is_int, jacobi_eigenvalues, make_cone
 from .simulator import (
     BilliardState,
     TrajectoryRecord,
@@ -106,10 +106,11 @@ def interior_starts(
     the generator is rewound and advanced by rounds 0..r only.  The draws,
     and so the starts and the generator's next state, are those of one
     round at a time.  Raises InvalidParameter unless count is an integer
-    >= 0.
+    >= 0, and for a center that `contains` would refuse.
     """
     if not (is_int(count) and count >= 0):
         raise InvalidParameter(f"count must be an integer >= 0, got {count!r}")
+    center = _as_point(cone, center)
     a = cone.matrix
     dim = cone.dim
     q = np.empty((count, dim))
@@ -222,14 +223,6 @@ def csv_line(values) -> str:
     return ",".join(format_value(v) for v in values) + "\n"
 
 
-def rows_to_csv(rows) -> str:
-    return csv_line(EnsembleRow.FIELDS) + "".join(csv_line(row.to_dict().values()) for row in rows)
-
-
-def rows_to_structured(rows) -> str:
-    return json.dumps([row.to_dict() for row in rows], indent=2) + "\n"
-
-
 # Streams are partitioned so cone sampling and trajectory sampling never
 # overlap: stream = trial index for cones, trial + _IC_STREAM_BASE for starts.
 _IC_STREAM_BASE = 1 << 32
@@ -281,7 +274,7 @@ def ensemble_run(config: ExperimentConfig) -> list[EnsembleRow]:
                 handle.write(csv_line(row.to_dict().values()))
                 handle.flush()
         if handle and config.format == "structured":
-            handle.write(rows_to_structured(rows))
+            handle.write(json.dumps([row.to_dict() for row in rows], indent=2) + "\n")
     finally:
         if handle:
             handle.close()
@@ -362,12 +355,11 @@ def adversarial_search(cone: ConeSpec, budget: int, seed: int) -> SearchResult:
     # The hugging starts stop at budget // 2, so these fit in the budget.
     for _ in range(max(1, (budget - evaluations) // 2)):
         state = interior_start(rng, work, center)
-        evaluate(np.array(state.q), np.array(state.v))
+        evaluate(state.q, state.v)
 
     # Annealing walk around the incumbent.
     cur_n, cur_state = best[0], best[1]
-    q = np.array(cur_state.q)
-    v = np.array(cur_state.v)
+    q, v = cur_state.q, cur_state.v
     remaining = budget - evaluations
     for k in range(max(0, remaining)):
         temp = max(0.02, 1.0 * (1.0 - k / max(1, remaining)))

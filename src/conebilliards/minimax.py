@@ -46,8 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateArrangement, InvalidParameter
-from .geometry import ConeSpec, _unit_rows, orthonormal_rows
+from .errors import DegenerateArrangement, DimensionMismatch, InvalidParameter
+from .geometry import ConeSpec, _freeze, _unit_rows, orthonormal_rows
 
 # Eigenvectors of G^-1 whose sign patterns start the flip ascent, beside
 # all ones, and the least relative rise of s^T G^-1 s that counts as a flip.
@@ -111,7 +111,7 @@ def max_min_margin(normals: np.ndarray):
     Returns (value, argmax unit vector).  A value <= 0 means the cone of
     the given normals has empty interior.
     """
-    arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
+    arr = np.atleast_2d(_freeze(normals, DimensionMismatch))
     n = arr.shape[0]
     best_val = -np.inf
     best_u = None
@@ -453,7 +453,7 @@ class FaceDistance:
     """
 
     def __init__(self, normals: np.ndarray):
-        arr = np.atleast_2d(np.asarray(normals, dtype=np.float64))
+        arr = np.atleast_2d(_freeze(normals, DimensionMismatch))
         self.normals = arr
         self.n, self.m = arr.shape
 
@@ -750,6 +750,8 @@ class Bracket(NamedTuple):
     # False when the rounds stopped before the gap closed: at the vertex
     # cap, on a round that cut off no vertex, or with no rounds at all.
     complete: bool
+    # The last P_k (a `_Polytope`), or None without rounds.
+    polytope: _Polytope | None
 
 
 def outer_approximation_min_max_face_distance(
@@ -780,12 +782,6 @@ def outer_approximation_min_max_face_distance(
     hi is f at e and at y_Q, and lo is delta_Q less its allowance
     (0 without a vertex).
     """
-    return _outer_approximation(cone, vertex)[0]
-
-
-def _outer_approximation(cone: ConeSpec, vertex):
-    """`outer_approximation_min_max_face_distance`, and its last P_k (None
-    without rounds)."""
     hi, best, evaluations = math.inf, cone.ball.e, 0
 
     def evaluate(y):
@@ -802,7 +798,7 @@ def _outer_approximation(cone: ConeSpec, vertex):
 
     evaluate(cone.ball.e)
     if vertex is None:
-        return Bracket(0.0, hi, best, evaluations, False), None
+        return Bracket(0.0, hi, best, evaluations, False, None)
     lo = vertex.value - _VERTEX_ERROR
     n = cone.n_walls
     poly = _Polytope(n) if 1 << n <= _VERTEX_CAP else None
@@ -822,4 +818,4 @@ def _outer_approximation(cone: ConeSpec, vertex):
             break
         level, y, _ = _largest_vertex(cone, 0, len(poly.x), lambda codes: poly.x[codes].T)
         lo = max(lo, level - _VERTEX_ERROR)
-    return Bracket(lo, hi, best, evaluations, hi - lo <= _GAP), poly
+    return Bracket(lo, hi, best, evaluations, hi - lo <= _GAP, poly)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +51,9 @@ class BilliardState:
     def __post_init__(self):
         for name in ("q", "v"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
+        # Checked, not converted, so that an int t stays an int in JSON.
+        if isinstance(self.t, bool) or not isinstance(self.t, numbers.Real):
+            raise InvalidState(f"t must be a real number, got {self.t!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,14 +69,19 @@ class CollisionEvent:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """A finished trajectory: events in time order plus the velocity chain."""
+    """A finished trajectory: events in time order, and the velocity chain
+    derived from them."""
 
     initial: BilliardState
     events: tuple
     terminal: Terminal
-    velocities: np.ndarray
     final_state: BilliardState
     cone: ConeSpec = field(repr=False)
+
+    @cached_property
+    def velocities(self) -> np.ndarray:
+        """v_0, ..., v_N: the initial velocity, then each event's v_after."""
+        return np.array([self.initial.v] + [ev.v_after for ev in self.events])
 
     @property
     def n_collisions(self) -> int:
@@ -162,11 +172,10 @@ def run(initial: BilliardState, cone: ConeSpec, max_steps: int | None = None) ->
     t = float(initial.t)
     if not math.isfinite(t):
         raise InvalidState(f"start time must be finite, got {t}")
-    q = np.array(initial.q, dtype=np.float64)[None]
-    v, max_steps = _check_start(q, np.array(initial.v, dtype=np.float64)[None], cone, max_steps)
+    q = _freeze(initial.q)[None]
+    v, max_steps = _check_start(q, _freeze(initial.v)[None], cone, max_steps)
     start = BilliardState(q=q[0], v=v[0], t=t)
     events = []
-    velocities = [v[0]]
     terminal = Terminal.STEP_LIMIT
     with np.errstate(over="ignore"):  # a hit time past the float range escapes
         for _ in range(max_steps):
@@ -183,7 +192,6 @@ def run(initial: BilliardState, cone: ConeSpec, max_steps: int | None = None) ->
             events.append(
                 CollisionEvent(t=t, wall=int(wall[0]), q_at=q_at[0], v_before=v[0], v_after=v_after[0])
             )
-            velocities.append(v_after[0])
             q, v = q_at, v_after
         else:
             _warn_step_limit("trajectory", max_steps)
@@ -191,7 +199,6 @@ def run(initial: BilliardState, cone: ConeSpec, max_steps: int | None = None) ->
         initial=start,
         events=tuple(events),
         terminal=terminal,
-        velocities=np.array(velocities),
         final_state=BilliardState(q=q[0], v=v[0], t=t),
         cone=cone,
     )
@@ -217,8 +224,8 @@ def run_batch(q0: np.ndarray, v0: np.ndarray, cone: ConeSpec, max_steps: int | N
     zigzag lengths, per-row Terminal values); rows that reach the step
     budget get one warning per call.
     """
-    q = np.array(q0, dtype=np.float64)
-    v, max_steps = _check_start(q, np.array(v0, dtype=np.float64), cone, max_steps)
+    q = _freeze(q0)
+    v, max_steps = _check_start(q, _freeze(v0), cone, max_steps)
     k = q.shape[0]
     counts = np.zeros(k, dtype=np.int64)
     zigzag = np.zeros(k)
@@ -353,22 +360,20 @@ def record_to_json(record: TrajectoryRecord, verdict: AuditVerdict | None = None
 def record_from_dict(doc: dict, cone: ConeSpec) -> TrajectoryRecord:
     """The record `record_to_dict` wrote; InvalidState for a malformed document."""
     try:
-        initial = _state_from_dict(doc["initial"])
         events = tuple(
             CollisionEvent(
                 t=ev["t"],
                 wall=ev["wall"],
-                q_at=np.array(ev["q_at"]),
-                v_before=np.array(ev["v_before"]),
-                v_after=np.array(ev["v_after"]),
+                q_at=_freeze(ev["q_at"]),
+                v_before=_freeze(ev["v_before"]),
+                v_after=_freeze(ev["v_after"]),
             )
             for ev in doc["events"]
         )
         return TrajectoryRecord(
-            initial=initial,
+            initial=_state_from_dict(doc["initial"]),
             events=events,
             terminal=Terminal(doc["terminal"]),
-            velocities=np.array([initial.v] + [ev.v_after for ev in events]),
             final_state=_state_from_dict(doc["final"]),
             cone=cone,
         )
@@ -377,4 +382,10 @@ def record_from_dict(doc: dict, cone: ConeSpec) -> TrajectoryRecord:
 
 
 def record_from_json(text: str, cone: ConeSpec) -> TrajectoryRecord:
-    return record_from_dict(json.loads(text), cone)
+    """The record `record_to_json` wrote; InvalidState for text that is not
+    JSON or a malformed document."""
+    try:
+        doc = json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise InvalidState(f"malformed trajectory document: {exc!r}") from None
+    return record_from_dict(doc, cone)

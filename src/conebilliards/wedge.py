@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import _check_wedge_angle, _wedge_angle, sharp_bound  # sharp_bound is re-exported
 from .errors import AlternationError, ConeMismatch, TooFewEvents, WrongWallCount
-from .geometry import ConeSpec, make_cone, orthonormal_rows
+from .geometry import ConeSpec, _freeze, make_cone, orthonormal_rows
 from .simulator import Terminal, TrajectoryRecord
 
 
@@ -61,7 +61,7 @@ def unfold(record: TrajectoryRecord, wedge: WedgeSpec) -> np.ndarray:
     _check_same_cone(record, wedge)
     eye = np.eye(2)
     transform = eye.copy()
-    points = [np.array(record.initial.q)]
+    points = [record.initial.q]
     for ev in record.events:
         points.append(transform @ ev.q_at)
         normal = wedge.cone.normals[ev.wall]
@@ -80,7 +80,7 @@ def unfold(record: TrajectoryRecord, wedge: WedgeSpec) -> np.ndarray:
 
 def collinearity_residual(points: np.ndarray) -> float:
     """Largest distance from the points to their least-squares line."""
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _freeze(points)
     center = pts.mean(axis=0)
     centered = pts - center
     _, _, vt = np.linalg.svd(centered, full_matrices=False)

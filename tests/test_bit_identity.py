@@ -527,14 +527,12 @@ def run_reference(initial, cone, max_steps=None):
     start = BilliardState(q=q, v=v, t=float(initial.t))
     t = start.t
     events = []
-    velocities = [v.copy()]
     terminal = Terminal.STEP_LIMIT
     final = None
     while len(events) < max_steps:
         out = next_event_reference(BilliardState(q=q, v=v, t=t), cone)
         if isinstance(out, CollisionEvent):
             events.append(out)
-            velocities.append(out.v_after.copy())
             q, v, t = np.array(out.q_at), np.array(out.v_after), out.t
         elif out is None:
             terminal = Terminal.ESCAPED
@@ -547,7 +545,6 @@ def run_reference(initial, cone, max_steps=None):
         initial=start,
         events=tuple(events),
         terminal=terminal,
-        velocities=np.array(velocities),
         final_state=final or BilliardState(q=q, v=v, t=t),
         cone=cone,
     )

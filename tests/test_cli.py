@@ -186,7 +186,8 @@ def test_hardball_rejects_invalid_input(flags, error):
 def test_every_command_runs_without_scipy(tmp_path):
     # The runtime needs numpy alone.  With scipy unimportable, each of the
     # six commands runs, bounds on an n = 17 cone among them, where delta
-    # comes from the flip ascent past the sign-vertex formula.
+    # comes from the flip ascent past the sign-vertex formula.  A
+    # floating-point warning or any output on stderr fails.
     import subprocess
     import sys
     import textwrap
@@ -222,4 +223,5 @@ def test_every_command_runs_without_scipy(tmp_path):
         [sys.executable, "-W", "error::RuntimeWarning", "-c", code], capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
     assert out.stdout.startswith("lambda_min,d,delta,")

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import json
 import math
 import weakref
 from fractions import Fraction
@@ -31,8 +32,8 @@ from conebilliards.geometry import (
     require_positive_definite,
 )
 from conebilliards.hardball import HardBallSystem, balls_to_cone
-from conebilliards.harness import make_rng, random_cone, sphere_sample
-from conebilliards.simulator import BilliardState, record_from_json
+from conebilliards.harness import interior_starts, make_rng, random_cone, sphere_sample
+from conebilliards.simulator import BilliardState, record_from_json, run_batch
 from conebilliards.wedge import sharp_bound, wedge_from_angle
 
 from conftest import cone_suite
@@ -540,9 +541,62 @@ class TestCertifiedLambdaMin:
         assert not GramMatrix(order=2, entries=np.ones((2, 2))).is_positive_definite
 
 
+def _trajectory_json(t=0.0, q_at=(1.0, 0.0)):
+    """A trajectory document of one event in the 2-orthant, with the given
+    start time and event position."""
+    state = {"q": [1.0, 1.0], "v": [0.0, -1.0], "t": t}
+    event = {"t": 1.0, "wall": 1, "q_at": list(q_at), "v_before": [0.0, -1.0], "v_after": [0.0, 1.0]}
+    final = {"q": [1.0, 1.0], "v": [0.0, 1.0], "t": 2.0}
+    return json.dumps({"initial": state, "events": [event], "terminal": "Escaped", "final": final})
+
+
+_ORTHANT = make_cone(2, np.eye(2))
+
 _MALFORMED = {
     "state-ragged-q": (InvalidState, lambda: BilliardState(q=[[1.0], [1.0, 2.0]], v=[0.0, 1.0])),
     "state-non-numeric-q": (InvalidState, lambda: BilliardState(q=["a", 1.0], v=[0.0, 1.0])),
+    "state-numeric-strings": (InvalidState, lambda: BilliardState(q=["1", "2"], v=[0.0, 1.0])),
+    "state-bool-q": (InvalidState, lambda: BilliardState(q=[True, False], v=[0.0, 1.0])),
+    "state-int-past-int64": (InvalidState, lambda: BilliardState(q=[10**30, 1], v=[0.0, 1.0])),
+    "state-int-past-float": (InvalidState, lambda: BilliardState(q=[10**400, 1], v=[0.0, 1.0])),
+    "state-string-t": (InvalidState, lambda: BilliardState(q=[1.0, 1.0], v=[0.0, 1.0], t="a")),
+    "state-bool-t": (InvalidState, lambda: BilliardState(q=[1.0, 1.0], v=[0.0, 1.0], t=True)),
+    "balls-numeric-strings": (
+        InvalidState,
+        lambda: HardBallSystem(masses=["1", "2"], positions=[0.0, 1.0], velocities=[0.0, 0.0]),
+    ),
+    "balls-2d": (
+        InvalidState,
+        lambda: HardBallSystem(
+            masses=[[1, 1], [1, 1]], positions=[[0, 1], [2, 3]], velocities=[[1, 1], [0, 0]]
+        ),
+    ),
+    "balls-2d-positions": (
+        InvalidState,
+        lambda: HardBallSystem(masses=[1, 1], positions=[[0, 1], [2, 3]], velocities=[[1, 1], [0, 0]]),
+    ),
+    "balls-scalars": (InvalidState, lambda: HardBallSystem(1.0, 0.0, 1.0)),
+    "balls-to-cone-scalar": (InvalidState, lambda: balls_to_cone(3.0)),
+    "balls-to-cone-2d": (InvalidState, lambda: balls_to_cone([[1, 2], [3, 4]])),
+    "balls-to-cone-non-numeric": (InvalidState, lambda: balls_to_cone([1, "a", 2])),
+    "balls-to-cone-ragged": (InvalidState, lambda: balls_to_cone([[1], [1, 2], 3])),
+    "run-batch-ragged": (InvalidState, lambda: run_batch([[1, 1], [1]], [[0, 1], [0, 1]], _ORTHANT)),
+    "run-batch-non-numeric": (InvalidState, lambda: run_batch([["a", 1]], [[0, 1]], _ORTHANT)),
+    "starts-non-numeric-center": (
+        DimensionMismatch,
+        lambda: interior_starts(make_rng(0), _ORTHANT, ["a", 1.0], 2),
+    ),
+    "starts-short-center": (DimensionMismatch, lambda: interior_starts(make_rng(0), _ORTHANT, [1.0], 2)),
+    "starts-nan-center": (
+        InvalidState,
+        lambda: interior_starts(make_rng(0), _ORTHANT, [math.nan, 1.0], 2),
+    ),
+    "record-not-json": (InvalidState, lambda: record_from_json("{", _ORTHANT)),
+    "record-string-t": (InvalidState, lambda: record_from_json(_trajectory_json(t="a"), _ORTHANT)),
+    "record-string-q-at": (
+        InvalidState,
+        lambda: record_from_json(_trajectory_json(q_at=("a", 0)), _ORTHANT),
+    ),
     "balls-non-numeric-mass": (
         InvalidState,
         lambda: HardBallSystem(masses=[1, "a"], positions=[0.0, 1.0], velocities=[0.0, 0.0]),

@@ -18,7 +18,6 @@ from conebilliards.harness import (
     interior_starts,
     make_rng,
     random_cone,
-    rows_to_csv,
     sphere_sample,
 )
 from conebilliards.simulator import BilliardState, audit, run
@@ -188,10 +187,13 @@ class TestEnsembleRun:
         rows = ensemble_run(config)
         assert len(rows) == 3
 
-    def test_csv_17_digit_round_trip(self):
-        config = ExperimentConfig(n_walls=2, dim=2, trials=2, seed=5, paths_per_cone=5)
+    def test_csv_17_digit_round_trip(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        config = ExperimentConfig(
+            n_walls=2, dim=2, trials=2, seed=5, paths_per_cone=5, output_path=str(out)
+        )
         rows = ensemble_run(config)
-        text = rows_to_csv(rows)
+        text = out.read_text()
         header, *lines = text.strip().splitlines()
         cols = header.split(",")
         for row, line in zip(rows, lines):

@@ -13,8 +13,8 @@ from conebilliards.minimax import (
     FaceDistance,
     _cuts,
     _largest_vertex,
-    _outer_approximation,
     nearest_point_face_distances,
+    outer_approximation_min_max_face_distance,
     zero_one_vertex,
 )
 from conebilliards.wedge import wedge_from_angle
@@ -117,7 +117,7 @@ ALLOWANCE = 1e-12
 
 
 def _outer(cone):
-    return _outer_approximation(cone, zero_one_vertex(cone))
+    return outer_approximation_min_max_face_distance(cone, zero_one_vertex(cone))
 
 
 def criterion_4_cones(ns=(3, 4, 5)):
@@ -256,7 +256,7 @@ BRANCH_AND_BOUND = {
 class TestOuterApproximation:
     @pytest.mark.parametrize("theta", [0.2, math.pi / 3, math.pi / 2, 2.2, 3.0])
     def test_wedge_bracket(self, theta):
-        lo, hi, _, evaluations, complete = _outer(wedge_from_angle(theta).cone)[0]
+        lo, hi, _, evaluations, complete, _ = _outer(wedge_from_angle(theta).cone)
         c = math.sin(theta / 2.0)
         assert complete and evaluations > 0
         assert lo <= c <= hi + 1e-15
@@ -264,14 +264,14 @@ class TestOuterApproximation:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_orthant_bracket(self, n):
-        lo, hi, _, _, complete = _outer(make_cone(n, np.eye(n)))[0]
+        lo, hi, _, _, complete, _ = _outer(make_cone(n, np.eye(n)))
         assert complete
         assert lo <= 1.0 / math.sqrt(n) <= hi + 1e-15
         assert hi - lo <= 1e-4
 
     def test_best_is_feasible_and_attains_hi(self):
         for cone in list(criterion_4_cones((3, 4))) + [wedge_from_angle(0.2).cone]:
-            bracket, _ = _outer(cone)
+            bracket = _outer(cone)
             best = bracket.best
             assert best.shape == (cone.dim,)
             assert (best @ cone.matrix).min() >= 0.0
@@ -291,7 +291,7 @@ class TestOuterApproximation:
         checked = 0
         for stream in streams:
             cone = random_cone(stream // 1000, stream // 1000, seed=20241, stream=stream)
-            _, poly = _outer(cone)
+            poly = _outer(cone).polytope
             if poly is None or not len(poly.cuts):
                 continue
             rays = np.linalg.inv(cone.normals)
@@ -364,7 +364,8 @@ class TestOuterApproximation:
         # from its n tight constraints, as the floor delta_Q is.
         worst, checked = 0.0, 0
         for cone in criterion_4_cones():
-            bracket, poly = _outer(cone)
+            bracket = _outer(cone)
+            poly = bracket.polytope
             if poly is None or not len(poly.cuts):
                 continue
             level, _, k = _largest_vertex(cone, 0, len(poly.x), lambda codes: poly.x[codes].T)
@@ -392,28 +393,48 @@ class TestOuterApproximation:
         }
         for stream, (lo, hi) in before.items():
             n = stream // 1000
-            bracket, _ = _outer(random_cone(n, n, seed=20241, stream=stream))
+            bracket = _outer(random_cone(n, n, seed=20241, stream=stream))
             assert bracket.complete
             assert 0.0 < bracket.lo <= bracket.hi <= bracket.lo + 1e-4
             assert bracket.lo <= hi and lo <= bracket.hi
+
+    def test_infeasible_point_stops_the_rounds(self, monkeypatch):
+        # A round whose vertex cannot be pushed inside the cone ends the
+        # rounds with the bracket so far: the ball's centre alone gives hi.
+        pushed, calls = minimax._pushed_inside, []
+
+        def first_only(cone, y):
+            calls.append(y)
+            return pushed(cone, y) if len(calls) == 1 else None
+
+        monkeypatch.setattr(minimax, "_pushed_inside", first_only)
+        bracket = _outer(random_cone(3, 3, seed=20241, stream=3000))
+        assert len(calls) == 2
+        assert bracket.evaluations == 1 and not bracket.complete
+        assert bracket.lo == pytest.approx(0.289607, abs=1e-6)
+        assert bracket.hi == pytest.approx(0.338637, abs=1e-6)
+        lo, hi = BRANCH_AND_BOUND[3000]
+        assert bracket.lo <= lo and hi <= bracket.hi
 
     @pytest.mark.parametrize("stream", [5000, 6009, 7000])
     def test_cap_keeps_a_certified_bracket(self, stream, monkeypatch):
         n = stream // 1000
         cone = random_cone(n, n, seed=20241, stream=stream)
-        full, whole = _outer(cone)
+        full = _outer(cone)
+        whole = full.polytope
         cap = (1 << n) + 4 * n
         assert len(whole.x) > cap
         monkeypatch.setattr(minimax, "_VERTEX_CAP", cap)
-        cut, poly = _outer(cone)
+        cut = _outer(cone)
+        poly = cut.polytope
         assert len(poly.x) <= cap
         assert not cut.complete and cut.hi - cut.lo > 1e-4
         assert cut.lo <= full.lo and cut.hi >= full.hi
         assert cut.lo <= full.hi <= cut.hi
         # A cap below the 2^n vertices of P_0: the seed and y_Q alone.
         monkeypatch.setattr(minimax, "_VERTEX_CAP", (1 << n) - 1)
-        ends, none = _outer(cone)
-        assert none is None and ends.evaluations == 2
+        ends = _outer(cone)
+        assert ends.polytope is None and ends.evaluations == 2
         assert ends.lo == zero_one_vertex(cone).value - ALLOWANCE
         assert ends.lo <= cut.lo and ends.hi >= cut.hi
 
@@ -421,7 +442,7 @@ class TestOuterApproximation:
         moved = 0
         for stream, (lo, hi) in BRANCH_AND_BOUND.items():
             n = stream // 1000
-            bracket, _ = _outer(random_cone(n, n, seed=20241, stream=stream))
+            bracket = _outer(random_cone(n, n, seed=20241, stream=stream))
             assert bracket.complete and bracket.hi - bracket.lo <= 1e-4
             assert bracket.lo <= hi and lo <= bracket.hi, stream
             moved += bracket.lo != lo

@@ -202,7 +202,6 @@ class TestVelocityArc:
             initial=BilliardState(q=np.array([1.0, 1.0]), v=v),
             events=(ev, ev2),
             terminal=Terminal.ESCAPED,
-            velocities=np.array([v, -v, v]),
             final_state=BilliardState(q=np.array([1.0, 1.0]), v=v, t=2.0),
             cone=w.cone,
         )
